@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 from scipy import stats as sps
+from scipy.linalg import lapack
 
 from .errors import (
     DimensionMismatch,
@@ -73,8 +74,13 @@ class PluginMatrices:
     @property
     def sandwich(self) -> np.ndarray:
         """Gamma_hat^-1 Omega_hat Gamma_hat^-1."""
-        half = pd_solve(self.gamma_hat, self.omega_hat, name="gamma_hat")
-        return sym(pd_solve(self.gamma_hat, half.T, name="gamma_hat"))
+        return _sandwich(self.gamma_hat, self.omega_hat)
+
+
+def _sandwich(gamma: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Gamma^-1 Omega Gamma^-1, symmetrized."""
+    half = pd_solve(gamma, omega, name="gamma_hat")
+    return sym(pd_solve(gamma, half.T, name="gamma_hat"))
 
 
 @dataclass(frozen=True)
@@ -119,52 +125,73 @@ def fit_unrestricted(data: RegressionData, partition: Partition) -> CoefEstimate
     return CoefEstimate(delta=delta, partition=partition, kind=KIND_UNRESTRICTED, ssr=ssr)
 
 
+def _restricted_ls(grams: np.ndarray, zys: np.ndarray, restriction: Restriction) -> np.ndarray:
+    """The package's one restricted least-squares solve.
+
+    Solves ``[[G, R'], [R, 0]] [delta; lambda] = [Z'y; r]`` for ``delta``,
+    with ``G`` block diagonal from ``grams[p] = Z_p'Z_p`` and ``Z'y`` stacked
+    from ``zys[p] = Z_p'y_p``.  Raises ``LinAlgError`` when it is singular.
+    """
+    n_seg, q = zys.shape
+    n = n_seg * q
+    restriction.check_dims(n)
+    kkt = np.zeros((n + restriction.k, n + restriction.k))
+    # Splitting both axes of the leading block never copies, so this is a
+    # view through which the diagonal blocks are written in place.
+    blocks = kkt[:n, :n].reshape(n_seg, q, n_seg, q)
+    seg = np.arange(n_seg)
+    blocks[seg, :, seg, :] = grams
+    kkt[:n, n:] = restriction.matrix.T
+    kkt[n:, :n] = restriction.matrix
+    rhs = np.concatenate([zys.reshape(n), restriction.rhs])
+    lu, piv, sol, info = lapack.dgesv(kkt, rhs)
+    if info > 0:
+        raise np.linalg.LinAlgError("constrained normal equations are singular")
+    # One step of iterative refinement regains the digits LU loses when G
+    # and R differ in scale (KKT condition numbers near 1e7 occur at k = n).
+    sol += lapack.dgetrs(lu, piv, rhs - kkt @ sol)[0]
+    return sol[:n]
+
+
 def fit_restricted(
     data: RegressionData, partition: Partition, restriction: Restriction
 ) -> CoefEstimate:
     """Least squares subject to ``R delta = r``.
 
-    Computed by projecting the unrestricted fit along the design metric:
-    ``d_re = d_ue - G^-1 R' (R G^-1 R')^-1 (R d_ue - r)`` with
-    ``G = Zbar'Zbar``, which minimizes the SSR over the constraint set.
+    Solves the constrained normal equations built from each segment's data
+    rows, ``Z_p'Z_p`` and ``Z_p'y_p``, and reports the SSR from explicit
+    residuals.
 
     Raises
     ------
     SegmentRankDeficient, DimensionMismatch, SingularConstraintGram
     """
-    ue = fit_unrestricted(data, partition)
+    segments = partition.segments(data.n_obs)
     q = data.n_regressors
-    n = partition.n_segments * q
-    restriction.check_dims(n)
-    rmat, rhs = restriction.matrix, restriction.rhs
-    # G is block diagonal, so G^-1 R' solves segment by segment.
-    ginv_rt = np.empty((n, restriction.k))
-    for p, (s, e) in enumerate(partition.segments(data.n_obs)):
+    grams = np.empty((len(segments), q, q))
+    zys = np.empty((len(segments), q))
+    for p, (s, e) in enumerate(segments):
         zseg = data.z[s:e]
-        gram = zseg.T @ zseg
-        block = slice(p * q, (p + 1) * q)
-        try:
-            ginv_rt[block] = np.linalg.solve(gram, rmat.T[block])
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - caught above
-            raise SegmentRankDeficient(f"segment {p + 1} Gram is singular") from exc
-    cgram = rmat @ ginv_rt
-    delta = ue.delta.copy()
-    for _ in range(2):  # one refinement pass absorbs round-off on the constraint
-        gap = rmat @ delta - rhs
-        if np.max(np.abs(gap)) <= CONSTRAINT_TOL * (1.0 + np.max(np.abs(rhs), initial=0.0)):
-            break
-        try:
-            delta = delta - ginv_rt @ np.linalg.solve(cgram, gap)
-        except np.linalg.LinAlgError as exc:
-            raise SingularConstraintGram("R G^-1 R' is singular") from exc
+        rank = np.linalg.matrix_rank(zseg)
+        if rank < q:
+            raise SegmentRankDeficient(
+                f"segment {p + 1} (times {s + 1}..{e}) has rank {rank} < {q}"
+            )
+        grams[p] = zseg.T @ zseg
+        zys[p] = zseg.T @ data.y[s:e]
+    try:
+        delta = _restricted_ls(grams, zys, restriction)
+    except np.linalg.LinAlgError as exc:
+        raise SingularConstraintGram("R G^-1 R' is singular") from exc
+    rmat, rhs = restriction.matrix, restriction.rhs
     gap = np.max(np.abs(rmat @ delta - rhs))
     if gap > CONSTRAINT_TOL * (1.0 + np.max(np.abs(rhs), initial=0.0)):
         raise SingularConstraintGram(
-            f"constraint violated after projection (gap {gap:.3e}); "
+            f"constraint violated by the constrained solve (gap {gap:.3e}); "
             "the constraint Gram is too ill-conditioned"
         )
     ssr = 0.0
-    for p, (s, e) in enumerate(partition.segments(data.n_obs)):
+    for p, (s, e) in enumerate(segments):
         resid = data.y[s:e] - data.z[s:e] @ delta[p * q:(p + 1) * q]
         ssr += float(resid @ resid)
     return CoefEstimate(delta=delta, partition=partition, kind=KIND_RESTRICTED, ssr=ssr)
@@ -241,8 +268,7 @@ def build_plugin_matrices(
     restriction.check_dims(design.n_coefs)
     gamma = estimate_gamma(design)
     omega = estimate_omega(design, residuals, method=method, bandwidth=bandwidth)
-    half = pd_solve(gamma, omega, name="gamma_hat")
-    sandwich = sym(pd_solve(gamma, half.T, name="gamma_hat"))
+    sandwich = _sandwich(gamma, omega)
     rmat = restriction.matrix
     core = sym(rmat @ sandwich @ rmat.T)
     a_hat = sym(rmat.T @ pd_solve(core, rmat, name="R sandwich R'"))

@@ -17,7 +17,7 @@ from .errors import SingularFactorization
 
 # Relative cutoff below which an eigenvalue / singular value counts as zero.
 RANK_RTOL = 1e-10
-# Pseudo-inverse / matrix square root clipping threshold.
+# Eigenvalue clipping threshold for matrix square roots and rank factors.
 PINV_RTOL = 1e-12
 # Condition number above which pd_solve warns.
 COND_WARN = 1e12
@@ -67,16 +67,6 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     return sym((vecs * np.sqrt(vals)) @ vecs.T)
 
 
-def psd_pinv(a: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of a symmetric PSD matrix."""
-    vals, vecs = np.linalg.eigh(sym(np.asarray(a, dtype=float)))
-    top = max(vals.max(initial=0.0), 0.0)
-    inv = np.where(vals > PINV_RTOL * top, 1.0, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(vals > PINV_RTOL * top, 1.0 / np.where(vals > 0, vals, 1.0), 0.0)
-    return sym((vecs * inv) @ vecs.T)
-
-
 def psd_rank_factor(a: np.ndarray) -> np.ndarray:
     """Factor F with F @ F.T == a for PSD ``a``; F has one column per
     eigenvalue above the relative cutoff.
@@ -100,3 +90,9 @@ def symmetric_rank(a: np.ndarray) -> int:
     if top == 0.0:
         return 0
     return int(np.sum(vals > RANK_RTOL * top))
+
+
+def rel_error(x: np.ndarray, y: np.ndarray) -> float:
+    """Largest entry of ``|x - y|`` relative to the largest entry of ``|y|``."""
+    scale = max(float(np.max(np.abs(y))), 1e-300)
+    return float(np.max(np.abs(x - y))) / scale

@@ -271,16 +271,28 @@ def read_series_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
             raise DimensionMismatch(
                 f"{path}: regressor columns must be named z1..z{len(zcols)}"
             )
-        rows = [row for row in reader if row]
-    t = np.array([float(r[0]) for r in rows])
-    y = np.array([float(r[1]) for r in rows])
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DimensionMismatch(
+                    f"{path}: line {reader.line_num} has {len(row)} fields, "
+                    f"the header has {len(header)}"
+                )
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError:
+                raise DimensionMismatch(
+                    f"{path}: line {reader.line_num} has a non-numeric field"
+                ) from None
+    if not rows:
+        raise DimensionMismatch(f"{path}: no data rows")
+    t = np.array([r[0] for r in rows])
+    y = np.array([r[1] for r in rows])
     if not np.array_equal(t, np.arange(1, len(rows) + 1)):
         raise DimensionMismatch(f"{path}: t must be contiguous 1..T")
-    z = None
-    if zcols:
-        z = np.array([[float(v) for v in r[2:]] for r in rows])
-        if z.shape[1] != len(zcols):
-            raise DimensionMismatch(f"{path}: ragged rows")
+    z = np.array([r[2:] for r in rows]) if zcols else None
     return t, y, z
 
 

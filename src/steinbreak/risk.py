@@ -34,7 +34,7 @@ from scipy import stats as sps
 
 from .errors import DivergentMoment, KTooSmall, NonConvergence
 from .estimators import ShrinkageFunction
-from .linalg import pd_inverse, pd_solve, psd_sqrt, sym
+from .linalg import pd_inverse, pd_solve, psd_sqrt, rel_error, sym
 from .model import Restriction, _readonly
 
 MOMENT_INVERSE_FIRST = "inverse_first"
@@ -229,17 +229,12 @@ class AsymptoticScaffold:
         ``L22 = S22`` and ``L21 = L12'``.
         """
         a, s, m1 = self.a, self.lambda11, self.mu1
-
-        def rel(x, y):
-            scale = max(float(np.max(np.abs(y))), 1e-300)
-            return float(np.max(np.abs(x - y))) / scale
-
         return {
-            "a_s_a": rel(a @ s @ a, a),
-            "s_a_s": rel(s @ a @ s, s),
-            "s_a_mu1": rel(s @ a @ m1, m1) if np.any(m1) else 0.0,
-            "l22_is_s22": rel(self.lambda22, self.sigma22),
-            "l21_is_l12t": rel(self.lambda21, self.lambda12.T),
+            "a_s_a": rel_error(a @ s @ a, a),
+            "s_a_s": rel_error(s @ a @ s, s),
+            "s_a_mu1": rel_error(s @ a @ m1, m1) if np.any(m1) else 0.0,
+            "l22_is_s22": rel_error(self.lambda22, self.sigma22),
+            "l21_is_l12t": rel_error(self.lambda21, self.lambda12.T),
         }
 
 

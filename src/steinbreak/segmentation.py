@@ -2,13 +2,18 @@
 
 Break dates are chosen to minimize the sum of squared residuals over all
 partitions whose segments respect a minimum length, for both the plain and
-the linearly restricted regression.  The unrestricted criterion separates
-across segments, so a Bellman recursion over a precomputed table of
-single-segment SSRs finds the global optimum in ``O(m T^2)``.  A
-cross-segment restriction destroys that separability; the restricted
-search therefore offers exhaustive enumeration (global, guarded by a
-partition-count budget) and cyclic coordinate refinement of one break at a
-time (fast, flagged non-global).
+the linearly restricted regression.  Searches score partitions from the
+prefix-sum moments in :class:`SegmentMoments`; the ``ssr`` they report is
+recomputed at the chosen partition from the data rows, by
+``fit_unrestricted`` or ``fit_restricted``, because moment differences lose
+digits on ill-conditioned segments.
+
+The unrestricted criterion separates across segments, so a Bellman
+recursion over a table of single-segment SSRs finds the global optimum in
+``O(m T^2)``.  A cross-segment restriction destroys that separability; the
+restricted search therefore offers exhaustive enumeration (global, guarded
+by a partition-count budget) and cyclic coordinate refinement of one break
+at a time (fast, flagged non-global).
 
 Ties between partitions with identical SSR are broken lexicographically on
 the break vector, in every search method, so results are deterministic.
@@ -26,6 +31,7 @@ from .errors import (
     InfeasibleConfig,
     SegmentRankDeficient,
 )
+from .estimators import _restricted_ls, fit_restricted, fit_unrestricted
 from .model import Partition, RegressionData, Restriction
 
 METHOD_DP = "dynamic-programming"
@@ -68,7 +74,9 @@ class SearchConfig:
 class SegmentationResult:
     """Outcome of a break search.
 
-    ``ssr`` is always recomputed from scratch at the returned partition.
+    ``ssr`` is the SSR of the fit at the returned partition, computed from
+    the data rows by ``fit_unrestricted`` or ``fit_restricted``, not the
+    moment-based score the search ranked partitions by.
     ``is_global`` is True for dynamic programming and exhaustive search,
     False for coordinate refinement.  ``iterations`` counts refinement
     cycles (0 for the global methods).
@@ -82,58 +90,60 @@ class SegmentationResult:
 
 
 class SegmentMoments:
-    """Prefix sums of (z z', z y, y^2) plus a single-segment SSR table.
+    """Prefix sums of ``w w'`` with ``w = (z, y)``, plus single-segment SSR tables.
 
     Built once per dataset and shared between the unrestricted and
-    restricted searches.  ``segment_gram(s, e)`` and friends return the
-    moments of observations ``s..e-1`` (0-based, half-open) by differencing
-    the prefix accumulators.
+    restricted searches.  The difference of two prefix sums is the
+    augmented Gram ``[[Z'Z, Z'y], [y'Z, y'y]]`` of the observations
+    between them.
     """
 
     def __init__(self, data: RegressionData):
-        self.data = data
-        z, y = data.z, data.y
-        t_total, q = data.n_obs, data.n_regressors
-        outer = z[:, :, None] * z[:, None, :]
-        self._cum_gram = np.concatenate(
-            [np.zeros((1, q, q)), np.cumsum(outer, axis=0)]
-        )
-        self._cum_zy = np.concatenate(
-            [np.zeros((1, q)), np.cumsum(z * y[:, None], axis=0)]
-        )
-        self._cum_yy = np.concatenate([[0.0], np.cumsum(y * y)])
-        self.n_obs = t_total
-        self.n_regressors = q
+        w = np.column_stack([data.z, data.y])
+        outer = w[:, :, None] * w[:, None, :]
+        self._cum = np.concatenate([np.zeros((1, *outer.shape[1:])), np.cumsum(outer, axis=0)])
+        self.n_obs = data.n_obs
+        self.n_regressors = data.n_regressors
         self._tables: dict[int, np.ndarray] = {}
 
-    def segment_gram(self, s: int, e: int) -> np.ndarray:
-        return self._cum_gram[e] - self._cum_gram[s]
+    def restricted_ssr(self, bounds: np.ndarray, restriction: Restriction) -> float:
+        """Restricted-LS SSR at the segments ``[bounds[p], bounds[p + 1])``.
 
-    def segment_zy(self, s: int, e: int) -> np.ndarray:
-        return self._cum_zy[e] - self._cum_zy[s]
-
-    def segment_yy(self, s: int, e: int) -> float:
-        return float(self._cum_yy[e] - self._cum_yy[s])
+        With the segments' moments ``M_p`` (one prefix-sum difference) and
+        ``u_p = (d_p, -1)``, the SSR is ``sum_p u_p'M_p u_p``; ``+inf`` when
+        the constrained normal equations are singular.
+        """
+        q = self.n_regressors
+        mom = self._cum[bounds[1:]] - self._cum[bounds[:-1]]
+        u = np.empty((len(mom), q + 1))
+        try:
+            u[:, :q] = _restricted_ls(mom[:, :q, :q], mom[:, :q, q], restriction).reshape(-1, q)
+        except np.linalg.LinAlgError:
+            return np.inf
+        u[:, q] = -1.0
+        return float(np.einsum("pi,pij,pj->", u, mom, u))
 
     def ssr_table(self, min_len: int) -> np.ndarray:
         """Table ``tab[i, j]`` = OLS SSR of observations ``i..j`` inclusive.
 
-        Entries for segments shorter than ``min_len`` (or with a singular
-        Gram matrix) are ``+inf``.
+        Entries for segments shorter than ``min_len``, or whose Gram matrix
+        is exactly singular, are ``+inf``.  A segment whose rows are rank
+        deficient but whose Gram is singular only up to round-off gets a
+        finite entry, possibly below its true SSR; the unrestricted search
+        tests the rows of the segments it picks and masks such entries.
         """
         min_len = max(int(min_len), 1)
         if min_len in self._tables:
             return self._tables[min_len]
-        t_total = self.n_obs
+        t_total, q = self.n_obs, self.n_regressors
         tab = np.full((t_total, t_total), np.inf)
         for i in range(t_total):
             n_ends = t_total - i - min_len + 1
             if n_ends <= 0:
                 continue
             lo = i + min_len  # first end boundary (exclusive) with valid length
-            grams = self._cum_gram[lo:] - self._cum_gram[i]
-            zys = self._cum_zy[lo:] - self._cum_zy[i]
-            yys = self._cum_yy[lo:] - self._cum_yy[i]
+            mom = self._cum[lo:] - self._cum[i]
+            grams, zys, yys = mom[:, :q, :q], mom[:, :q, q], mom[:, q, q]
             try:
                 betas = np.linalg.solve(grams, zys[..., None])[..., 0]
                 ssr = yys - np.einsum("nq,nq->n", zys, betas)
@@ -150,74 +160,17 @@ class SegmentMoments:
         return tab
 
 
-def _segment_ols_residuals(data: RegressionData, s: int, e: int) -> np.ndarray:
-    """OLS residuals of observations ``s..e-1``; raises on rank deficiency."""
-    zseg, yseg = data.z[s:e], data.y[s:e]
-    q = data.n_regressors
-    beta, _, rank, _ = np.linalg.lstsq(zseg, yseg, rcond=None)
-    if rank < q:
-        raise SegmentRankDeficient(
-            f"segment {s + 1}..{e} has rank {rank} < {q} regressors"
-        )
-    return yseg - zseg @ beta
-
-
 def ssr_unrestricted(data: RegressionData, partition: Partition) -> float:
     """Sum over segments of the per-segment OLS residual sum of squares.
 
-    Equals the SSR of the stacked block-diagonal fit, by block diagonality.
+    The SSR of :func:`~steinbreak.estimators.fit_unrestricted`.
 
     Raises
     ------
     SegmentRankDeficient
-        If any segment Gram matrix is singular.
+        If any segment's rows have rank below the regressor count.
     """
-    partition.validate_for(data.n_obs)
-    total = 0.0
-    for s, e in partition.segments(data.n_obs):
-        r = _segment_ols_residuals(data, s, e)
-        total += float(r @ r)
-    return total
-
-
-def _restricted_solve(
-    stats: SegmentMoments, bounds: tuple[int, ...], restriction: Restriction
-) -> tuple[np.ndarray, float]:
-    """Equality-constrained LS at the partition given by ``bounds``.
-
-    Solves the KKT system on the stacked normal equations and returns
-    ``(delta, ssr)`` with the SSR computed from explicit residuals.
-    """
-    q = stats.n_regressors
-    n_seg = len(bounds) - 1
-    n = n_seg * q
-    restriction.check_dims(n)
-    k = restriction.k
-    gram = np.zeros((n, n))
-    zy = np.zeros(n)
-    for p in range(n_seg):
-        s, e = bounds[p], bounds[p + 1]
-        gram[p * q:(p + 1) * q, p * q:(p + 1) * q] = stats.segment_gram(s, e)
-        zy[p * q:(p + 1) * q] = stats.segment_zy(s, e)
-    kkt = np.zeros((n + k, n + k))
-    kkt[:n, :n] = gram
-    kkt[:n, n:] = restriction.matrix.T
-    kkt[n:, :n] = restriction.matrix
-    rhs = np.concatenate([zy, restriction.rhs])
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SegmentRankDeficient(
-            "constrained normal equations are singular at this partition"
-        ) from exc
-    delta = sol[:n]
-    ssr = 0.0
-    y, z = stats.data.y, stats.data.z
-    for p in range(n_seg):
-        s, e = bounds[p], bounds[p + 1]
-        r = y[s:e] - z[s:e] @ delta[p * q:(p + 1) * q]
-        ssr += float(r @ r)
-    return delta, ssr
+    return fit_unrestricted(data, partition).ssr
 
 
 def ssr_restricted(
@@ -225,19 +178,19 @@ def ssr_restricted(
 ) -> float:
     """SSR of the least squares fit subject to ``R delta = r``.
 
-    Never below :func:`ssr_unrestricted` at the same partition.
+    The SSR of :func:`~steinbreak.estimators.fit_restricted`; never below
+    :func:`ssr_unrestricted` at the same partition.
 
     Raises
     ------
     SegmentRankDeficient
-        If the constrained normal equations are singular.
+        If any segment's rows have rank below the regressor count.
     DimensionMismatch
         If the restriction is not dimensioned for this partition.
+    SingularConstraintGram
+        If the constraint cannot be imposed.
     """
-    partition.validate_for(data.n_obs)
-    stats = SegmentMoments(data)
-    _, ssr = _restricted_solve(stats, partition.bounds(data.n_obs), restriction)
-    return ssr
+    return fit_restricted(data, partition, restriction).ssr
 
 
 def count_partitions(n_obs: int, m: int, min_len: int) -> int:
@@ -302,11 +255,18 @@ def find_breaks_unrestricted(
 
     Uses dynamic programming by default; ``config.method`` may also select
     exhaustive enumeration (identical result, used as a cross-check).
+    When the optimum contains a segment whose rows are rank deficient, every
+    table entry inside that segment is set to ``+inf`` (a subset of its rows
+    has no higher rank) and the search runs again.
 
     Raises
     ------
     InfeasibleConfig
         If ``(m + 1)`` segments of the minimum length do not fit in ``T``.
+    BudgetExceeded
+        If exhaustive enumeration would exceed ``config.exhaustive_budget``.
+    SegmentRankDeficient
+        If every feasible partition contains a rank-deficient segment.
     """
     if config.method == METHOD_REFINE:
         raise InfeasibleConfig("coordinate refinement applies to restricted search only")
@@ -319,18 +279,26 @@ def find_breaks_unrestricted(
             f"{m + 1} segments of length >= {min_len} do not fit in T = {t_total}"
         )
     tab = stats.ssr_table(min_len)
-    if config.method == METHOD_EXHAUSTIVE:
-        breaks = _exhaustive_min(
-            tab, t_total, m, min_len, lambda bounds: _fold_total(tab, bounds, t_total)
-        )
-    else:
-        _, breaks = _suffix_dp(tab, m, min_len)
-    partition = Partition(tuple(breaks))
-    return SegmentationResult(
-        partition=partition,
-        ssr=ssr_unrestricted(data, partition),
-        method_used=config.method,
-    )
+    while True:
+        if config.method == METHOD_EXHAUSTIVE:
+            breaks = _exhaustive_min(
+                t_total, m, min_len, lambda bounds: _fold_total(tab, bounds, t_total),
+                config.exhaustive_budget,
+            )
+        else:
+            _, breaks = _suffix_dp(tab, m, min_len)
+        partition = Partition(tuple(breaks))
+        try:
+            ssr = ssr_unrestricted(data, partition)
+        except SegmentRankDeficient:
+            # The same lstsq rank test as fit_unrestricted, so the failing
+            # segment is masked and no partition is returned twice.
+            tab = tab.copy()
+            for s, e in partition.segments(t_total):
+                if np.linalg.lstsq(data.z[s:e], data.y[s:e], rcond=None)[2] < q:
+                    tab[s:e, s:e] = np.inf
+            continue
+        return SegmentationResult(partition=partition, ssr=ssr, method_used=config.method)
 
 
 def _fold_total(tab: np.ndarray, bounds: tuple[int, ...], t_total: int) -> float:
@@ -342,7 +310,15 @@ def _fold_total(tab: np.ndarray, bounds: tuple[int, ...], t_total: int) -> float
     return total
 
 
-def _exhaustive_min(tab, t_total, m, min_len, objective) -> list[int]:
+def _exhaustive_min(t_total, m, min_len, objective, budget) -> list[int]:
+    """Lexicographically first break vector minimizing ``objective``.
+
+    Raises ``BudgetExceeded`` before enumerating more than ``budget``
+    partitions, and ``SegmentRankDeficient`` when no partition scores finite.
+    """
+    n_part = count_partitions(t_total, m, min_len)
+    if n_part > budget:
+        raise BudgetExceeded(n_part, budget)
     best_val = np.inf
     best_bounds: tuple[int, ...] | None = None
     for bounds in _iter_partitions(t_total, m, min_len):
@@ -350,7 +326,7 @@ def _exhaustive_min(tab, t_total, m, min_len, objective) -> list[int]:
         if val < best_val:
             best_val = val
             best_bounds = bounds
-    if best_bounds is None or not np.isfinite(best_val):
+    if best_bounds is None:
         raise SegmentRankDeficient("every feasible partition hit a singular segment")
     return list(best_bounds)
 
@@ -363,6 +339,7 @@ def find_breaks_restricted(
 ) -> SegmentationResult:
     """Minimize the restricted SSR over feasible partitions.
 
+    Partitions are scored by :meth:`SegmentMoments.restricted_ssr`.
     ``method="exhaustive"`` enumerates every feasible partition (global;
     raises ``BudgetExceeded`` when the partition count tops
     ``config.exhaustive_budget``).  ``method="coordinate-refine"`` runs
@@ -386,25 +363,11 @@ def find_breaks_restricted(
     restriction.check_dims((m + 1) * q)
 
     def restricted_ssr(bounds: tuple[int, ...]) -> float:
-        try:
-            return _restricted_solve(stats, (0, *bounds, t_total), restriction)[1]
-        except SegmentRankDeficient:
-            return np.inf
+        return stats.restricted_ssr(np.array((0, *bounds, t_total)), restriction)
 
     if config.method == METHOD_EXHAUSTIVE:
-        n_part = count_partitions(t_total, m, min_len)
-        if n_part > config.exhaustive_budget:
-            raise BudgetExceeded(n_part, config.exhaustive_budget)
-        best_val = np.inf
-        best_bounds: tuple[int, ...] | None = None
-        for bounds in _iter_partitions(t_total, m, min_len):
-            val = restricted_ssr(bounds)
-            if val < best_val:
-                best_val = val
-                best_bounds = bounds
-        if best_bounds is None or not np.isfinite(best_val):
-            raise SegmentRankDeficient("no feasible partition is estimable")
-        partition = Partition(best_bounds)
+        breaks = _exhaustive_min(t_total, m, min_len, restricted_ssr, config.exhaustive_budget)
+        partition = Partition(tuple(breaks))
         return SegmentationResult(
             partition=partition,
             ssr=ssr_restricted(data, partition, restriction),

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import psd_rank_factor, sym, symmetric_rank
+from .linalg import psd_rank_factor, rel_error, sym, symmetric_rank
 from .model import _readonly
 from .risk import AsymptoticScaffold, make_weight, nc_chi2_expectation, random_scaffold
 
@@ -68,15 +68,10 @@ class GaussianSetup:
         """Relative residuals of A Sigma A = A, Sigma A Sigma = Sigma,
         Sigma A mu = mu (the conditions the closed forms require)."""
         a, s, mu = self.a, self.sigma, self.mu_x
-
-        def rel(x, y):
-            scale = max(float(np.max(np.abs(y))), 1e-300)
-            return float(np.max(np.abs(x - y))) / scale
-
         return {
-            "a_s_a": rel(a @ s @ a, a),
-            "s_a_s": rel(s @ a @ s, s),
-            "s_a_mu": rel(s @ a @ mu, mu) if np.any(mu) else 0.0,
+            "a_s_a": rel_error(a @ s @ a, a),
+            "s_a_s": rel_error(s @ a @ s, s),
+            "s_a_mu": rel_error(s @ a @ mu, mu) if np.any(mu) else 0.0,
         }
 
 

@@ -154,6 +154,25 @@ def test_config_error_exit_code(tmp_path):
     assert main(["fit"]) == EXIT_CONFIG  # missing required keys
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("1,0.5\n2,np.float64(0.5)\n", "line 3 has a non-numeric field"),
+        ("1,0.5\n2,0.7,1.0\n", "line 3 has 3 fields, the header has 2"),
+        ("1\n", "line 2 has 1 fields, the header has 2"),
+        ("", "no data rows"),
+    ],
+    ids=["non-numeric", "extra-field", "short-row", "no-rows"],
+)
+def test_fit_malformed_csv_reports_line(tmp_path, capsys, body, message):
+    (tmp_path / "series.csv").write_text("t,y\n" + body)
+    assert main(["fit", "--config", str(fit_config(tmp_path))]) == EXIT_NUMERIC
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "DimensionMismatch"
+    assert str(tmp_path / "series.csv") in err["message"]
+    assert message in err["message"]
+
+
 def test_bootstrap_zero_residuals_gives_zero_mse(tmp_path):
     write_trend_series(tmp_path / "series.csv", brk=60, noise=0.0)
     cfg = fit_config(tmp_path, bootstrap_b=1)

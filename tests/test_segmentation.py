@@ -13,6 +13,7 @@ from steinbreak import (
     count_partitions,
     find_breaks_restricted,
     find_breaks_unrestricted,
+    fit_restricted,
     ssr_restricted,
     ssr_unrestricted,
 )
@@ -131,6 +132,10 @@ def test_dp_lexicographic_tie_break():
     assert res.partition.breaks == (1, 2)
     ex = find_breaks_unrestricted(data, SearchConfig(m=2, method=METHOD_EXHAUSTIVE))
     assert ex.partition.breaks == (1, 2)
+    # and so does the restricted search, whose fit is zero under r = 0
+    restr = Restriction(matrix=np.array([[1.0, -1.0, 0.0]]), rhs=np.zeros(1))
+    re = find_breaks_restricted(data, restr, SearchConfig(m=2, method=METHOD_EXHAUSTIVE))
+    assert re.partition.breaks == (1, 2)
 
 
 def test_adding_a_break_never_increases_min_ssr():
@@ -210,10 +215,14 @@ def test_budget_exceeded_reports_count():
     data, _ = random_instance(50, t_range=(25, 30))
     restr = Restriction(matrix=np.ones((1, 3 * data.n_regressors)), rhs=np.zeros(1))
     cfg = SearchConfig(m=2, method=METHOD_EXHAUSTIVE, exhaustive_budget=5)
-    with pytest.raises(BudgetExceeded) as err:
-        find_breaks_restricted(data, restr, cfg)
     min_len = cfg.min_segment_length(data.n_obs, data.n_regressors)
-    assert err.value.partition_count == count_partitions(data.n_obs, 2, min_len)
+    for search in (
+        lambda: find_breaks_restricted(data, restr, cfg),
+        lambda: find_breaks_unrestricted(data, cfg),
+    ):
+        with pytest.raises(BudgetExceeded) as err:
+            search()
+        assert err.value.partition_count == count_partitions(data.n_obs, 2, min_len)
 
 
 def test_infeasible_config():
@@ -229,3 +238,93 @@ def test_moments_table_shared_between_searches():
     res2 = find_breaks_unrestricted(data, SearchConfig(m=1))
     assert res1.partition.breaks == res2.partition.breaks
     assert res1.ssr == res2.ssr
+
+
+def constant_block_instance(seed):
+    # x is held at 0.3 over the first 30 observations, so every segment
+    # inside them has rank-1 rows; their Gram matrices are singular only up
+    # to round-off, and their SSR table entries can be finite
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=100)
+    x[:30] = 0.3
+    y = 1.0 + 0.5 * x + rng.normal(size=100)
+    return RegressionData(y=y, z=np.column_stack([np.ones(100), x]))
+
+
+def test_search_skips_rank_deficient_segments():
+    cfg = SearchConfig(m=2, min_seg_frac=0.02)
+    for seed in range(100):
+        data = constant_block_instance(seed)
+        res = find_breaks_unrestricted(data, cfg)
+        for s, e in res.partition.segments(data.n_obs):
+            assert np.linalg.matrix_rank(data.z[s:e]) == 2, f"seed {seed}"
+        if seed < 5:
+            ex = find_breaks_unrestricted(data, SearchConfig(m=2, min_seg_frac=0.02, method=METHOD_EXHAUSTIVE))
+            assert ex.partition.breaks == res.partition.breaks, f"seed {seed}"
+            assert ex.ssr == res.ssr, f"seed {seed}"
+
+
+def test_restricted_kernel_three_ways_agree():
+    # moments (the search's score), rows (fit_restricted) and the null-space
+    # reparameterization are independent routes to the same constrained fit
+    rng = np.random.default_rng(10)
+    for seed in range(40):
+        data, _ = random_instance(300 + seed, t_range=(20, 40), m_choices=(1, 2), q_choices=(1, 2, 3))
+        t_total, q = data.n_obs, data.n_regressors
+        stats = SegmentMoments(data)
+        for _ in range(5):
+            m = int(rng.integers(1, 3))
+            inner = rng.choice(np.arange(1, t_total // q), size=m, replace=False)
+            breaks = tuple(int(b) * q for b in np.sort(inner))
+            part = Partition(breaks)
+            n = (m + 1) * q
+            restr = random_restriction(rng, n, int(rng.integers(1, n + 1)))
+            delta_ns, ssr_ns = nullspace_restricted_fit(data, part, restr)
+            fit = fit_restricted(data, part, restr)
+            moments = stats.restricted_ssr(np.array((0, *breaks, t_total)), restr)
+            assert_allclose(fit.ssr, ssr_ns, rtol=1e-10)
+            assert_allclose(moments, ssr_ns, rtol=1e-10)
+            assert_allclose(fit.delta, delta_ns, rtol=1e-10, atol=1e-10 * np.max(np.abs(delta_ns)))
+
+
+def test_breaks_invariant_under_response_scaling():
+    # (y, r) -> (c y, c r) scales every fit and every SSR by c and c^2
+    rng = np.random.default_rng(11)
+    for seed in range(15):
+        data, m = random_instance(400 + seed, t_range=(20, 30), m_choices=(1, 2))
+        n = (m + 1) * data.n_regressors
+        restr = random_restriction(rng, n, 1)
+        for c in (0.01, 3.0, 1e4):
+            scaled = RegressionData(y=c * data.y, z=data.z)
+            scaled_restr = Restriction(matrix=restr.matrix, rhs=c * restr.rhs)
+            for method in (None, METHOD_EXHAUSTIVE, METHOD_REFINE):
+                if method is None:
+                    find = lambda d, r: find_breaks_unrestricted(d, SearchConfig(m=m))
+                else:
+                    find = lambda d, r: find_breaks_restricted(d, r, SearchConfig(m=m, method=method))
+                assert find(data, restr).partition.breaks == find(scaled, scaled_restr).partition.breaks, (
+                    seed, c, method
+                )
+
+
+def test_breaks_invariant_under_regressor_basis_change():
+    # z -> z B with R -> R (I kron B) maps each segment's coefficients to
+    # B^-1 d_p and leaves fitted values, SSRs and breaks unchanged
+    rng = np.random.default_rng(12)
+    for seed in range(15):
+        data, m = random_instance(500 + seed, t_range=(20, 30), m_choices=(1, 2), q_choices=(2,))
+        q = data.n_regressors
+        basis = rng.normal(size=(q, q)) + 2.0 * np.eye(q)
+        restr = random_restriction(rng, (m + 1) * q, 2)
+        moved = RegressionData(y=data.y, z=data.z @ basis)
+        moved_restr = Restriction(
+            matrix=restr.matrix @ np.kron(np.eye(m + 1), basis), rhs=restr.rhs
+        )
+        ue = find_breaks_unrestricted(data, SearchConfig(m=m))
+        assert ue.partition.breaks == find_breaks_unrestricted(moved, SearchConfig(m=m)).partition.breaks
+        for method in (METHOD_EXHAUSTIVE, METHOD_REFINE):
+            cfg = SearchConfig(m=m, method=method)
+            re = find_breaks_restricted(data, restr, cfg)
+            re_moved = find_breaks_restricted(moved, moved_restr, cfg)
+            assert re.partition.breaks == re_moved.partition.breaks, (seed, method)
+            assert_allclose(re_moved.ssr, re.ssr, rtol=1e-9)
