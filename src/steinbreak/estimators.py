@@ -23,7 +23,6 @@ from typing import Callable
 
 import numpy as np
 from scipy import stats as sps
-from scipy.linalg import lapack
 
 from .errors import (
     DimensionMismatch,
@@ -126,31 +125,31 @@ def fit_unrestricted(data: RegressionData, partition: Partition) -> CoefEstimate
 
 
 def _restricted_ls(grams: np.ndarray, zys: np.ndarray, restriction: Restriction) -> np.ndarray:
-    """The package's one restricted least-squares solve.
+    """The package's one restricted least-squares solve, batched.
 
-    Solves ``[[G, R'], [R, 0]] [delta; lambda] = [Z'y; r]`` for ``delta``,
-    with ``G`` block diagonal from ``grams[p] = Z_p'Z_p`` and ``Z'y`` stacked
-    from ``zys[p] = Z_p'y_p``.  Raises ``LinAlgError`` when it is singular.
+    Minimizes ``delta'G delta - 2 delta'Z'y`` subject to ``R delta = r``,
+    with ``G`` block diagonal from ``grams[..., p, :, :] = Z_p'Z_p`` and
+    ``Z'y`` stacked from ``zys[..., p, :] = Z_p'y_p``; leading axes index
+    independent problems sharing the restriction.  Writing
+    ``delta = d0 + N theta`` with :attr:`Restriction.null_form` leaves the
+    unconstrained ``(N'GN) theta = N'(Z'y - G d0)``.  Returns the stacked
+    ``delta`` with shape ``(..., P q)``; raises ``LinAlgError`` when some
+    ``N'GN`` is exactly singular, which, ``R`` having full row rank, is
+    exactly when the constrained normal equations are.
     """
-    n_seg, q = zys.shape
+    *lead, n_seg, q = zys.shape
     n = n_seg * q
     restriction.check_dims(n)
-    kkt = np.zeros((n + restriction.k, n + restriction.k))
-    # Splitting both axes of the leading block never copies, so this is a
-    # view through which the diagonal blocks are written in place.
-    blocks = kkt[:n, :n].reshape(n_seg, q, n_seg, q)
-    seg = np.arange(n_seg)
-    blocks[seg, :, seg, :] = grams
-    kkt[:n, n:] = restriction.matrix.T
-    kkt[n:, :n] = restriction.matrix
-    rhs = np.concatenate([zys.reshape(n), restriction.rhs])
-    lu, piv, sol, info = lapack.dgesv(kkt, rhs)
-    if info > 0:
-        raise np.linalg.LinAlgError("constrained normal equations are singular")
-    # One step of iterative refinement regains the digits LU loses when G
-    # and R differ in scale (KKT condition numbers near 1e7 occur at k = n).
-    sol += lapack.dgetrs(lu, piv, rhs - kkt @ sol)[0]
-    return sol[:n]
+    null, d0 = restriction.null_form
+    f = null.shape[1]
+    if f == 0:
+        return np.broadcast_to(d0, (*lead, n)).copy()
+    # Every product is stacked, one small product per problem, so a
+    # problem's rounding does not depend on the batch it is solved in.
+    gn = (grams.reshape(-1, n_seg, q, q) @ null.reshape(n_seg, q, f)).reshape(-1, n, f)
+    c = (zys.reshape(-1, 1, n) @ null)[:, 0] - d0 @ gn
+    theta = np.linalg.solve(null.T @ gn, c[..., None])
+    return (d0 + (null @ theta)[..., 0]).reshape(*lead, n)
 
 
 def fit_restricted(
@@ -158,9 +157,9 @@ def fit_restricted(
 ) -> CoefEstimate:
     """Least squares subject to ``R delta = r``.
 
-    Solves the constrained normal equations built from each segment's data
-    rows, ``Z_p'Z_p`` and ``Z_p'y_p``, and reports the SSR from explicit
-    residuals.
+    Runs the restricted solve (:func:`_restricted_ls`, a batch of one) on
+    each segment's data rows, ``Z_p'Z_p`` and ``Z_p'y_p``, and reports the
+    SSR from explicit residuals.
 
     Raises
     ------

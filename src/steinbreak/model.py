@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,18 @@ class Restriction:
     @property
     def n_coefs(self) -> int:
         return self.matrix.shape[1]
+
+    @cached_property
+    def null_form(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(N, d0)`` with ``R d = r`` exactly when ``d = d0 + N theta``.
+
+        ``N`` is an orthonormal basis of the null space of ``matrix``
+        (``n_coefs x (n_coefs - k)``) and ``d0`` the minimum-norm solution,
+        both from one SVD, computed once per restriction.
+        """
+        u, s, vt = np.linalg.svd(self.matrix)
+        d0 = vt[:self.k].T @ ((u.T @ self.rhs) / s)
+        return _readonly(vt[self.k:].T), _readonly(d0)
 
     def check_dims(self, n_coefs: int) -> None:
         if self.n_coefs != n_coefs:

@@ -13,7 +13,11 @@ recursion over a table of single-segment SSRs finds the global optimum in
 ``O(m T^2)``.  A cross-segment restriction destroys that separability; the
 restricted search therefore offers exhaustive enumeration (global, guarded
 by a partition-count budget) and cyclic coordinate refinement of one break
-at a time (fast, flagged non-global).
+at a time (fast, flagged non-global).  Both score their candidates in
+batches: every position of one coordinate move, the whole coarse start
+lattice, or a fixed-size chunk of the enumeration is one call to
+:meth:`SegmentMoments.restricted_ssr`, which solves all of them at once in
+the null space of the restriction.
 
 Ties between partitions with identical SSR are broken lexicographically on
 the break vector, in every search method, so results are deterministic.
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -106,22 +111,33 @@ class SegmentMoments:
         self.n_regressors = data.n_regressors
         self._tables: dict[int, np.ndarray] = {}
 
-    def restricted_ssr(self, bounds: np.ndarray, restriction: Restriction) -> float:
-        """Restricted-LS SSR at the segments ``[bounds[p], bounds[p + 1])``.
+    def restricted_ssr(self, bounds: np.ndarray, restriction: Restriction) -> np.ndarray:
+        """Restricted-LS SSR of each row of segment boundaries.
 
+        Row ``i`` of the integer array ``bounds`` is ``(0, T_1, ..., T_m, T)``.
         With the segments' moments ``M_p`` (one prefix-sum difference) and
-        ``u_p = (d_p, -1)``, the SSR is ``sum_p u_p'M_p u_p``; ``+inf`` when
-        the constrained normal equations are singular.
+        ``u_p = (d_p, -1)``, the SSR is ``sum_p u_p'M_p u_p``.  All rows are
+        solved as one batch; a row whose constrained normal equations are
+        singular, or whose score is NaN, gets ``+inf``.
         """
         q = self.n_regressors
-        mom = self._cum[bounds[1:]] - self._cum[bounds[:-1]]
-        u = np.empty((len(mom), q + 1))
+        mom = self._cum[bounds[:, 1:]] - self._cum[bounds[:, :-1]]
+        grams, zys = mom[..., :q, :q], mom[..., :q, q]
+        u = np.empty(mom.shape[:-1])
         try:
-            u[:, :q] = _restricted_ls(mom[:, :q, :q], mom[:, :q, q], restriction).reshape(-1, q)
+            delta = _restricted_ls(grams, zys, restriction)
         except np.linalg.LinAlgError:
-            return np.inf
-        u[:, q] = -1.0
-        return float(np.einsum("pi,pij,pj->", u, mom, u))
+            # A batched solve fails as a whole; find the singular rows.
+            delta = np.full((len(bounds), u.shape[1] * q), np.nan)
+            for i in range(len(bounds)):
+                try:
+                    delta[i] = _restricted_ls(grams[i], zys[i], restriction)
+                except np.linalg.LinAlgError:
+                    pass
+        u[..., :q] = delta.reshape(len(bounds), -1, q)
+        u[..., q] = -1.0
+        ssr = np.einsum("bpi,bpij,bpj->b", u, mom, u)
+        return np.where(np.isnan(ssr), np.inf, ssr)
 
     def ssr_table(self, min_len: int) -> np.ndarray:
         """Table ``tab[i, j]`` = OLS SSR of observations ``i..j`` inclusive.
@@ -201,23 +217,6 @@ def count_partitions(n_obs: int, m: int, min_len: int) -> int:
     return math.comb(slack + m, m)
 
 
-def _iter_partitions(n_obs: int, m: int, min_len: int):
-    """Yield feasible break-boundary tuples in lexicographic order."""
-    bounds = [0] * m
-
-    def rec(level: int, lo: int):
-        if level == m:
-            yield tuple(bounds)
-            return
-        # leave room for the remaining m - level - 1 breaks plus last segment
-        hi = n_obs - (m - level) * min_len
-        for b in range(lo + min_len, hi + 1):
-            bounds[level] = b
-            yield from rec(level + 1, b)
-
-    yield from rec(0, 0)
-
-
 def _suffix_dp(tab: np.ndarray, m: int, min_len: int) -> tuple[np.ndarray, list[int]]:
     """Suffix Bellman recursion plus lexicographic front-to-back readout.
 
@@ -282,7 +281,7 @@ def find_breaks_unrestricted(
     while True:
         if config.method == METHOD_EXHAUSTIVE:
             breaks = _exhaustive_min(
-                t_total, m, min_len, lambda bounds: _fold_total(tab, bounds, t_total),
+                t_total, m, min_len, lambda rows: _fold_total(tab, rows, t_total),
                 config.exhaustive_budget,
             )
         else:
@@ -301,34 +300,68 @@ def find_breaks_unrestricted(
         return SegmentationResult(partition=partition, ssr=ssr, method_used=config.method)
 
 
-def _fold_total(tab: np.ndarray, bounds: tuple[int, ...], t_total: int) -> float:
-    """Right-associated SSR total, matching the suffix recursion's rounding."""
-    full = (0, *bounds, t_total)
-    total = 0.0
-    for p in range(len(full) - 2, -1, -1):
-        total = tab[full[p], full[p + 1] - 1] + total
+def _fold_total(tab: np.ndarray, breaks: np.ndarray, t_total: int) -> np.ndarray:
+    """SSR total of each row of ``breaks``, added right to left.
+
+    The right-associated order matches the suffix recursion's rounding, so
+    exhaustive search and the DP agree bit for bit.
+    """
+    full = _with_ends(breaks, t_total)
+    total = np.zeros(len(full))
+    for p in range(full.shape[1] - 2, -1, -1):
+        total = tab[full[:, p], full[:, p + 1] - 1] + total
     return total
+
+
+def _with_ends(breaks: np.ndarray, t_total: int) -> np.ndarray:
+    """Rows ``(0, T_1, ..., T_m, T)`` from rows of break vectors."""
+    rows = len(breaks)
+    return np.column_stack(
+        [np.zeros(rows, dtype=np.intp), breaks, np.full(rows, t_total, dtype=np.intp)]
+    )
+
+
+# Partitions scored per batch by exhaustive search; bounds its memory.
+_EXHAUSTIVE_CHUNK = 1024
+
+
+def _partition_chunks(n_obs: int, m: int, min_len: int):
+    """Feasible break vectors in lexicographic order, as ``(rows, m)`` arrays.
+
+    With ``s = n_obs - (m + 1) min_len``, the strictly increasing ``c`` in
+    ``combinations(range(s + m), m)`` map to the break vectors
+    ``b_i = c_i + i (min_len - 1) + min_len`` (``i`` from 0), one to one and
+    order preserving, and ``combinations`` yields ``c`` lexicographically.
+    """
+    slack = n_obs - (m + 1) * min_len
+    offset = np.arange(m) * (min_len - 1) + min_len
+    combos = combinations(range(slack + m), m)
+    while batch := list(islice(combos, _EXHAUSTIVE_CHUNK)):
+        flat = np.fromiter(chain.from_iterable(batch), dtype=np.intp, count=len(batch) * m)
+        yield flat.reshape(len(batch), m) + offset
 
 
 def _exhaustive_min(t_total, m, min_len, objective, budget) -> list[int]:
     """Lexicographically first break vector minimizing ``objective``.
 
-    Raises ``BudgetExceeded`` before enumerating more than ``budget``
-    partitions, and ``SegmentRankDeficient`` when no partition scores finite.
+    ``objective`` maps a ``(rows, m)`` array of break vectors to their
+    scores.  Raises ``BudgetExceeded`` before enumerating more than
+    ``budget`` partitions, and ``SegmentRankDeficient`` when no partition
+    scores finite.
     """
     n_part = count_partitions(t_total, m, min_len)
     if n_part > budget:
         raise BudgetExceeded(n_part, budget)
     best_val = np.inf
-    best_bounds: tuple[int, ...] | None = None
-    for bounds in _iter_partitions(t_total, m, min_len):
-        val = objective(bounds)
-        if val < best_val:
-            best_val = val
-            best_bounds = bounds
-    if best_bounds is None:
+    best_breaks = None
+    for breaks in _partition_chunks(t_total, m, min_len):
+        vals = objective(breaks)
+        i = int(np.argmin(vals))
+        if vals[i] < best_val:
+            best_val, best_breaks = vals[i], breaks[i]
+    if best_breaks is None:
         raise SegmentRankDeficient("every feasible partition hit a singular segment")
-    return list(best_bounds)
+    return [int(b) for b in best_breaks]
 
 
 def find_breaks_restricted(
@@ -339,18 +372,27 @@ def find_breaks_restricted(
 ) -> SegmentationResult:
     """Minimize the restricted SSR over feasible partitions.
 
-    Partitions are scored by :meth:`SegmentMoments.restricted_ssr`.
-    ``method="exhaustive"`` enumerates every feasible partition (global;
-    raises ``BudgetExceeded`` when the partition count tops
-    ``config.exhaustive_budget``).  ``method="coordinate-refine"`` runs
-    cyclic coordinate descent: one break is re-optimized over its feasible
-    range holding the others fixed (each evaluation an exact restricted
-    SSR), moving only on strict improvement, until a full cycle makes no
-    move or ``max_iters`` cycles.  Descent starts from the unrestricted
-    optimum and, for two or more breaks, also from the best few
-    coarse-lattice partitions; the best refined end point is returned with
-    ``iterations`` counting cycles over all starts.  The refined result is
-    exact at the returned partition but not certified global.
+    Partitions are scored in batches by
+    :meth:`SegmentMoments.restricted_ssr`.  ``method="exhaustive"``
+    enumerates every feasible partition (global; raises ``BudgetExceeded``
+    when the partition count tops ``config.exhaustive_budget``).
+    ``method="coordinate-refine"`` runs cyclic coordinate descent: one
+    break is re-optimized over its feasible range holding the others fixed,
+    all candidate positions scored as one batch of exact restricted SSRs.
+    The break moves to the smallest position attaining the batch minimum,
+    and only when that minimum is strictly below the current SSR.  Descent
+    stops when a full cycle makes no move or after ``max_iters`` cycles.  It
+    starts from the unrestricted optimum and, for two or more breaks, also
+    from the best few coarse-lattice partitions; the best refined end point
+    is returned with ``iterations`` counting cycles over all starts.  The
+    refined result is exact at the returned partition but not certified
+    global.
+
+    ``fit_restricted`` rejects every partition with a segment whose rows
+    are rank deficient, whatever ``R`` identifies.  When the chosen
+    partition has such a segment, every partition with a segment inside it
+    scores ``+inf`` from then on (a subset of its rows has no higher rank)
+    and the search runs again.
     """
     stats = stats if stats is not None else SegmentMoments(data)
     t_total, q = data.n_obs, data.n_regressors
@@ -361,61 +403,90 @@ def find_breaks_restricted(
             f"{m + 1} segments of length >= {min_len} do not fit in T = {t_total}"
         )
     restriction.check_dims((m + 1) * q)
-
-    def restricted_ssr(bounds: tuple[int, ...]) -> float:
-        return stats.restricted_ssr(np.array((0, *bounds, t_total)), restriction)
-
-    if config.method == METHOD_EXHAUSTIVE:
-        breaks = _exhaustive_min(t_total, m, min_len, restricted_ssr, config.exhaustive_budget)
-        partition = Partition(tuple(breaks))
-        return SegmentationResult(
-            partition=partition,
-            ssr=ssr_restricted(data, partition, restriction),
-            method_used=METHOD_EXHAUSTIVE,
-        )
-
-    if config.method != METHOD_REFINE:
+    if config.method not in (METHOD_EXHAUSTIVE, METHOD_REFINE):
         raise InfeasibleConfig(
             "restricted search method must be 'exhaustive' or 'coordinate-refine'"
         )
+    deficient: list[tuple[int, int]] = []
+
+    def restricted_ssr(breaks: np.ndarray) -> np.ndarray:
+        bounds = _with_ends(breaks, t_total)
+        vals = stats.restricted_ssr(bounds, restriction)
+        for s, e in deficient:
+            inside = (bounds[:, :-1] >= s) & (bounds[:, 1:] <= e)
+            vals[inside.any(axis=1)] = np.inf
+        return vals
+
+    if config.method == METHOD_REFINE:
+        init = find_breaks_unrestricted(
+            data, SearchConfig(m=m, min_seg_frac=config.min_seg_frac), stats=stats
+        ).partition.breaks
+    total_cycles = 0
+    while True:
+        if config.method == METHOD_EXHAUSTIVE:
+            breaks = _exhaustive_min(
+                t_total, m, min_len, restricted_ssr, config.exhaustive_budget
+            )
+        else:
+            breaks, cycles = _refine(t_total, m, min_len, restricted_ssr, init, config.max_iters)
+            total_cycles += cycles
+        partition = Partition(tuple(breaks))
+        try:
+            ssr = ssr_restricted(data, partition, restriction)
+        except SegmentRankDeficient:
+            # The same rank test as fit_restricted, so at least one segment
+            # is masked and no partition is returned twice.
+            deficient.extend(
+                (s, e) for s, e in partition.segments(t_total)
+                if np.linalg.matrix_rank(data.z[s:e]) < q
+            )
+            continue
+        return SegmentationResult(
+            partition=partition,
+            ssr=ssr,
+            method_used=config.method,
+            iterations=total_cycles,
+            is_global=config.method == METHOD_EXHAUSTIVE,
+        )
+
+
+def _refine(t_total, m, min_len, objective, init, max_iters) -> tuple[tuple[int, ...], int]:
+    """Cyclic coordinate descent from ``init`` and, for ``m >= 2``, from
+    coarse-lattice starts; returns the best end point and the total cycles.
+
+    ``objective`` maps a ``(rows, m)`` array of break vectors to scores.
+    """
 
     def refine_from(start: tuple[int, ...]) -> tuple[tuple[int, ...], float, int]:
-        bounds = list(start)
-        current = restricted_ssr(tuple(bounds))
+        bounds = np.array(start, dtype=np.intp)
+        current = objective(bounds[None, :])[0]
         cycles = 0
-        for cycles in range(1, config.max_iters + 1):
+        for cycles in range(1, max_iters + 1):
             moved = False
             for p in range(m):
                 lo = (bounds[p - 1] if p > 0 else 0) + min_len
                 hi = (bounds[p + 1] if p + 1 < m else t_total) - min_len
-                best_val, best_b = current, bounds[p]
-                for b in range(lo, hi + 1):
-                    if b == bounds[p]:
-                        continue
-                    trial = bounds.copy()
-                    trial[p] = b
-                    val = restricted_ssr(tuple(trial))
-                    if val < best_val:
-                        best_val, best_b = val, b
-                if best_b != bounds[p]:
-                    bounds[p] = best_b
-                    current = best_val
+                cand = np.arange(lo, hi + 1)
+                cand = cand[cand != bounds[p]]
+                if not len(cand):
+                    continue
+                trials = np.repeat(bounds[None, :], len(cand), axis=0)
+                trials[:, p] = cand
+                vals = objective(trials)
+                i = int(np.argmin(vals))
+                if vals[i] < current:
+                    bounds[p], current = cand[i], vals[i]
                     moved = True
             if not moved:
                 break
-        return tuple(bounds), current, cycles
+        return tuple(int(b) for b in bounds), current, cycles
 
-    init = find_breaks_unrestricted(
-        data, SearchConfig(m=m, min_seg_frac=config.min_seg_frac), stats=stats
-    )
-    if not np.isfinite(restricted_ssr(init.partition.breaks)):
-        raise SegmentRankDeficient("restricted fit singular at the initial partition")
-    starts = [init.partition.breaks]
+    starts = [init]
     # Single-coordinate moves cannot cross SSR valleys when several breaks
     # must shift together, so for m >= 2 a few coarse-lattice starts are
     # refined as well (the best end point wins; result stays non-global).
     if m >= 2:
-        starts.extend(_coarse_starts(t_total, m, min_len, restricted_ssr, init.partition.breaks))
+        starts.extend(_coarse_starts(t_total, m, min_len, objective, init))
     best_bounds: tuple[int, ...] | None = None
     best_val = np.inf
     total_cycles = 0
@@ -426,35 +497,25 @@ def find_breaks_restricted(
             best_bounds, best_val = bounds, val
     if best_bounds is None:
         raise SegmentRankDeficient("no refinement start produced an estimable fit")
-    partition = Partition(best_bounds)
-    return SegmentationResult(
-        partition=partition,
-        ssr=ssr_restricted(data, partition, restriction),
-        method_used=METHOD_REFINE,
-        iterations=total_cycles,
-        is_global=False,
-    )
+    return best_bounds, total_cycles
 
 
 def _coarse_starts(t_total, m, min_len, objective, skip, n_starts=4, n_lattice=8):
-    """Best few partitions on a coarse break lattice, as refinement seeds."""
-    from itertools import combinations
+    """Best few partitions on a coarse break lattice, as refinement seeds.
 
+    The lattice partitions are scored as one batch; ties keep their
+    lexicographic order.
+    """
     stride = max(min_len, t_total // n_lattice)
-    lattice = list(range(stride, t_total - min_len + 1, stride))
-    scored = []
-    for combo in combinations(lattice, m):
-        if combo == skip:
-            continue
-        prev = 0
-        feasible = True
-        for b in combo:
-            if b - prev < min_len:
-                feasible = False
-                break
-            prev = b
-        if not feasible or t_total - combo[-1] < min_len:
-            continue
-        scored.append((objective(combo), combo))
-    scored.sort()
-    return [combo for _, combo in scored[:n_starts]]
+    lattice = range(stride, t_total - min_len + 1, stride)
+    combos = [
+        combo for combo in combinations(lattice, m)
+        if combo != skip
+        and all(b - a >= min_len for a, b in zip((0, *combo), combo))
+        and t_total - combo[-1] >= min_len
+    ]
+    if not combos:
+        return []
+    scores = objective(np.array(combos, dtype=np.intp))
+    order = np.argsort(scores, kind="stable")[:n_starts]
+    return [combos[i] for i in order]

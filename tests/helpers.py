@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 from scipy import linalg as sla
+from scipy.linalg import lapack
 
-from steinbreak import RegressionData, Restriction, build_design
+from steinbreak import (
+    RegressionData,
+    Restriction,
+    SearchConfig,
+    build_design,
+    find_breaks_unrestricted,
+)
 
 
 def random_instance(seed, t_range=(10, 30), m_choices=(0, 1, 2), q_choices=(1, 2)):
@@ -56,3 +65,107 @@ def orthonormal_rows(rng, k, n):
     a = rng.normal(size=(n, n))
     q, _ = np.linalg.qr(a)
     return q[:, :k].T
+
+
+def kkt_restricted_ls(grams, zys, restriction):
+    """Reference constrained-LS solve through the block KKT system.
+
+    Solves ``[[G, R'], [R, 0]] [delta; lambda] = [Z'y; r]`` with ``G`` block
+    diagonal from ``grams[p] = Z_p'Z_p`` by LU plus one step of iterative
+    refinement.  Raises ``LinAlgError`` when the system is singular.
+    """
+    n_seg, q = zys.shape
+    n, k = n_seg * q, restriction.k
+    kkt = np.zeros((n + k, n + k))
+    kkt[:n, :n] = sla.block_diag(*grams)
+    kkt[:n, n:] = restriction.matrix.T
+    kkt[n:, :n] = restriction.matrix
+    rhs = np.concatenate([zys.reshape(n), restriction.rhs])
+    lu, piv, sol, info = lapack.dgesv(kkt, rhs)
+    if info > 0:
+        raise np.linalg.LinAlgError("KKT system is singular")
+    sol += lapack.dgetrs(lu, piv, rhs - kkt @ sol)[0]
+    return sol[:n]
+
+
+def moment_prefix_sums(data):
+    """Prefix sums of ``w w'``, ``w = (z, y)``, with a leading zero block."""
+    w = np.column_stack([data.z, data.y])
+    outer = w[:, :, None] * w[:, None, :]
+    return np.concatenate([np.zeros((1, *outer.shape[1:])), np.cumsum(outer, axis=0)])
+
+
+def kkt_restricted_ssr(cum, bounds, restriction):
+    """Restricted SSR at the boundaries ``bounds`` from prefix-sum moments,
+    by the KKT reference; ``+inf`` when the KKT system is singular."""
+    bounds = np.asarray(bounds)
+    mom = cum[bounds[1:]] - cum[bounds[:-1]]
+    q = mom.shape[-1] - 1
+    try:
+        delta = kkt_restricted_ls(mom[:, :q, :q], mom[:, :q, q], restriction)
+    except np.linalg.LinAlgError:
+        return np.inf
+    u = np.column_stack([delta.reshape(-1, q), -np.ones(len(mom))])
+    return float(np.einsum("pi,pij,pj->", u, mom, u))
+
+
+def sequential_refine(data, restriction, config):
+    """Reference coordinate refinement, one candidate partition at a time.
+
+    The restricted search's refinement rule written as a plain loop over
+    KKT-scored partitions: start from the unrestricted optimum and, for
+    ``m >= 2``, the best four feasible partitions on the coarse lattice;
+    scan each break's range in ascending order, keeping a candidate only
+    when it is strictly below the best so far (the current SSR at first).
+    Returns ``(breaks, total cycles)``.
+    """
+    cum = moment_prefix_sums(data)
+    t_total, m = data.n_obs, config.m
+    min_len = config.min_segment_length(t_total, data.n_regressors)
+
+    def score(breaks):
+        return kkt_restricted_ssr(cum, (0, *breaks, t_total), restriction)
+
+    def refine_from(start):
+        bounds = list(start)
+        current = score(bounds)
+        cycles = 0
+        for cycles in range(1, config.max_iters + 1):
+            moved = False
+            for p in range(m):
+                lo = (bounds[p - 1] if p > 0 else 0) + min_len
+                hi = (bounds[p + 1] if p + 1 < m else t_total) - min_len
+                best_val, best_b = current, bounds[p]
+                for b in range(lo, hi + 1):
+                    if b != bounds[p]:
+                        val = score(bounds[:p] + [b] + bounds[p + 1:])
+                        if val < best_val:
+                            best_val, best_b = val, b
+                if best_b != bounds[p]:
+                    bounds[p], current, moved = best_b, best_val, True
+            if not moved:
+                break
+        return tuple(bounds), current, cycles
+
+    init = find_breaks_unrestricted(
+        data, SearchConfig(m=m, min_seg_frac=config.min_seg_frac)
+    ).partition.breaks
+    starts = [init]
+    if m >= 2:
+        stride = max(min_len, t_total // 8)
+        lattice = range(stride, t_total - min_len + 1, stride)
+        scored = sorted(
+            (score(c), c)
+            for c in combinations(lattice, m)
+            if c != init
+            and all(b - a >= min_len for a, b in zip((0, *c), c))
+            and t_total - c[-1] >= min_len
+        )
+        starts += [c for _, c in scored[:4]]
+    best, best_val, total = None, np.inf, 0
+    for start in starts:
+        bounds, val, cycles = refine_from(start)
+        total += cycles
+        if val < best_val or (val == best_val and best is not None and bounds < best):
+            best, best_val = bounds, val
+    return best, total

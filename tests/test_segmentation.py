@@ -1,8 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import nullspace_restricted_fit, random_instance, random_restriction
+from helpers import (
+    kkt_restricted_ssr,
+    moment_prefix_sums,
+    nullspace_restricted_fit,
+    random_instance,
+    random_restriction,
+    sequential_refine,
+)
 from steinbreak import (
     BudgetExceeded,
     InfeasibleConfig,
@@ -17,6 +26,7 @@ from steinbreak import (
     ssr_restricted,
     ssr_unrestricted,
 )
+from steinbreak import segmentation
 from steinbreak.segmentation import METHOD_EXHAUSTIVE, METHOD_REFINE, SegmentMoments
 
 
@@ -136,6 +146,10 @@ def test_dp_lexicographic_tie_break():
     restr = Restriction(matrix=np.array([[1.0, -1.0, 0.0]]), rhs=np.zeros(1))
     re = find_breaks_restricted(data, restr, SearchConfig(m=2, method=METHOD_EXHAUSTIVE))
     assert re.partition.breaks == (1, 2)
+    # refinement moves only on strict improvement: each of its five starts
+    # (the DP optimum and four lattice partitions) stops after one cycle
+    cr = find_breaks_restricted(data, restr, SearchConfig(m=2, method=METHOD_REFINE))
+    assert (cr.partition.breaks, cr.iterations) == ((1, 2), 5)
 
 
 def test_adding_a_break_never_increases_min_ssr():
@@ -265,26 +279,32 @@ def test_search_skips_rank_deficient_segments():
 
 
 def test_restricted_kernel_three_ways_agree():
-    # moments (the search's score), rows (fit_restricted) and the null-space
-    # reparameterization are independent routes to the same constrained fit
+    # moments (the search's score, in one batch and row by row), rows
+    # (fit_restricted), the KKT reference on the same moments and the
+    # null-space reparameterization are independent routes to one fit
     rng = np.random.default_rng(10)
     for seed in range(40):
         data, _ = random_instance(300 + seed, t_range=(20, 40), m_choices=(1, 2), q_choices=(1, 2, 3))
         t_total, q = data.n_obs, data.n_regressors
         stats = SegmentMoments(data)
-        for _ in range(5):
-            m = int(rng.integers(1, 3))
-            inner = rng.choice(np.arange(1, t_total // q), size=m, replace=False)
-            breaks = tuple(int(b) * q for b in np.sort(inner))
-            part = Partition(breaks)
-            n = (m + 1) * q
-            restr = random_restriction(rng, n, int(rng.integers(1, n + 1)))
-            delta_ns, ssr_ns = nullspace_restricted_fit(data, part, restr)
-            fit = fit_restricted(data, part, restr)
-            moments = stats.restricted_ssr(np.array((0, *breaks, t_total)), restr)
-            assert_allclose(fit.ssr, ssr_ns, rtol=1e-10)
-            assert_allclose(moments, ssr_ns, rtol=1e-10)
-            assert_allclose(fit.delta, delta_ns, rtol=1e-10, atol=1e-10 * np.max(np.abs(delta_ns)))
+        cum = moment_prefix_sums(data)
+        m = 1 + seed % 2
+        n = (m + 1) * q
+        # k = n leaves nothing to solve; k = 1 the widest null space
+        for k in (1, n, int(rng.integers(1, n + 1))):
+            restr = random_restriction(rng, n, k)
+            inner = [np.sort(rng.choice(np.arange(1, t_total // q), size=m, replace=False)) for _ in range(5)]
+            rows = np.array([(0, *(b * q), t_total) for b in inner])
+            batched = stats.restricted_ssr(rows, restr)
+            for row, moments in zip(rows, batched):
+                part = Partition(tuple(int(b) for b in row[1:-1]))
+                delta_ns, ssr_ns = nullspace_restricted_fit(data, part, restr)
+                fit = fit_restricted(data, part, restr)
+                assert moments == stats.restricted_ssr(row[None, :], restr)[0]
+                assert_allclose(fit.ssr, ssr_ns, rtol=1e-10)
+                assert_allclose(moments, ssr_ns, rtol=1e-10)
+                assert_allclose(kkt_restricted_ssr(cum, row, restr), ssr_ns, rtol=1e-10)
+                assert_allclose(fit.delta, delta_ns, rtol=1e-10, atol=1e-10 * np.max(np.abs(delta_ns)))
 
 
 def test_breaks_invariant_under_response_scaling():
@@ -328,3 +348,103 @@ def test_breaks_invariant_under_regressor_basis_change():
             re_moved = find_breaks_restricted(moved, moved_restr, cfg)
             assert re.partition.breaks == re_moved.partition.breaks, (seed, method)
             assert_allclose(re_moved.ssr, re.ssr, rtol=1e-9)
+
+
+def test_restricted_search_skips_rank_deficient_segments():
+    # R ties the slope of z = [1, x] across all three segments, so it
+    # identifies the slope of a segment inside the constant block and that
+    # segment's moment score is finite; fit_restricted still rejects it
+    restr = Restriction(
+        matrix=np.array([[0.0, 1.0, 0.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, 0.0, -1.0]]),
+        rhs=np.zeros(2),
+    )
+    for seed in range(100):
+        data = constant_block_instance(seed)
+        methods = (METHOD_REFINE, METHOD_EXHAUSTIVE) if seed < 5 else (METHOD_REFINE,)
+        for method in methods:
+            res = find_breaks_restricted(data, restr, SearchConfig(m=2, min_seg_frac=0.02, method=method))
+            for s, e in res.partition.segments(data.n_obs):
+                assert np.linalg.matrix_rank(data.z[s:e]) == 2, (seed, method)
+            assert res.ssr == fit_restricted(data, res.partition, restr).ssr
+
+
+def test_batch_with_one_singular_candidate():
+    # x is exactly zero over the first 8 observations and R touches only the
+    # first intercept, so N'GN is exactly singular when segment 1 ends by 8
+    rng = np.random.default_rng(15)
+    x = rng.normal(size=30)
+    x[:8] = 0.0
+    data = RegressionData(y=rng.normal(size=30), z=np.column_stack([np.ones(30), x]))
+    restr = Restriction(matrix=np.array([[1.0, 0.0, 0.0, 0.0]]), rhs=np.array([0.5]))
+    stats = SegmentMoments(data)
+    rows = np.array([(0, b, 30) for b in (12, 13, 6, 14, 15)])
+    batched = stats.restricted_ssr(rows, restr)
+    assert batched[2] == np.inf
+    for i in (0, 1, 3, 4):
+        assert np.isfinite(batched[i])
+        assert batched[i] == stats.restricted_ssr(rows[i:i + 1], restr)[0]
+        assert_allclose(batched[i], ssr_restricted(data, Partition((int(rows[i, 1]),)), restr), rtol=1e-10)
+
+
+def test_nan_score_is_never_chosen(monkeypatch):
+    # a NaN coefficient for the partition every search would pick must
+    # neither be returned nor stop the search at a worse partition
+    rng = np.random.default_rng(16)
+    y = np.concatenate([rng.normal(0.0, 0.1, 12), rng.normal(3.0, 0.1, 12)])
+    data = RegressionData(y=y, z=np.ones((24, 1)))
+    restr = Restriction(matrix=np.array([[1.0, 0.0]]), rhs=np.zeros(1))
+    best = find_breaks_restricted(data, restr, SearchConfig(m=1, method=METHOD_EXHAUSTIVE))
+    first_len = best.partition.breaks[0]
+    original = segmentation._restricted_ls
+
+    def poisoned(grams, zys, restriction):
+        delta = original(grams, zys, restriction)
+        # with z = 1, the first segment's Gram is its length
+        delta[grams[..., 0, 0, 0] == first_len] = np.nan
+        return delta
+
+    monkeypatch.setattr(segmentation, "_restricted_ls", poisoned)
+    stats = SegmentMoments(data)
+    assert stats.restricted_ssr(np.array([(0, first_len, 24)]), restr)[0] == np.inf
+    for method in (METHOD_EXHAUSTIVE, METHOD_REFINE):
+        res = find_breaks_restricted(data, restr, SearchConfig(m=1, method=method))
+        assert res.partition.breaks != best.partition.breaks, method
+        assert abs(res.partition.breaks[0] - first_len) == 1, method
+
+
+def test_exhaustive_search_memory_stays_bounded():
+    # 194,580 partitions at case-2 dimensions (q = 5, m = 4) are scored in
+    # fixed-size chunks, about 8 MB each; one batch would take over 1.5 GB
+    from steinbreak.simulation import build_case2
+
+    rng = np.random.default_rng(17)
+    t_total = 69
+    data = RegressionData(y=rng.normal(size=t_total), z=rng.normal(size=(t_total, 5)))
+    restr = build_case2(100, n_reps=1).restriction
+    cfg = SearchConfig(m=4, method=METHOD_EXHAUSTIVE)
+    assert count_partitions(t_total, 4, cfg.min_segment_length(t_total, 5)) == 194_580
+    stats = SegmentMoments(data)
+    tracemalloc.start()
+    try:
+        res = find_breaks_restricted(data, restr, cfg, stats=stats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+    assert len(res.partition.breaks) == 4
+
+
+def test_batched_refinement_matches_sequential_reference():
+    # the batched coordinate moves take exactly the decisions of the
+    # one-candidate-at-a-time loop over the KKT reference kernel
+    from steinbreak.simulation import build_case1, build_case2, simulate_dataset
+
+    for builder in (build_case1, build_case2):
+        design = builder(100, n_reps=1)
+        cfg = SearchConfig(m=design.m, min_seg_frac=design.min_seg_frac, method=METHOD_REFINE)
+        for i in range(30):
+            rng = np.random.default_rng(np.random.SeedSequence((31, i)))
+            data = simulate_dataset(design, design.sigma2_grid[i % 3], rng)
+            res = find_breaks_restricted(data, design.restriction, cfg)
+            breaks, cycles = sequential_refine(data, design.restriction, cfg)
+            assert (res.partition.breaks, res.iterations) == (breaks, cycles), (design.label, i)
