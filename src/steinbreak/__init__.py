@@ -32,6 +32,7 @@ from .estimators import (
     ShrinkageFunction,
     build_plugin_matrices,
     estimate_gamma,
+    estimate_class,
     estimate_omega,
     fit_restricted,
     fit_unrestricted,
@@ -51,7 +52,6 @@ from .model import (
     build_design,
     load_regression_csv,
     read_series_csv,
-    validate_segment_rank,
     write_regression_csv,
 )
 from .risk import (

@@ -27,17 +27,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, KTooSmall, SteinbreakError
-from .estimators import (
-    build_plugin_matrices,
-    fit_restricted,
-    fit_unrestricted,
-    make_james_stein,
-    make_positive_part,
-    residuals_of,
-    shrinkage_estimate,
-    wald_distance,
-)
-from .model import RegressionData, Restriction, build_design, read_series_csv
+from .estimators import SHRINKAGE_RULES, estimate_class, residuals_of
+from .model import RegressionData, Restriction, read_series_csv
 from .risk import (
     adr_james_stein,
     adr_positive_part,
@@ -317,7 +308,7 @@ def _load_fit_data(cfg: RunConfig) -> RegressionData:
 
 
 def _fit_pipeline(cfg: RunConfig, data: RegressionData) -> dict:
-    """Breaks, fits, plug-ins and shrinkage estimates for one dataset."""
+    """Both break searches for one dataset, then the estimator class at their breaks."""
     v = cfg.values
     m, q = v["m"], data.n_regressors
     restriction = restriction_from_spec(v["restriction"], m, q)
@@ -334,40 +325,22 @@ def _fit_pipeline(cfg: RunConfig, data: RegressionData) -> dict:
     )
     ue_search = find_breaks_unrestricted(data, cfg_dp, stats=stats)
     re_search = find_breaks_restricted(data, restriction, cfg_re, stats=stats)
-    ue_fit = fit_unrestricted(data, ue_search.partition)
-    re_fit = fit_restricted(data, re_search.partition, restriction)
-
     shrink_part = ue_search.partition if v["shrink_partition"] == "ue" else re_search.partition
-    ue_at_shrink = ue_fit if shrink_part == ue_search.partition else fit_unrestricted(data, shrink_part)
-    re_at_shrink = re_fit if shrink_part == re_search.partition else fit_restricted(data, shrink_part, restriction)
-    design = build_design(data, shrink_part)
-    plugin = build_plugin_matrices(
-        design,
-        residuals_of(data, ue_at_shrink),
+    fitted = estimate_class(
+        data,
         restriction,
-        method=v["omega"],
+        ue_search.partition,
+        re_search.partition,
+        shrink_part,
+        shrinkage=tuple(name for name in v["estimators"] if name in SHRINKAGE_RULES),
+        omega=v["omega"],
         bandwidth=v["hac_bandwidth"],
     )
-    psi = wald_distance(ue_at_shrink, re_at_shrink, plugin, data.n_obs)
-    estimates = {"ue": ue_fit, "re": re_fit}
-    k = restriction.k
-    wanted = v["estimators"]
-    if "js" in wanted:
-        estimates["js"] = shrinkage_estimate(
-            ue_at_shrink, re_at_shrink, plugin, make_james_stein(k), data.n_obs
-        )
-    if "pp" in wanted:
-        estimates["pp"] = shrinkage_estimate(
-            ue_at_shrink, re_at_shrink, plugin, make_positive_part(k), data.n_obs
-        )
     return {
-        "restriction": restriction,
         "ue_search": ue_search,
         "re_search": re_search,
-        "estimates": estimates,
-        "psi": psi,
-        "k": k,
-        "plugin": plugin,
+        "k": restriction.k,
+        **fitted,
     }
 
 

@@ -10,7 +10,16 @@ class InvalidPartition(SteinbreakError):
 
 
 class SegmentRankDeficient(SteinbreakError):
-    """A segment Gram matrix is numerically singular."""
+    """A segment Gram matrix is numerically singular.
+
+    ``segments`` lists the 0-based half-open ``(start, end)`` ranges of
+    every segment that failed, when the raiser tested the segments of one
+    partition; it is empty otherwise.
+    """
+
+    def __init__(self, message: str = "", segments: tuple[tuple[int, int], ...] = ()):
+        self.segments = tuple(segments)
+        super().__init__(message)
 
 
 class DimensionMismatch(SteinbreakError):

@@ -12,6 +12,8 @@ heteroskedasticity-robust (optionally autocorrelation-robust) score
 covariance ``Omega_hat``.  A shrinkage rule ``h`` maps psi to a mixing factor:
 ``h == 1`` recovers the unrestricted estimator, ``h == 0`` the restricted one,
 and the James-Stein pair uses ``1 - (k - 2)/psi`` and its positive part.
+:func:`estimate_class` is the one step from estimated break partitions to
+the whole class; the CLI and the simulation study both call it.
 """
 
 from __future__ import annotations
@@ -90,13 +92,22 @@ class ShrinkageFunction:
     the relevant chi-square laws is a documented contract, not checked at
     runtime.  ``breakpoints`` lists kinks or jumps of ``h`` (used by the
     risk quadrature).  Rules requiring ``k > 2`` raise ``KTooSmall`` at
-    construction, so ``requires_k_gt_2`` is informational downstream.
+    construction.
     """
 
     evaluate: Callable[[float], float]
     name: str
-    requires_k_gt_2: bool = False
     breakpoints: tuple[float, ...] = ()
+
+
+def _check_segment_ranks(segments: list[tuple[int, int]], ranks: list[int], q: int) -> None:
+    """Raise one ``SegmentRankDeficient`` listing every segment of rank below ``q``."""
+    failed = [(p, seg, r) for p, (seg, r) in enumerate(zip(segments, ranks)) if r < q]
+    if failed:
+        detail = "; ".join(
+            f"segment {p + 1} (times {s + 1}..{e}) has rank {r} < {q}" for p, (s, e), r in failed
+        )
+        raise SegmentRankDeficient(detail, segments=[seg for _, seg, _ in failed])
 
 
 def fit_unrestricted(data: RegressionData, partition: Partition) -> CoefEstimate:
@@ -105,22 +116,22 @@ def fit_unrestricted(data: RegressionData, partition: Partition) -> CoefEstimate
     Raises
     ------
     SegmentRankDeficient
-        If any segment has a singular Gram matrix.
+        If any segment's rows fail ``lstsq``'s rank test; ``segments``
+        lists every such segment.
     """
-    partition.validate_for(data.n_obs)
+    segments = partition.segments(data.n_obs)
     q = data.n_regressors
-    delta = np.empty(partition.n_segments * q)
+    delta = np.empty(len(segments) * q)
+    ranks = []
     ssr = 0.0
-    for p, (s, e) in enumerate(partition.segments(data.n_obs)):
+    for p, (s, e) in enumerate(segments):
         zseg, yseg = data.z[s:e], data.y[s:e]
         beta, _, rank, _ = np.linalg.lstsq(zseg, yseg, rcond=None)
-        if rank < q:
-            raise SegmentRankDeficient(
-                f"segment {p + 1} (times {s + 1}..{e}) has rank {rank} < {q}"
-            )
+        ranks.append(rank)
         delta[p * q:(p + 1) * q] = beta
         resid = yseg - zseg @ beta
         ssr += float(resid @ resid)
+    _check_segment_ranks(segments, ranks, q)
     return CoefEstimate(delta=delta, partition=partition, kind=KIND_UNRESTRICTED, ssr=ssr)
 
 
@@ -163,21 +174,22 @@ def fit_restricted(
 
     Raises
     ------
-    SegmentRankDeficient, DimensionMismatch, SingularConstraintGram
+    SegmentRankDeficient
+        If any segment's rows fail ``matrix_rank``'s test, whatever ``R``
+        identifies; ``segments`` lists every such segment.
+    DimensionMismatch, SingularConstraintGram
     """
     segments = partition.segments(data.n_obs)
     q = data.n_regressors
     grams = np.empty((len(segments), q, q))
     zys = np.empty((len(segments), q))
+    ranks = []
     for p, (s, e) in enumerate(segments):
         zseg = data.z[s:e]
-        rank = np.linalg.matrix_rank(zseg)
-        if rank < q:
-            raise SegmentRankDeficient(
-                f"segment {p + 1} (times {s + 1}..{e}) has rank {rank} < {q}"
-            )
+        ranks.append(np.linalg.matrix_rank(zseg))
         grams[p] = zseg.T @ zseg
         zys[p] = zseg.T @ data.y[s:e]
+    _check_segment_ranks(segments, ranks, q)
     try:
         delta = _restricted_ls(grams, zys, restriction)
     except np.linalg.LinAlgError as exc:
@@ -327,7 +339,6 @@ def make_james_stein(k: int) -> ShrinkageFunction:
     return ShrinkageFunction(
         evaluate=lambda x: 1.0 - (k - 2.0) / x,
         name="james-stein",
-        requires_k_gt_2=True,
     )
 
 
@@ -338,7 +349,6 @@ def make_positive_part(k: int) -> ShrinkageFunction:
     return ShrinkageFunction(
         evaluate=lambda x: max(0.0, 1.0 - (k - 2.0) / x),
         name="positive-part",
-        requires_k_gt_2=True,
         breakpoints=(float(k - 2),),
     )
 
@@ -355,6 +365,53 @@ def make_pretest(k: int, alpha: float) -> ShrinkageFunction:
         name=f"pretest({alpha:g})",
         breakpoints=(threshold,),
     )
+
+
+# Shrinkage members of the estimator class, by the names the CLI and the
+# simulation study use.
+SHRINKAGE_RULES = {"js": make_james_stein, "pp": make_positive_part}
+
+
+def estimate_class(
+    data: RegressionData,
+    restriction: Restriction,
+    ue_partition: Partition,
+    re_partition: Partition,
+    shrink_partition: Partition,
+    shrinkage: tuple[str, ...] = ("js", "pp"),
+    omega: str = "hc0",
+    bandwidth: int | None = None,
+) -> dict:
+    """UE, RE and the requested shrinkage members at estimated breaks.
+
+    Fits UE at ``ue_partition`` and RE at ``re_partition``.  The shrinkage
+    members ``d_re + h(psi) (d_ue - d_re)`` combine UE and RE fits at
+    ``shrink_partition``, reusing the fits above when it is one of their
+    partitions and fitting there otherwise.  The plug-in matrices come from
+    one design at ``shrink_partition`` with the UE residuals there.
+    ``shrinkage`` names members of :data:`SHRINKAGE_RULES`; only those are
+    built, so an empty tuple works for any ``k``.
+
+    Returns a dict with ``estimates`` (``"ue"``, ``"re"`` and each requested
+    member, as :class:`CoefEstimate`), ``plugin`` and ``psi``.
+    """
+    ue = fit_unrestricted(data, ue_partition)
+    re = fit_restricted(data, re_partition, restriction)
+    ue_s = ue if shrink_partition == ue_partition else fit_unrestricted(data, shrink_partition)
+    re_s = re if shrink_partition == re_partition else fit_restricted(data, shrink_partition, restriction)
+    design = build_design(data, shrink_partition)
+    plugin = build_plugin_matrices(
+        design, data.y - design.zbar @ ue_s.delta, restriction, method=omega, bandwidth=bandwidth
+    )
+    estimates = {"ue": ue, "re": re}
+    for name in shrinkage:
+        rule = SHRINKAGE_RULES[name](restriction.k)
+        estimates[name] = shrinkage_estimate(ue_s, re_s, plugin, rule, data.n_obs)
+    return {
+        "estimates": estimates,
+        "plugin": plugin,
+        "psi": wald_distance(ue_s, re_s, plugin, data.n_obs),
+    }
 
 
 def residuals_of(data: RegressionData, estimate: CoefEstimate) -> np.ndarray:

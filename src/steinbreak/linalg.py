@@ -96,3 +96,17 @@ def rel_error(x: np.ndarray, y: np.ndarray) -> float:
     """Largest entry of ``|x - y|`` relative to the largest entry of ``|y|``."""
     scale = max(float(np.max(np.abs(y))), 1e-300)
     return float(np.max(np.abs(x - y))) / scale
+
+
+def hypothesis_errors(a: np.ndarray, s: np.ndarray, mu: np.ndarray) -> dict[str, float]:
+    """Relative residuals of ``A S A = A``, ``S A S = S`` and ``S A mu = mu``.
+
+    These are the conditions under which the quadratic-form identities,
+    and with them the risk formulas, hold for a metric ``A`` and a
+    covariance ``S``; the last one reads 0 for ``mu = 0``.
+    """
+    return {
+        "a_s_a": rel_error(a @ s @ a, a),
+        "s_a_s": rel_error(s @ a @ s, s),
+        "s_a_mu": rel_error(s @ a @ mu, mu) if np.any(mu) else 0.0,
+    }

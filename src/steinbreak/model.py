@@ -201,16 +201,6 @@ class SegmentedDesign:
     def n_coefs(self) -> int:
         return self.zbar.shape[1]
 
-    @property
-    def seg_width(self) -> int:
-        return self.zbar.shape[1] // self.partition.n_segments
-
-    def segment_block(self, p: int) -> np.ndarray:
-        """Nonzero rows of segment ``p``'s column block (its raw regressors)."""
-        s, e = self.partition.segments(self.n_obs)[p]
-        q = self.seg_width
-        return self.zbar[s:e, p * q:(p + 1) * q]
-
 
 def build_design(data: RegressionData, partition: Partition) -> SegmentedDesign:
     """Assemble the block-diagonal design matrix for ``data`` under ``partition``.
@@ -236,24 +226,6 @@ def build_design(data: RegressionData, partition: Partition) -> SegmentedDesign:
     for p, (s, e) in enumerate(partition.segments(t_total)):
         zbar[s:e, p * q:(p + 1) * q] = data.z[s:e]
     return SegmentedDesign(zbar=_readonly(zbar), partition=partition)
-
-
-def validate_segment_rank(design: SegmentedDesign) -> bool:
-    """True iff every segment Gram matrix is numerically nonsingular.
-
-    A segment passes when the smallest singular value of its regressor block
-    exceeds ``RANK_RTOL`` times the largest (an empty or short segment with
-    fewer rows than columns always fails).
-    """
-    q = design.seg_width
-    for p in range(design.partition.n_segments):
-        block = design.segment_block(p)
-        if block.shape[0] < q:
-            return False
-        sv = np.linalg.svd(block, compute_uv=False)
-        if sv.size == 0 or sv[-1] <= RANK_RTOL * sv[0]:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,8 @@ class SegmentMoments:
         is exactly singular, are ``+inf``.  A segment whose rows are rank
         deficient but whose Gram is singular only up to round-off gets a
         finite entry, possibly below its true SSR; the unrestricted search
-        tests the rows of the segments it picks and masks such entries.
+        masks such entries when ``fit_unrestricted`` rejects a segment it
+        picks.
         """
         min_len = max(int(min_len), 1)
         if min_len in self._tables:
@@ -254,9 +255,10 @@ def find_breaks_unrestricted(
 
     Uses dynamic programming by default; ``config.method`` may also select
     exhaustive enumeration (identical result, used as a cross-check).
-    When the optimum contains a segment whose rows are rank deficient, every
-    table entry inside that segment is set to ``+inf`` (a subset of its rows
-    has no higher rank) and the search runs again.
+    When ``fit_unrestricted`` rejects the optimum, every table entry inside
+    each segment its ``SegmentRankDeficient`` lists is set to ``+inf`` (a
+    subset of its rows has no higher rank) and the search runs again; a
+    masked segment is never picked again, so the loop ends.
 
     Raises
     ------
@@ -289,13 +291,10 @@ def find_breaks_unrestricted(
         partition = Partition(tuple(breaks))
         try:
             ssr = ssr_unrestricted(data, partition)
-        except SegmentRankDeficient:
-            # The same lstsq rank test as fit_unrestricted, so the failing
-            # segment is masked and no partition is returned twice.
+        except SegmentRankDeficient as exc:
             tab = tab.copy()
-            for s, e in partition.segments(t_total):
-                if np.linalg.lstsq(data.z[s:e], data.y[s:e], rcond=None)[2] < q:
-                    tab[s:e, s:e] = np.inf
+            for s, e in exc.segments:
+                tab[s:e, s:e] = np.inf
             continue
         return SegmentationResult(partition=partition, ssr=ssr, method_used=config.method)
 
@@ -389,10 +388,10 @@ def find_breaks_restricted(
     global.
 
     ``fit_restricted`` rejects every partition with a segment whose rows
-    are rank deficient, whatever ``R`` identifies.  When the chosen
-    partition has such a segment, every partition with a segment inside it
-    scores ``+inf`` from then on (a subset of its rows has no higher rank)
-    and the search runs again.
+    are rank deficient, whatever ``R`` identifies.  When it rejects the
+    chosen partition, every partition with a segment inside one that its
+    ``SegmentRankDeficient`` lists scores ``+inf`` from then on (a subset
+    of its rows has no higher rank) and the search runs again.
     """
     stats = stats if stats is not None else SegmentMoments(data)
     t_total, q = data.n_obs, data.n_regressors
@@ -433,13 +432,8 @@ def find_breaks_restricted(
         partition = Partition(tuple(breaks))
         try:
             ssr = ssr_restricted(data, partition, restriction)
-        except SegmentRankDeficient:
-            # The same rank test as fit_restricted, so at least one segment
-            # is masked and no partition is returned twice.
-            deficient.extend(
-                (s, e) for s, e in partition.segments(t_total)
-                if np.linalg.matrix_rank(data.z[s:e]) < q
-            )
+        except SegmentRankDeficient as exc:
+            deficient.extend(exc.segments)
             continue
         return SegmentationResult(
             partition=partition,
@@ -500,13 +494,19 @@ def _refine(t_total, m, min_len, objective, init, max_iters) -> tuple[tuple[int,
     return best_bounds, total_cycles
 
 
-def _coarse_starts(t_total, m, min_len, objective, skip, n_starts=4, n_lattice=8):
+# Refinement seeds: the best _COARSE_STARTS partitions on a lattice with
+# stride T // _COARSE_LATTICE (at least the minimum segment length).
+_COARSE_STARTS = 4
+_COARSE_LATTICE = 8
+
+
+def _coarse_starts(t_total, m, min_len, objective, skip):
     """Best few partitions on a coarse break lattice, as refinement seeds.
 
     The lattice partitions are scored as one batch; ties keep their
     lexicographic order.
     """
-    stride = max(min_len, t_total // n_lattice)
+    stride = max(min_len, t_total // _COARSE_LATTICE)
     lattice = range(stride, t_total - min_len + 1, stride)
     combos = [
         combo for combo in combinations(lattice, m)
@@ -517,5 +517,5 @@ def _coarse_starts(t_total, m, min_len, objective, skip, n_starts=4, n_lattice=8
     if not combos:
         return []
     scores = objective(np.array(combos, dtype=np.intp))
-    order = np.argsort(scores, kind="stable")[:n_starts]
+    order = np.argsort(scores, kind="stable")[:_COARSE_STARTS]
     return [combos[i] for i in order]

@@ -2,8 +2,8 @@
 
 Each replication simulates regressors and errors, estimates the break
 dates (unrestricted via dynamic programming, restricted via the configured
-method), fits all requested estimators and accumulates weighted squared
-coefficient error against the truth.  Efficiency is reported relative to
+method), fits the four estimators and accumulates squared coefficient
+error against the truth.  Efficiency is reported relative to
 the unrestricted estimator:
 
     rmse(e) = risk(unrestricted) / risk(e)
@@ -25,16 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SteinbreakError
-from .estimators import (
-    build_plugin_matrices,
-    fit_restricted,
-    fit_unrestricted,
-    make_james_stein,
-    make_positive_part,
-    residuals_of,
-    shrinkage_estimate,
-)
-from .model import Partition, RegressionData, Restriction, build_design, _readonly
+from .estimators import estimate_class
+from .model import Partition, RegressionData, Restriction, _readonly
 from .segmentation import (
     METHOD_REFINE,
     SearchConfig,
@@ -63,15 +55,11 @@ class SimDesign:
     delta0: np.ndarray
     restriction: Restriction
     sigma2_grid: tuple[float, ...] = (1.0, 1.5, 2.0)
-    regressor_mean: np.ndarray | None = None
-    regressor_cov: np.ndarray | None = None
     n_reps: int = 1000
     seed: int = 0
-    estimators_to_run: tuple[str, ...] = ESTIMATOR_NAMES
     min_seg_frac: float = 0.05
     restricted_search: str = METHOD_REFINE
     redraw_regressors: bool = True
-    loss_weight: np.ndarray | None = None
     label: str = "custom"
 
     def __post_init__(self):
@@ -82,14 +70,6 @@ class SimDesign:
         if self.delta0.shape != (n,):
             raise ValueError(f"delta0 must have length {(self.m + 1) * self.q}")
         self.restriction.check_dims(n)
-        if "ue" not in self.estimators_to_run:
-            raise ValueError("the estimator list must include 'ue'")
-        mean = np.ones(self.q) if self.regressor_mean is None else np.asarray(self.regressor_mean, float)
-        cov = exp_decay_cov(self.q) if self.regressor_cov is None else np.asarray(self.regressor_cov, float)
-        object.__setattr__(self, "regressor_mean", _readonly(mean))
-        object.__setattr__(self, "regressor_cov", _readonly(cov))
-        if self.loss_weight is not None:
-            object.__setattr__(self, "loss_weight", _readonly(self.loss_weight))
 
     @property
     def true_partition(self) -> Partition:
@@ -192,14 +172,17 @@ class SimResult:
     flagged: bool = False
 
 
+def _draw_regressors(design: SimDesign, rng: np.random.Generator) -> np.ndarray:
+    """``T`` regressor rows from ``N(1, exp_decay_cov(q))``."""
+    return rng.multivariate_normal(np.ones(design.q), exp_decay_cov(design.q), size=design.n_obs)
+
+
 def simulate_dataset(
     design: SimDesign, sigma2: float, rng: np.random.Generator, z: np.ndarray | None = None
 ) -> RegressionData:
     """Draw one dataset from the design at noise level ``sigma2``."""
     if z is None:
-        z = rng.multivariate_normal(
-            design.regressor_mean, design.regressor_cov, size=design.n_obs
-        )
+        z = _draw_regressors(design, rng)
     u = rng.normal(0.0, np.sqrt(sigma2), size=design.n_obs)
     y = np.empty(design.n_obs)
     for p, (s, e) in enumerate(design.true_partition.segments(design.n_obs)):
@@ -212,7 +195,7 @@ def _rep_rng(seed: int, sigma_index: int, rep: int) -> np.random.Generator:
 
 
 def _one_replication(design: SimDesign, data: RegressionData):
-    """Estimate breaks and all estimators on one dataset.
+    """Estimate breaks and the four estimators on one dataset.
 
     Returns (losses by estimator, ue breaks, re breaks).  The restricted
     estimator is fitted at its own break estimates; the shrinkage pair
@@ -222,37 +205,17 @@ def _one_replication(design: SimDesign, data: RegressionData):
     stats = SegmentMoments(data)
     cfg = SearchConfig(m=design.m, min_seg_frac=design.min_seg_frac)
     ue_search = find_breaks_unrestricted(data, cfg, stats=stats)
-    ue_fit = fit_unrestricted(data, ue_search.partition)
-
     rcfg = SearchConfig(
         m=design.m, min_seg_frac=design.min_seg_frac, method=design.restricted_search
     )
     re_search = find_breaks_restricted(data, design.restriction, rcfg, stats=stats)
-    re_fit = fit_restricted(data, re_search.partition, design.restriction)
-
-    estimates = {"ue": ue_fit.delta, "re": re_fit.delta}
-    wanted = design.estimators_to_run
-    if "js" in wanted or "pp" in wanted:
-        re_at_ue = fit_restricted(data, ue_search.partition, design.restriction)
-        design_mat = build_design(data, ue_search.partition)
-        plugin = build_plugin_matrices(
-            design_mat, residuals_of(data, ue_fit), design.restriction
-        )
-        k = design.restriction.k
-        if "js" in wanted:
-            estimates["js"] = shrinkage_estimate(
-                ue_fit, re_at_ue, plugin, make_james_stein(k), design.n_obs
-            ).delta
-        if "pp" in wanted:
-            estimates["pp"] = shrinkage_estimate(
-                ue_fit, re_at_ue, plugin, make_positive_part(k), design.n_obs
-            ).delta
-
-    w = design.loss_weight
+    fitted = estimate_class(
+        data, design.restriction, ue_search.partition, re_search.partition, ue_search.partition
+    )
     losses = {}
-    for name in wanted:
-        err = estimates[name] - design.delta0
-        losses[name] = float(err @ w @ err) if w is not None else float(err @ err)
+    for name, est in fitted["estimates"].items():
+        err = est.delta - design.delta0
+        losses[name] = float(err @ err)
     return losses, ue_search.partition.breaks, re_search.partition.breaks
 
 
@@ -267,17 +230,15 @@ def run_monte_carlo(design: SimDesign) -> SimResult:
         label=design.label,
         n_obs=design.n_obs,
         sigma2_grid=design.sigma2_grid,
-        estimators=design.estimators_to_run,
+        estimators=ESTIMATOR_NAMES,
     )
     fixed_z = None
     if not design.redraw_regressors:
         rng0 = np.random.default_rng(np.random.SeedSequence((design.seed, 0x5E6D)))
-        fixed_z = rng0.multivariate_normal(
-            design.regressor_mean, design.regressor_cov, size=design.n_obs
-        )
+        fixed_z = _draw_regressors(design, rng0)
     for si, sigma2 in enumerate(design.sigma2_grid):
         t0 = time.perf_counter()
-        sums = {name: 0.0 for name in design.estimators_to_run}
+        sums = {name: 0.0 for name in ESTIMATOR_NAMES}
         ue_breaks, re_breaks = [], []
         failures = 0
         for rep in range(design.n_reps):
@@ -295,7 +256,7 @@ def run_monte_carlo(design: SimDesign) -> SimResult:
         n_ok = design.n_reps - failures
         if n_ok == 0:
             raise SteinbreakError(f"all replications failed at sigma2={sigma2}")
-        risks = {name: sums[name] / n_ok for name in design.estimators_to_run}
+        risks = {name: sums[name] / n_ok for name in ESTIMATOR_NAMES}
         base = risks["ue"]
         rmse = {}
         for name, risk in risks.items():

@@ -24,12 +24,13 @@ how chunks would be scheduled.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import psd_rank_factor, rel_error, sym, symmetric_rank
+from .linalg import hypothesis_errors, psd_rank_factor, sym, symmetric_rank
 from .model import _readonly
 from .risk import AsymptoticScaffold, make_weight, nc_chi2_expectation, random_scaffold
 
@@ -67,12 +68,7 @@ class GaussianSetup:
     def hypothesis_errors(self) -> dict[str, float]:
         """Relative residuals of A Sigma A = A, Sigma A Sigma = Sigma,
         Sigma A mu = mu (the conditions the closed forms require)."""
-        a, s, mu = self.a, self.sigma, self.mu_x
-        return {
-            "a_s_a": rel_error(a @ s @ a, a),
-            "s_a_s": rel_error(s @ a @ s, s),
-            "s_a_mu": rel_error(s @ a @ mu, mu) if np.any(mu) else 0.0,
-        }
+        return hypothesis_errors(self.a, self.sigma, self.mu_x)
 
 
 def setup_from_scaffold(
@@ -82,7 +78,7 @@ def setup_from_scaffold(
 
     The first component is the shrinking difference (mean ``-mu1``,
     variance L11) and the joint block carries its covariance with the
-    restricted limit (L12, L22), which is exactly the configuration the
+    restricted limit (L12, S22), which is exactly the configuration the
     risk derivation plugs into the identities.
     """
     weight = make_weight(scaffold.a, w_star)
@@ -93,7 +89,7 @@ def setup_from_scaffold(
         w=weight.w,
         w_star=weight.w_star,
         sigma12=scaffold.lambda12,
-        sigma22=scaffold.lambda22,
+        sigma22=scaffold.sigma22,
     )
 
 
@@ -236,6 +232,47 @@ def _chunk_rng(seed: int, idx: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, idx)))
 
 
+def _check_identity(setup, h, n_samples, seed, statistic, closed_form, joint=False):
+    """Monte Carlo mean of ``statistic`` against its closed form.
+
+    Draws ``X ~ N(mu, Sigma)`` from a rank factor of ``Sigma`` or, when
+    ``joint``, ``(X, Y)`` from the joint block with ``mu_Y = -mu``.
+    ``statistic(hv, x, y)`` maps ``h(X'AX)`` and a chunk of draws to an
+    ``(size, d)`` array; ``closed_form(e)`` returns the ``d`` values its
+    mean must match, given ``e(j) = E[h(chi2_{k+j}(mu'A mu))]``.
+    """
+    if n_samples < 10_000:
+        raise ValueError("need at least 10000 samples")
+    mu, a, p = setup.mu_x, setup.a, setup.dim
+    if joint:
+        if not setup.has_joint:
+            raise DimensionMismatch("setup has no joint block")
+        cov = sym(np.block([[setup.sigma, setup.sigma12], [setup.sigma12.T, setup.sigma22]]))
+        center = np.concatenate([mu, -mu])
+    else:
+        cov, center = setup.sigma, mu
+    factor = psd_rank_factor(cov)
+    rank = factor.shape[1]
+
+    def rows(idx, size):
+        draws = center + _chunk_rng(seed, idx).standard_normal((size, rank)) @ factor.T
+        x = draws[:, :p]
+        hv = _apply_h(h, np.einsum("ni,ij,nj->n", x, a, x))
+        return statistic(hv, x, draws[:, p:])
+
+    mean, stderr = _chunked_mean(rows, n_samples, seed)
+    k, ncp = setup.k, float(mu @ a @ mu)
+    closed = closed_form(functools.cache(lambda j: nc_chi2_expectation(h, k + j, ncp)))
+    return IdentityCheck(
+        mc_estimate=mean,
+        closed_form=closed,
+        max_abs_err=float(np.max(np.abs(mean - closed))),
+        mc_stderr=stderr,
+        n_samples=n_samples,
+        seed=seed,
+    )
+
+
 def mc_vector_identity(
     setup: GaussianSetup, h, n_samples: int, seed: int
 ) -> IdentityCheck:
@@ -243,27 +280,11 @@ def mc_vector_identity(
 
     ``h`` must accept numpy arrays.  Draws use a rank factor of Sigma.
     """
-    if n_samples < 10_000:
-        raise ValueError("need at least 10000 samples")
-    factor = psd_rank_factor(setup.sigma)
-    mu, a, w = setup.mu_x, setup.a, setup.w
-    rank = factor.shape[1]
-
-    def rows(idx, size):
-        x = mu + _chunk_rng(seed, idx).standard_normal((size, rank)) @ factor.T
-        hv = _apply_h(h, np.einsum("ni,ij,nj->n", x, a, x))
-        return hv[:, None] * (x @ w)
-
-    mean, stderr = _chunked_mean(rows, n_samples, seed)
-    ncp = float(mu @ a @ mu)
-    closed = nc_chi2_expectation(h, setup.k + 2, ncp) * (w @ mu)
-    return IdentityCheck(
-        mc_estimate=mean,
-        closed_form=closed,
-        max_abs_err=float(np.max(np.abs(mean - closed))),
-        mc_stderr=stderr,
-        n_samples=n_samples,
-        seed=seed,
+    w, mu = setup.w, setup.mu_x
+    return _check_identity(
+        setup, h, n_samples, seed,
+        lambda hv, x, _: hv[:, None] * (x @ w),
+        lambda e: e(2) * (w @ mu),
     )
 
 
@@ -271,34 +292,13 @@ def mc_quadratic_identity(
     setup: GaussianSetup, h, n_samples: int, seed: int
 ) -> IdentityCheck:
     """Check E[h(X'AX) X'WX] = E[h(chi2_{k+2})] tr(W Sigma) + E[h(chi2_{k+4})] mu'W mu."""
-    if n_samples < 10_000:
-        raise ValueError("need at least 10000 samples")
-    factor = psd_rank_factor(setup.sigma)
-    mu, a, w = setup.mu_x, setup.a, setup.w
-    rank = factor.shape[1]
-
-    def rows(idx, size):
-        x = mu + _chunk_rng(seed, idx).standard_normal((size, rank)) @ factor.T
-        hv = _apply_h(h, np.einsum("ni,ij,nj->n", x, a, x))
-        return (hv * np.einsum("ni,ij,nj->n", x, w, x))[:, None]
-
-    mean, stderr = _chunked_mean(rows, n_samples, seed)
-    ncp = float(mu @ a @ mu)
+    w, mu = setup.w, setup.mu_x
     d1 = float(np.trace(w @ setup.sigma))
     d2 = float(mu @ w @ mu)
-    closed = np.array(
-        [
-            nc_chi2_expectation(h, setup.k + 2, ncp) * d1
-            + nc_chi2_expectation(h, setup.k + 4, ncp) * d2
-        ]
-    )
-    return IdentityCheck(
-        mc_estimate=mean,
-        closed_form=closed,
-        max_abs_err=float(np.max(np.abs(mean - closed))),
-        mc_stderr=stderr,
-        n_samples=n_samples,
-        seed=seed,
+    return _check_identity(
+        setup, h, n_samples, seed,
+        lambda hv, x, _: (hv * np.einsum("ni,ij,nj->n", x, w, x))[:, None],
+        lambda e: np.array([e(2) * d1 + e(4) * d2]),
     )
 
 
@@ -312,45 +312,19 @@ def mc_cross_identity(
 
     with mu = mu_X and S11 = Var(X), S12 = Cov(X, Y), mu_Y = -mu_X.
     """
-    if n_samples < 10_000:
-        raise ValueError("need at least 10000 samples")
-    if not setup.has_joint:
-        raise DimensionMismatch("setup has no joint block")
-    p = setup.dim
-    joint = np.block(
-        [[setup.sigma, setup.sigma12], [setup.sigma12.T, setup.sigma22]]
-    )
-    factor = psd_rank_factor(sym(joint))
-    rank = factor.shape[1]
-    mu, a, w = setup.mu_x, setup.a, setup.w
-    mu_joint = np.concatenate([mu, -mu])
-
-    def rows(idx, size):
-        xy = mu_joint + _chunk_rng(seed, idx).standard_normal((size, rank)) @ factor.T
-        x, yv = xy[:, :p], xy[:, p:]
-        hv = _apply_h(h, np.einsum("ni,ij,nj->n", x, a, x))
-        return (hv * np.einsum("ni,ij,nj->n", yv, w, x))[:, None]
-
-    mean, stderr = _chunked_mean(rows, n_samples, seed)
-    ncp = float(mu @ a @ mu)
-    e2 = nc_chi2_expectation(h, setup.k + 2, ncp)
-    e4 = nc_chi2_expectation(h, setup.k + 4, ncp)
-    s12 = setup.sigma12
-    closed = np.array(
-        [
-            -e2 * float(mu @ w @ mu)
-            - e2 * float(mu @ a @ s12 @ w @ mu)
-            + e2 * float(np.trace(s12 @ w @ setup.sigma @ a))
-            + e4 * float(mu @ a @ s12 @ w @ mu)
-        ]
-    )
-    return IdentityCheck(
-        mc_estimate=mean,
-        closed_form=closed,
-        max_abs_err=float(np.max(np.abs(mean - closed))),
-        mc_stderr=stderr,
-        n_samples=n_samples,
-        seed=seed,
+    mu, a, w, s12 = setup.mu_x, setup.a, setup.w, setup.sigma12
+    return _check_identity(
+        setup, h, n_samples, seed,
+        lambda hv, x, y: (hv * np.einsum("ni,ij,nj->n", y, w, x))[:, None],
+        lambda e: np.array(
+            [
+                -e(2) * float(mu @ w @ mu)
+                - e(2) * float(mu @ a @ s12 @ w @ mu)
+                + e(2) * float(np.trace(s12 @ w @ setup.sigma @ a))
+                + e(4) * float(mu @ a @ s12 @ w @ mu)
+            ]
+        ),
+        joint=True,
     )
 
 

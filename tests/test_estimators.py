@@ -15,6 +15,7 @@ from steinbreak import (
     ShrinkageFunction,
     build_design,
     build_plugin_matrices,
+    estimate_class,
     estimate_gamma,
     estimate_omega,
     fit_restricted,
@@ -27,7 +28,8 @@ from steinbreak import (
     shrinkage_estimate,
     wald_distance,
 )
-from steinbreak.errors import GammaSingular
+from steinbreak import estimators
+from steinbreak.errors import GammaSingular, SegmentRankDeficient
 
 
 def test_fit_unrestricted_exact_recovery():
@@ -344,3 +346,89 @@ def test_plugin_projection_idempotency():
         assert rel <= 1e-6
         assert np.linalg.matrix_rank(plug.a_hat, tol=1e-8) == restr.k
     assert plug.omega_method.startswith("hac(")
+
+
+def test_fits_list_every_rank_deficient_segment():
+    # (z, partition, 0-based (start, end) of every segment whose rows have
+    # rank below q); both fits test every segment and raise once
+    rng = np.random.default_rng(2)
+    short = rng.normal(size=(5, 2))  # segment 1 has one row, q = 2
+    gaussian = np.random.default_rng(3).normal(size=(40, 2))
+    constant = np.tile([1.0, 2.0], (8, 1))  # identical rows, rank 1
+    two_bad = rng.normal(size=(30, 2))
+    two_bad[:10] = [1.0, 2.0]
+    two_bad[20:] = [0.5, -1.0]
+    cases = [
+        (short, Partition((1,)), [(0, 1)]),
+        (gaussian, Partition((20,)), []),
+        (constant, Partition(()), [(0, 8)]),
+        (two_bad, Partition((10, 20)), [(0, 10), (20, 30)]),
+    ]
+    for z, part, expected in cases:
+        data = RegressionData(y=rng.normal(size=len(z)), z=z)
+        restr = Restriction(matrix=np.eye(part.n_segments * 2)[:1], rhs=np.zeros(1))
+        for fit in (lambda: fit_unrestricted(data, part), lambda: fit_restricted(data, part, restr)):
+            if not expected:
+                assert np.isfinite(fit().ssr)
+                continue
+            with pytest.raises(SegmentRankDeficient) as exc:
+                fit()
+            assert list(exc.value.segments) == expected
+    assert SegmentRankDeficient("no segments").segments == ()
+
+
+def _count_fits(monkeypatch):
+    calls = []
+    for name in ("fit_unrestricted", "fit_restricted"):
+        original = getattr(estimators, name)
+
+        def counted(data, part, *rest, _original=original, _name=name):
+            calls.append((_name, part.breaks))
+            return _original(data, part, *rest)
+
+        monkeypatch.setattr(estimators, name, counted)
+    return calls
+
+
+def test_estimate_class_matches_hand_wired_fits(monkeypatch):
+    rng = np.random.default_rng(10)
+    z = rng.normal(1.0, 1.0, size=(60, 3))
+    y = rng.normal(size=60)
+    data = RegressionData(y=y, z=z)
+    restr = random_restriction(rng, 6, 4)
+    ue_part, re_part, other = Partition((30,)), Partition((28,)), Partition((33,))
+    calls = _count_fits(monkeypatch)
+    for shrink_part in (ue_part, re_part, other):
+        for omega in ("hc0", "hac"):
+            calls.clear()
+            got = estimate_class(data, restr, ue_part, re_part, shrink_part, omega=omega)
+            # each distinct (estimator, partition) pair is fitted once
+            assert len(calls) == len(set(calls))
+            assert len(calls) == 2 + (shrink_part != ue_part) + (shrink_part != re_part)
+            ue_s = fit_unrestricted(data, shrink_part)
+            re_s = fit_restricted(data, shrink_part, restr)
+            design = build_design(data, shrink_part)
+            plug = build_plugin_matrices(design, residuals_of(data, ue_s), restr, method=omega)
+            est = got["estimates"]
+            assert list(est) == ["ue", "re", "js", "pp"]
+            assert np.array_equal(est["ue"].delta, fit_unrestricted(data, ue_part).delta)
+            assert np.array_equal(est["re"].delta, fit_restricted(data, re_part, restr).delta)
+            assert np.array_equal(got["plugin"].a_hat, plug.a_hat)
+            assert got["psi"] == wald_distance(ue_s, re_s, plug, 60)
+            for name, rule in (("js", make_james_stein(4)), ("pp", make_positive_part(4))):
+                expected = shrinkage_estimate(ue_s, re_s, plug, rule, 60)
+                assert np.array_equal(est[name].delta, expected.delta)
+
+
+def test_estimate_class_builds_only_requested_members():
+    # k = 2 is too small for the Stein rules; without them the class still
+    # has UE, RE, the plug-ins and psi
+    rng = np.random.default_rng(11)
+    data = RegressionData(y=rng.normal(size=40), z=rng.normal(1.0, 1.0, size=(40, 2)))
+    restr = Restriction(matrix=np.eye(4)[2:], rhs=np.zeros(2))
+    part = Partition((20,))
+    got = estimate_class(data, restr, part, part, part, shrinkage=())
+    assert list(got["estimates"]) == ["ue", "re"]
+    assert got["psi"] > 0.0
+    with pytest.raises(KTooSmall):
+        estimate_class(data, restr, part, part, part, shrinkage=("pp",))

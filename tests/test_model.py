@@ -9,9 +9,11 @@ from steinbreak import (
     RegressionData,
     Restriction,
     RestrictionRankDeficient,
+    SegmentRankDeficient,
     build_design,
+    fit_restricted,
+    fit_unrestricted,
     load_regression_csv,
-    validate_segment_rank,
     write_regression_csv,
 )
 
@@ -70,28 +72,38 @@ def test_regression_data_validation():
         RegressionData(y=np.zeros(1), z=np.ones((1, 1)))
 
 
+def _rank_deficient_segments(z, part):
+    # 0-based (start, end) of every segment both fits report as rank deficient
+    data = RegressionData(y=np.random.default_rng(0).normal(size=len(z)), z=z)
+    restr = Restriction(matrix=np.eye(part.n_segments * z.shape[1])[:1], rhs=np.zeros(1))
+    found = []
+    for fit in (lambda: fit_unrestricted(data, part), lambda: fit_restricted(data, part, restr)):
+        try:
+            assert np.isfinite(fit().ssr)
+            found.append([])
+        except SegmentRankDeficient as exc:
+            found.append(list(exc.segments))
+    assert found[0] == found[1]
+    return found[0]
+
+
 def test_validate_segment_rank_short_segment():
     rng = np.random.default_rng(2)
     z = rng.normal(size=(5, 2))
-    data = RegressionData(y=np.zeros(5), z=z)
     # first segment has a single observation but q = 2
-    design = build_design(data, Partition((1,)))
-    assert validate_segment_rank(design) is False
+    assert _rank_deficient_segments(z, Partition((1,))) == [(0, 1)]
 
 
 def test_validate_segment_rank_gaussian_segments():
     rng = np.random.default_rng(3)
     z = rng.normal(size=(40, 2))
-    data = RegressionData(y=np.zeros(40), z=z)
-    design = build_design(data, Partition((20,)))  # both segments length 20 >= 5q
-    assert validate_segment_rank(design) is True
+    # both segments length 20 >= 5q
+    assert _rank_deficient_segments(z, Partition((20,))) == []
 
 
 def test_validate_segment_rank_constant_rows():
     z = np.tile([1.0, 2.0], (8, 1))  # identical rows, rank-1 Gram with q = 2
-    data = RegressionData(y=np.zeros(8), z=z)
-    design = build_design(data, Partition(()))
-    assert validate_segment_rank(design) is False
+    assert _rank_deficient_segments(z, Partition(())) == [(0, 8)]
 
 
 def test_stacked_ssr_equals_segment_ssr_sum():

@@ -1,3 +1,6 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,7 +15,10 @@ from steinbreak import (
     rmse_rows,
     run_monte_carlo,
     simulate_dataset,
+    write_regression_csv,
 )
+from steinbreak.cli import main
+from steinbreak.simulation import _one_replication
 
 
 def test_case1_design_matches_printed_values():
@@ -127,16 +133,6 @@ def test_design_validation():
             delta0=design.delta0[:-1],  # wrong length
             restriction=design.restriction,
         )
-    with pytest.raises(ValueError):
-        SimDesign(
-            m=design.m,
-            q=design.q,
-            n_obs=design.n_obs,
-            true_breaks=design.true_breaks,
-            delta0=design.delta0,
-            restriction=design.restriction,
-            estimators_to_run=("re",),  # must include the baseline
-        )
 
 
 def test_fixed_regressor_mode():
@@ -149,3 +145,38 @@ def test_fixed_regressor_mode():
     )
     result = run_monte_carlo(design)
     assert result.n_fail[1.0] == 0
+
+
+def test_simulate_and_fit_agree(tmp_path):
+    # one estimation step serves both: the fit subcommand on a case-1
+    # dataset reproduces the study's breaks and losses bit for bit
+    design = build_case1(n_obs=100)
+    differ = 0
+    # datasets 5 and 7 have different UE and RE breaks, dataset 0 the same
+    for i in (0, 5, 7):
+        sigma2 = design.sigma2_grid[i % 3]
+        data = simulate_dataset(design, sigma2, np.random.default_rng(np.random.SeedSequence((41, i))))
+        losses, ue_breaks, re_breaks = _one_replication(design, data)
+        differ += ue_breaks != re_breaks
+        series = tmp_path / f"case1_{i}.csv"
+        write_regression_csv(series, data)
+        config = tmp_path / f"fit_{i}.json"
+        config.write_text(json.dumps({
+            "csv": str(series),
+            "m": design.m,
+            "restriction": {"matrix": design.restriction.matrix.tolist(), "rhs": design.restriction.rhs.tolist()},
+            "restricted_search": "refine",
+            "omega": "hc0",
+            "min_seg_frac": 0.05,
+            "out": str(tmp_path / f"out_{i}"),
+        }))
+        assert main(["fit", "--config", str(config)]) == 0
+        with open(tmp_path / f"out_{i}" / "estimates.csv", newline="") as fh:
+            rows = {r[0]: np.array([float(v) for v in r[1:]]) for r in list(csv.reader(fh))[1:]}
+        fit_losses = {name: float((delta - design.delta0) @ (delta - design.delta0)) for name, delta in rows.items()}
+        assert fit_losses == losses
+        with open(tmp_path / f"out_{i}" / "breaks.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert tuple(int(r["time"]) for r in rows if r["search"] == "ue") == ue_breaks
+        assert tuple(int(r["time"]) for r in rows if r["search"] == "re") == re_breaks
+    assert differ == 2
