@@ -130,19 +130,6 @@ SCHEMAS: dict[str, dict] = {
     },
 }
 
-_FLAG_TO_KEY = {
-    "seed": "seed",
-    "out": "out",
-    "case": "case",
-    "t": "t",
-    "reps": "reps",
-    "bootstrap_b": "bootstrap_b",
-    "omega": "omega",
-    "restricted_search": "restricted_search",
-    "csv": "csv",
-}
-
-
 @dataclass
 class RunConfig:
     """Validated configuration for one subcommand."""
@@ -296,6 +283,14 @@ def restriction_from_spec(spec: dict, m: int, q: int) -> Restriction:
     raise ConfigError(f"unknown restriction pattern {pattern!r}")
 
 
+def _search_method(values: dict) -> str:
+    """The segmentation method that a config's ``restricted_search`` names."""
+    method = _SEARCH_ALIASES.get(values["restricted_search"])
+    if method is None:
+        raise ConfigError(f"unknown restricted_search {values['restricted_search']!r}")
+    return method
+
+
 def _load_fit_data(cfg: RunConfig) -> RegressionData:
     _, y, z = read_series_csv(cfg.values["csv"])
     if cfg.values["basis"] == "power-trend":
@@ -312,9 +307,7 @@ def _fit_pipeline(cfg: RunConfig, data: RegressionData) -> dict:
     v = cfg.values
     m, q = v["m"], data.n_regressors
     restriction = restriction_from_spec(v["restriction"], m, q)
-    method = _SEARCH_ALIASES.get(v["restricted_search"])
-    if method is None:
-        raise ConfigError(f"unknown restricted_search {v['restricted_search']!r}")
+    method = _search_method(v)
     stats = SegmentMoments(data)
     cfg_dp = SearchConfig(m=m, min_seg_frac=v["min_seg_frac"])
     cfg_re = SearchConfig(
@@ -432,9 +425,7 @@ def cmd_bootstrap(cfg: RunConfig) -> int:
 
 def _design_from_config(cfg: RunConfig) -> SimDesign:
     v = cfg.values
-    search = _SEARCH_ALIASES.get(v["restricted_search"])
-    if search is None:
-        raise ConfigError(f"unknown restricted_search {v['restricted_search']!r}")
+    search = _search_method(v)
     common = dict(
         n_reps=v["reps"],
         seed=v["seed"],
@@ -619,6 +610,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name in ("fit", "bootstrap"):
             p.add_argument("--csv", type=str, default=None)
             p.add_argument("--omega", choices=["hc0", "hac"], default=None)
+        if name in ("fit", "bootstrap", "simulate"):
             p.add_argument(
                 "--restricted-search",
                 dest="restricted_search",
@@ -631,12 +623,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--case", type=int, choices=[1, 2], default=None)
             p.add_argument("--t", type=int, default=None)
             p.add_argument("--reps", type=int, default=None)
-            p.add_argument(
-                "--restricted-search",
-                dest="restricted_search",
-                choices=["exhaustive", "refine"],
-                default=None,
-            )
         if name == "verify":
             p.add_argument("--n-samples", dest="n_samples", type=int, default=None)
     return parser
@@ -652,12 +638,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
         raw.pop("subcommand", None)
-    for flag in ("n_samples",):
-        if getattr(args, flag, None) is not None:
-            raw[flag] = getattr(args, flag)
-    for flag, key in _FLAG_TO_KEY.items():
-        if getattr(args, flag, None) is not None:
-            raw[key] = getattr(args, flag)
+    # Each flag's dest is the config key it overrides.
+    for key in SCHEMAS[args.subcommand]:
+        if getattr(args, key, None) is not None:
+            raw[key] = getattr(args, key)
     return RunConfig.from_dict(args.subcommand, raw)
 
 

@@ -51,26 +51,25 @@ _MAX_SERIES_TERMS = 100_000
 def _central_terms(kind: str, df: float, power: int, c: float | None):
     """Per-mixture-index central moments m_j, vectorized over j.
 
-    Each m_j is the corresponding moment of a central chi-square with
-    ``df + 2j`` degrees of freedom; all kinds are positive and decreasing
-    in j, which is what the tail bound relies on.
+    Each m_j is the moment of a central chi-square with ``nu = df + 2j``
+    degrees of freedom, ``E[X^p 1{X < c}] = P(chi2_{nu+2p} < c) /
+    ((nu-2)...(nu+2p))``; the inverse kinds take ``c = inf``, where
+    ``gammainc`` is exactly 1.  All kinds are positive and decreasing in j,
+    which is what the tail bound relies on.
     """
     if kind == MOMENT_INVERSE_FIRST:
-        return lambda js: 1.0 / (df + 2.0 * js - 2.0)
-    if kind == MOMENT_INVERSE_SECOND:
-        return lambda js: 1.0 / ((df + 2.0 * js - 2.0) * (df + 2.0 * js - 4.0))
-    if kind == MOMENT_TRUNC_BELOW:
-        half_c = c / 2.0
-        if power == 0:
-            return lambda js: special.gammainc(df / 2.0 + js, half_c)
-        if power == -1:
-            return lambda js: special.gammainc(df / 2.0 + js - 1.0, half_c) / (
-                df + 2.0 * js - 2.0
-            )
-        return lambda js: special.gammainc(df / 2.0 + js - 2.0, half_c) / (
-            (df + 2.0 * js - 2.0) * (df + 2.0 * js - 4.0)
-        )
-    raise ValueError(f"unknown moment kind {kind!r}")
+        power, c = -1, math.inf
+    elif kind == MOMENT_INVERSE_SECOND:
+        power, c = -2, math.inf
+    half_c = c / 2.0
+
+    def terms(js):
+        denom = 1.0
+        for i in range(1, 1 - power):
+            denom = denom * (df + 2.0 * js - 2.0 * i)
+        return special.gammainc(df / 2.0 + js + power, half_c) / denom
+
+    return terms
 
 
 def nc_chi2_moment(
@@ -428,14 +427,15 @@ def adr_positive_part(
     tw11, tw12, m1wm1, m1al12wm1, _ = _risk_pieces(scaffold, weight)
     c = float(k - 2)
 
-    def trunc(df, power):
-        return nc_chi2_moment(MOMENT_TRUNC_BELOW, df, delta, tol=tol, c=c, power=power)
-
+    t2, t4 = (
+        [nc_chi2_moment(MOMENT_TRUNC_BELOW, df, delta, tol=tol, c=c, power=p) for p in (0, -1, -2)]
+        for df in (k + 2, k + 4)
+    )
     # E[(1 - c/X) 1{X<c}] and E[(1 - c/X)^2 1{X<c}] at dof k+2 and k+4.
-    e1 = trunc(k + 2, 0) - c * trunc(k + 2, -1)
-    e2 = trunc(k + 4, 0) - c * trunc(k + 4, -1)
-    e3 = trunc(k + 2, 0) - 2.0 * c * trunc(k + 2, -1) + c * c * trunc(k + 2, -2)
-    e4 = trunc(k + 4, 0) - 2.0 * c * trunc(k + 4, -1) + c * c * trunc(k + 4, -2)
+    e1 = t2[0] - c * t2[1]
+    e2 = t4[0] - c * t4[1]
+    e3 = t2[0] - 2.0 * c * t2[1] + c * c * t2[2]
+    e4 = t4[0] - 2.0 * c * t4[1] + c * c * t4[2]
     return (
         adr_james_stein(scaffold, weight, tol=tol)
         + 2.0 * e1 * m1wm1

@@ -81,26 +81,31 @@ class SegmentationResult:
 
     ``ssr`` is the SSR of the fit at the returned partition, computed from
     the data rows by ``fit_unrestricted`` or ``fit_restricted``, not the
-    moment-based score the search ranked partitions by.
-    ``is_global`` is True for dynamic programming and exhaustive search,
-    False for coordinate refinement.  ``iterations`` counts refinement
-    cycles (0 for the global methods).
+    moment-based score the search ranked partitions by.  ``iterations``
+    counts refinement cycles (0 for the global methods).
     """
 
     partition: Partition
     ssr: float
     method_used: str
     iterations: int = 0
-    is_global: bool = True
+
+    @property
+    def is_global(self) -> bool:
+        """True for dynamic programming and exhaustive search, False for
+        coordinate refinement."""
+        return self.method_used != METHOD_REFINE
 
 
 class SegmentMoments:
-    """Prefix sums of ``w w'`` with ``w = (z, y)``, plus single-segment SSR tables.
+    """Search state of one dataset, shared by both searches: prefix sums of
+    ``w w'`` with ``w = (z, y)``, single-segment SSR tables, the unrestricted
+    optimum and the excluded segments.
 
-    Built once per dataset and shared between the unrestricted and
-    restricted searches.  The difference of two prefix sums is the
-    augmented Gram ``[[Z'Z, Z'y], [y'Z, y'y]]`` of the observations
-    between them.
+    The difference of two prefix sums is the augmented Gram
+    ``[[Z'Z, Z'y], [y'Z, y'y]]`` of the observations between them.  Every
+    score it returns is ``+inf`` for a partition with a segment inside an
+    excluded one.
     """
 
     def __init__(self, data: RegressionData):
@@ -110,6 +115,18 @@ class SegmentMoments:
         self.n_obs = data.n_obs
         self.n_regressors = data.n_regressors
         self._tables: dict[int, np.ndarray] = {}
+        self._optima: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._excluded: list[tuple[int, int]] = []
+
+    def exclude(self, segments) -> None:
+        """Score every partition with a segment inside one of ``segments``
+        (``SegmentRankDeficient.segments``) as ``+inf`` from now on; a
+        subset of a segment's rows has no higher rank."""
+        for s, e in segments:
+            self._excluded.append((s, e))
+            for tab in self._tables.values():
+                tab[s:e, s:e] = np.inf
+        self._optima.clear()
 
     def restricted_ssr(self, bounds: np.ndarray, restriction: Restriction) -> np.ndarray:
         """Restricted-LS SSR of each row of segment boundaries.
@@ -118,7 +135,8 @@ class SegmentMoments:
         With the segments' moments ``M_p`` (one prefix-sum difference) and
         ``u_p = (d_p, -1)``, the SSR is ``sum_p u_p'M_p u_p``.  All rows are
         solved as one batch; a row whose constrained normal equations are
-        singular, or whose score is NaN, gets ``+inf``.
+        singular, whose score is NaN, or with an excluded segment gets
+        ``+inf``.
         """
         q = self.n_regressors
         mom = self._cum[bounds[:, 1:]] - self._cum[bounds[:, :-1]]
@@ -137,17 +155,20 @@ class SegmentMoments:
         u[..., :q] = delta.reshape(len(bounds), -1, q)
         u[..., q] = -1.0
         ssr = np.einsum("bpi,bpij,bpj->b", u, mom, u)
-        return np.where(np.isnan(ssr), np.inf, ssr)
+        ssr[np.isnan(ssr)] = np.inf
+        for s, e in self._excluded:
+            inside = (bounds[:, :-1] >= s) & (bounds[:, 1:] <= e)
+            ssr[inside.any(axis=1)] = np.inf
+        return ssr
 
     def ssr_table(self, min_len: int) -> np.ndarray:
         """Table ``tab[i, j]`` = OLS SSR of observations ``i..j`` inclusive.
 
-        Entries for segments shorter than ``min_len``, or whose Gram matrix
-        is exactly singular, are ``+inf``.  A segment whose rows are rank
-        deficient but whose Gram is singular only up to round-off gets a
-        finite entry, possibly below its true SSR; the unrestricted search
-        masks such entries when ``fit_unrestricted`` rejects a segment it
-        picks.
+        Entries for segments shorter than ``min_len``, whose Gram matrix is
+        exactly singular, or inside an excluded segment are ``+inf``.  A
+        segment whose rows are rank deficient but whose Gram is singular
+        only up to round-off gets a finite entry, possibly below its true
+        SSR, until a fit rejects it and the search excludes it.
         """
         min_len = max(int(min_len), 1)
         if min_len in self._tables:
@@ -173,8 +194,20 @@ class SegmentMoments:
                     except np.linalg.LinAlgError:
                         ssr[idx] = np.inf
             tab[i, lo - 1:] = np.maximum(ssr, 0.0)
+        for s, e in self._excluded:
+            tab[s:e, s:e] = np.inf
         self._tables[min_len] = tab
         return tab
+
+    def dp_optimum(self, min_len: int, m: int) -> tuple[int, ...]:
+        """Lexicographically first break vector minimizing the table total,
+        kept until a segment is excluded; the fit at it may still reject a
+        segment."""
+        key = (min_len, m)
+        if key not in self._optima:
+            _, breaks = _suffix_dp(self.ssr_table(min_len), m, min_len)
+            self._optima[key] = tuple(breaks)
+        return self._optima[key]
 
 
 def ssr_unrestricted(data: RegressionData, partition: Partition) -> float:
@@ -255,10 +288,8 @@ def find_breaks_unrestricted(
 
     Uses dynamic programming by default; ``config.method`` may also select
     exhaustive enumeration (identical result, used as a cross-check).
-    When ``fit_unrestricted`` rejects the optimum, every table entry inside
-    each segment its ``SegmentRankDeficient`` lists is set to ``+inf`` (a
-    subset of its rows has no higher rank) and the search runs again; a
-    masked segment is never picked again, so the loop ends.
+    A partition that ``fit_unrestricted`` rejects is handled by
+    :func:`_search`.
 
     Raises
     ------
@@ -271,32 +302,7 @@ def find_breaks_unrestricted(
     """
     if config.method == METHOD_REFINE:
         raise InfeasibleConfig("coordinate refinement applies to restricted search only")
-    stats = stats if stats is not None else SegmentMoments(data)
-    t_total, q = data.n_obs, data.n_regressors
-    min_len = config.min_segment_length(t_total, q)
-    m = config.m
-    if (m + 1) * min_len > t_total:
-        raise InfeasibleConfig(
-            f"{m + 1} segments of length >= {min_len} do not fit in T = {t_total}"
-        )
-    tab = stats.ssr_table(min_len)
-    while True:
-        if config.method == METHOD_EXHAUSTIVE:
-            breaks = _exhaustive_min(
-                t_total, m, min_len, lambda rows: _fold_total(tab, rows, t_total),
-                config.exhaustive_budget,
-            )
-        else:
-            _, breaks = _suffix_dp(tab, m, min_len)
-        partition = Partition(tuple(breaks))
-        try:
-            ssr = ssr_unrestricted(data, partition)
-        except SegmentRankDeficient as exc:
-            tab = tab.copy()
-            for s, e in exc.segments:
-                tab[s:e, s:e] = np.inf
-            continue
-        return SegmentationResult(partition=partition, ssr=ssr, method_used=config.method)
+    return _search(data, None, config, stats)
 
 
 def _fold_total(tab: np.ndarray, breaks: np.ndarray, t_total: int) -> np.ndarray:
@@ -381,66 +387,65 @@ def find_breaks_restricted(
     The break moves to the smallest position attaining the batch minimum,
     and only when that minimum is strictly below the current SSR.  Descent
     stops when a full cycle makes no move or after ``max_iters`` cycles.  It
-    starts from the unrestricted optimum and, for two or more breaks, also
-    from the best few coarse-lattice partitions; the best refined end point
-    is returned with ``iterations`` counting cycles over all starts.  The
-    refined result is exact at the returned partition but not certified
-    global.
+    starts from :meth:`SegmentMoments.dp_optimum` and, for two or more
+    breaks, also from the best few coarse-lattice partitions; the best
+    refined end point is returned with ``iterations`` counting cycles over
+    all starts.  The refined result is exact at the returned partition but
+    not certified global.
 
     ``fit_restricted`` rejects every partition with a segment whose rows
-    are rank deficient, whatever ``R`` identifies.  When it rejects the
-    chosen partition, every partition with a segment inside one that its
-    ``SegmentRankDeficient`` lists scores ``+inf`` from then on (a subset
-    of its rows has no higher rank) and the search runs again.
+    are rank deficient, whatever ``R`` identifies; :func:`_search` handles
+    such a partition.
+    """
+    return _search(data, restriction, config, stats)
+
+
+def _search(data, restriction, config, stats) -> SegmentationResult:
+    """The one loop of both break searches.
+
+    Checks that ``m + 1`` segments of the minimum length fit, searches, and
+    fits the chosen partition from the rows (``ssr_restricted`` when there
+    is a restriction).  When the fit raises ``SegmentRankDeficient``, the
+    segments it lists are excluded on ``stats`` and the search runs again;
+    an excluded segment is never picked again, so the loop ends.
     """
     stats = stats if stats is not None else SegmentMoments(data)
-    t_total, q = data.n_obs, data.n_regressors
+    t_total, q, m = data.n_obs, data.n_regressors, config.m
     min_len = config.min_segment_length(t_total, q)
-    m = config.m
     if (m + 1) * min_len > t_total:
         raise InfeasibleConfig(
             f"{m + 1} segments of length >= {min_len} do not fit in T = {t_total}"
         )
-    restriction.check_dims((m + 1) * q)
-    if config.method not in (METHOD_EXHAUSTIVE, METHOD_REFINE):
-        raise InfeasibleConfig(
-            "restricted search method must be 'exhaustive' or 'coordinate-refine'"
-        )
-    deficient: list[tuple[int, int]] = []
-
-    def restricted_ssr(breaks: np.ndarray) -> np.ndarray:
-        bounds = _with_ends(breaks, t_total)
-        vals = stats.restricted_ssr(bounds, restriction)
-        for s, e in deficient:
-            inside = (bounds[:, :-1] >= s) & (bounds[:, 1:] <= e)
-            vals[inside.any(axis=1)] = np.inf
-        return vals
-
-    if config.method == METHOD_REFINE:
-        init = find_breaks_unrestricted(
-            data, SearchConfig(m=m, min_seg_frac=config.min_seg_frac), stats=stats
-        ).partition.breaks
+    if restriction is None:
+        score = lambda breaks: _fold_total(stats.ssr_table(min_len), breaks, t_total)
+        fit = lambda partition: ssr_unrestricted(data, partition)
+    else:
+        restriction.check_dims((m + 1) * q)
+        if config.method not in (METHOD_EXHAUSTIVE, METHOD_REFINE):
+            raise InfeasibleConfig(
+                "restricted search method must be 'exhaustive' or 'coordinate-refine'"
+            )
+        score = lambda breaks: stats.restricted_ssr(_with_ends(breaks, t_total), restriction)
+        fit = lambda partition: ssr_restricted(data, partition, restriction)
     total_cycles = 0
     while True:
-        if config.method == METHOD_EXHAUSTIVE:
-            breaks = _exhaustive_min(
-                t_total, m, min_len, restricted_ssr, config.exhaustive_budget
-            )
+        if config.method == METHOD_DP:
+            breaks = stats.dp_optimum(min_len, m)
+        elif config.method == METHOD_EXHAUSTIVE:
+            breaks = _exhaustive_min(t_total, m, min_len, score, config.exhaustive_budget)
         else:
-            breaks, cycles = _refine(t_total, m, min_len, restricted_ssr, init, config.max_iters)
+            breaks, cycles = _refine(
+                t_total, m, min_len, score, stats.dp_optimum(min_len, m), config.max_iters
+            )
             total_cycles += cycles
         partition = Partition(tuple(breaks))
         try:
-            ssr = ssr_restricted(data, partition, restriction)
+            ssr = fit(partition)
         except SegmentRankDeficient as exc:
-            deficient.extend(exc.segments)
+            stats.exclude(exc.segments)
             continue
         return SegmentationResult(
-            partition=partition,
-            ssr=ssr,
-            method_used=config.method,
-            iterations=total_cycles,
-            is_global=config.method == METHOD_EXHAUSTIVE,
+            partition=partition, ssr=ssr, method_used=config.method, iterations=total_cycles
         )
 
 

@@ -28,6 +28,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import stats as sps
 
 from .errors import DimensionMismatch
 from .linalg import hypothesis_errors, psd_rank_factor, sym, symmetric_rank
@@ -334,19 +335,23 @@ def mc_cross_identity(
 
 @dataclass(frozen=True)
 class VerifyEntry:
-    """One suite row: an identity on a setup with a specific rule."""
+    """One suite row: an identity on a setup with a specific rule.
+
+    ``bound`` is the suite's family-wise sigma bound, shared by every entry.
+    """
 
     setup_index: int
     identity: str
     h_name: str
     check: IdentityCheck
     expect_fail: bool
+    bound: float
 
     @property
     def ok(self) -> bool:
-        """True when the entry behaves as expected (passes, or fails for
-        the negative control)."""
-        passed = self.check.passed()
+        """True when the entry behaves as expected (within ``bound``, or
+        beyond it for the negative control)."""
+        passed = self.check.passed(self.bound)
         return (not passed) if self.expect_fail else passed
 
 
@@ -355,6 +360,9 @@ _IDENTITIES = {
     "quadratic": mc_quadratic_identity,
     "cross": mc_cross_identity,
 }
+
+# Chance that some component of a correct suite lands beyond the bound.
+_FAMILY_LEVEL = 1e-6
 
 
 def _suite_seed(seed: int, *parts: int) -> int:
@@ -369,9 +377,15 @@ def run_verification_suite(
 ) -> list[VerifyEntry]:
     """Run all three identities on randomized valid setups, for the rules
     h = 1, h = 1/x and an indicator truncation, plus one negative control
-    that must fail."""
+    that must fail.
+
+    Every entry is judged by one two-sided Bonferroni bound over the ``n``
+    components of the regular checks, ``norm.isf(1e-6 / (2 n))`` sigma
+    (5.80 for five setups), so a correct suite fails with probability at
+    most 1e-6 at any sample size.
+    """
     dims = [(6, 3), (8, 4), (10, 5), (7, 4), (9, 3)]
-    entries: list[VerifyEntry] = []
+    rows: list[tuple[int, str, str, IdentityCheck, bool]] = []
     for i in range(n_setups):
         p, k = dims[i % len(dims)]
         joint = "scaffold" if i % 2 == 0 else "general"
@@ -388,27 +402,13 @@ def run_verification_suite(
         for j, (h_name, h) in enumerate(rules):
             for l, (ident, fn) in enumerate(_IDENTITIES.items()):
                 check = fn(setup, h, n_samples, _suite_seed(seed, 1, i, j, l))
-                entries.append(
-                    VerifyEntry(
-                        setup_index=i,
-                        identity=ident,
-                        h_name=h_name,
-                        check=check,
-                        expect_fail=False,
-                    )
-                )
+                rows.append((i, ident, h_name, check, False))
+    n_components = sum(np.size(row[3].mc_estimate) for row in rows)
+    bound = float(sps.norm.isf(_FAMILY_LEVEL / (2 * max(n_components, 1))))
     if include_negative_control:
         bad = negative_control_setup(8, 4, _suite_seed(seed, 2))
         check = mc_vector_identity(
             bad, lambda x: 1.0 / np.asarray(x, dtype=float), n_samples, _suite_seed(seed, 3)
         )
-        entries.append(
-            VerifyEntry(
-                setup_index=-1,
-                identity="vector",
-                h_name="h=1/x",
-                check=check,
-                expect_fail=True,
-            )
-        )
-    return entries
+        rows.append((-1, "vector", "h=1/x", check, True))
+    return [VerifyEntry(*row, bound=bound) for row in rows]

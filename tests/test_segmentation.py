@@ -19,10 +19,12 @@ from steinbreak import (
     RegressionData,
     Restriction,
     SearchConfig,
+    SegmentRankDeficient,
     count_partitions,
     find_breaks_restricted,
     find_breaks_unrestricted,
     fit_restricted,
+    fit_unrestricted,
     ssr_restricted,
     ssr_unrestricted,
 )
@@ -366,6 +368,60 @@ def test_restricted_search_skips_rank_deficient_segments():
             for s, e in res.partition.segments(data.n_obs):
                 assert np.linalg.matrix_rank(data.z[s:e]) == 2, (seed, method)
             assert res.ssr == fit_restricted(data, res.partition, restr).ssr
+
+
+def test_unrestricted_exclusions_carry_to_restricted_scores():
+    # the first DP optimum of seed 6 has rank-deficient segments in the
+    # constant block; once the unrestricted search has excluded them, the
+    # shared table and the restricted scores are +inf inside each of them
+    data = constant_block_instance(6)
+    cfg = SearchConfig(m=2, min_seg_frac=0.02)
+    min_len = cfg.min_segment_length(data.n_obs, data.n_regressors)
+    restr = Restriction(
+        matrix=np.array([[0.0, 1.0, 0.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, 0.0, -1.0]]),
+        rhs=np.zeros(2),
+    )
+    stats = SegmentMoments(data)
+    _, first = segmentation._suffix_dp(stats.ssr_table(min_len).copy(), 2, min_len)
+    with pytest.raises(SegmentRankDeficient) as info:
+        fit_unrestricted(data, Partition(tuple(first)))
+    segments = info.value.segments
+    assert segments
+    rows = np.array([(0, e, e + 40, 100) if s == 0 else (0, s, e, 100) for s, e in segments])
+    assert np.isfinite(SegmentMoments(data).restricted_ssr(rows, restr)).all()
+    find_breaks_unrestricted(data, cfg, stats=stats)
+    tab = stats.ssr_table(min_len)
+    for s, e in segments:
+        assert np.isinf(tab[s:e, s:e]).all()
+    assert np.isinf(stats.restricted_ssr(rows, restr)).all()
+
+
+def test_refinement_starts_from_the_shared_unrestricted_search(monkeypatch):
+    # with shared moments, the refinement starts from the optimum the
+    # unrestricted search already found: one DP and one row fit in all
+    from steinbreak.simulation import build_case1, simulate_dataset
+
+    design = build_case1(100, n_reps=1)
+    data = simulate_dataset(design, 1.0, np.random.default_rng(3))
+    cfg = SearchConfig(m=design.m, min_seg_frac=design.min_seg_frac)
+    rcfg = SearchConfig(m=design.m, min_seg_frac=design.min_seg_frac, method=METHOD_REFINE)
+    alone = find_breaks_restricted(data, design.restriction, rcfg)
+    calls = {"_suffix_dp": 0, "fit_unrestricted": 0}
+    for name in calls:
+        original = getattr(segmentation, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(segmentation, name, counted)
+    stats = SegmentMoments(data)
+    find_breaks_unrestricted(data, cfg, stats=stats)
+    shared = find_breaks_restricted(data, design.restriction, rcfg, stats=stats)
+    assert calls == {"_suffix_dp": 1, "fit_unrestricted": 1}
+    assert (shared.partition, shared.ssr, shared.iterations) == (
+        alone.partition, alone.ssr, alone.iterations
+    )
 
 
 def test_batch_with_one_singular_candidate():

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.stats import norm
 
 from steinbreak import (
     DimensionMismatch,
@@ -132,3 +135,21 @@ def test_suite_shape_and_negative_control():
     assert control.ok  # i.e. it failed, as expected
     identities = {e.identity for e in entries}
     assert identities == {"vector", "quadratic", "cross"}
+    # one bound for the suite: two-sided Bonferroni over the 54 components
+    # of the regular checks (3 rules x (6 + 8 vector + 2 scalar) per setup)
+    assert len({e.bound for e in entries}) == 1
+    assert control.bound == pytest.approx(norm.isf(1e-6 / 108))
+    assert control.check.sigma_excess() > control.bound
+    worst = max(entries[:-1], key=lambda e: e.check.sigma_excess())
+    assert worst.ok
+    assert not dataclasses.replace(worst, bound=0.99 * worst.check.sigma_excess()).ok
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_suite_at_1e5_draws_passes_under_family_wise_bound(seed):
+    # a per-component 3-sigma bound flags some of these 150 components
+    # (seed 2: one at 3.18 sigma; seed 3: three, up to 3.26 sigma)
+    entries = run_verification_suite(n_samples=100_000, seed=seed)
+    assert entries[0].bound == pytest.approx(5.80, abs=5e-3)
+    assert any(e.check.sigma_excess() > 3.0 for e in entries[:-1])
+    assert all(e.ok for e in entries)
