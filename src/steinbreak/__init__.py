@@ -72,6 +72,7 @@ from .risk import (
     nc_chi2_moment,
     random_dominant_scaffold,
     random_scaffold,
+    rule_expectation,
     scaffold_at_delta,
 )
 from .segmentation import (

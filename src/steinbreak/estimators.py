@@ -93,11 +93,19 @@ class ShrinkageFunction:
     runtime.  ``breakpoints`` lists kinks or jumps of ``h`` (used by the
     risk quadrature).  Rules requiring ``k > 2`` raise ``KTooSmall`` at
     construction.
+
+    ``pieces``, when given, is the same rule in closed form: disjoint
+    ``(lo, hi, a, b)`` with ``0 <= lo < hi <= inf``, meaning
+    ``h(x) = a + b/x`` on ``[lo, hi)`` and ``h(x) = 0`` outside every
+    piece.  It must agree with ``evaluate`` away from the piece ends; the
+    risk module then takes expectations from the noncentral chi-square
+    moment kernels instead of quadrature.
     """
 
     evaluate: Callable[[float], float]
     name: str
     breakpoints: tuple[float, ...] = ()
+    pieces: tuple[tuple[float, float, float, float], ...] | None = None
 
 
 def _check_segment_ranks(segments: list[tuple[int, int]], ranks: list[int], q: int) -> None:
@@ -339,6 +347,7 @@ def make_james_stein(k: int) -> ShrinkageFunction:
     return ShrinkageFunction(
         evaluate=lambda x: 1.0 - (k - 2.0) / x,
         name="james-stein",
+        pieces=((0.0, math.inf, 1.0, -(k - 2.0)),),
     )
 
 
@@ -350,6 +359,7 @@ def make_positive_part(k: int) -> ShrinkageFunction:
         evaluate=lambda x: max(0.0, 1.0 - (k - 2.0) / x),
         name="positive-part",
         breakpoints=(float(k - 2),),
+        pieces=((k - 2.0, math.inf, 1.0, -(k - 2.0)),),
     )
 
 
@@ -364,6 +374,7 @@ def make_pretest(k: int, alpha: float) -> ShrinkageFunction:
         evaluate=lambda x: 1.0 if x > threshold else 0.0,
         name=f"pretest({alpha:g})",
         breakpoints=(threshold,),
+        pieces=((threshold, math.inf, 1.0, 0.0),),
     )
 
 

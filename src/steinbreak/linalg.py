@@ -31,16 +31,19 @@ def sym(a: np.ndarray) -> np.ndarray:
 def pd_solve(a: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Solve a @ x = b for symmetric positive definite ``a``.
 
-    Warns when the eigenvalue condition number exceeds ``COND_WARN``;
-    raises ``SingularFactorization`` when ``a`` is not numerically PD.
+    Warns when the 1-norm condition number ``||a||_1 ||a^-1||_1`` exceeds
+    ``COND_WARN``.  That number is LAPACK ``dpocon``'s estimate from the
+    Cholesky factor used for the solve; the estimate of ``||a^-1||_1`` is a
+    lower bound that is almost always within a factor of a few.  Raises
+    ``SingularFactorization`` when ``a`` is not numerically PD.
     """
     a = sym(np.asarray(a, dtype=float))
     try:
         c, low = sla.cho_factor(a, check_finite=False)
     except sla.LinAlgError as exc:
         raise SingularFactorization(f"{name} is not positive definite") from exc
-    diag = np.abs(np.diag(c))
-    if diag.min() > 0 and (diag.max() / diag.min()) ** 2 > COND_WARN:
+    rcond, _ = sla.lapack.dpocon(c, np.abs(a).sum(axis=0).max(), uplo="L" if low else "U")
+    if rcond * COND_WARN < 1.0:
         warnings.warn(
             f"{name} has condition number above {COND_WARN:.0e}; "
             "results may be inaccurate",

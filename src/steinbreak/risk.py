@@ -17,9 +17,11 @@ L11 and S22 are singular whenever k < (m+1)q: they are variances of
 non-surjective linear images of the unrestricted limit.  Risk is expected
 weighted quadratic loss of the limit law under a weight ``W = A^(1/2) W*
 A^(1/2)``; every formula below reduces to expectations of functions of
-noncentral chi-square variables, evaluated by the Poisson-mixture series
-in :func:`nc_chi2_moment` or, for arbitrary rules, by adaptive quadrature
-against the noncentral density in :func:`nc_chi2_expectation`.
+noncentral chi-square variables.  Those come from the Poisson-mixture
+series in :func:`nc_chi2_moment`: :func:`rule_expectation` turns a rule
+given in pieces ``a + b/x`` into truncated-moment differences.  Only a
+rule without pieces goes to adaptive quadrature against the noncentral
+density in :func:`nc_chi2_expectation`.
 """
 
 from __future__ import annotations
@@ -185,6 +187,80 @@ def nc_chi2_expectation(
         lo = cut
     tail, _ = integrate.quad(integrand, lo, np.inf, epsabs=tol, epsrel=tol, limit=500)
     return total + tail
+
+
+def _square(h):
+    def h2(x):
+        v = float(np.asarray(h(x), dtype=float))
+        return v * v
+
+    return h2
+
+
+def _rule_expectations(
+    rule: ShrinkageFunction, df: int, delta: float, which: tuple[bool, ...], tol: float
+) -> tuple[float, ...]:
+    """``E[h(X)]`` (False) or ``E[h(X)^2]`` (True) for each entry of ``which``.
+
+    With pieces, ``h = a + b/x`` on ``[lo, hi)`` makes ``E[h]`` the sum of
+    ``a (T0(hi) - T0(lo)) + b (T1(hi) - T1(lo))`` and ``E[h^2]`` that of
+    ``a^2 dT0 + 2ab dT1 + b^2 dT2``, where ``Tp(c) = E[X^p 1{X < c}]`` is a
+    ``trunc_below`` kernel, ``Tp(inf)`` the full moment and ``Tp(0) = 0``.
+    Each distinct ``(cut, power)`` moment is evaluated once across
+    ``which``.  Without pieces, each entry is one quadrature.
+    """
+    if rule.pieces is None:
+        return tuple(
+            nc_chi2_expectation(
+                _square(rule.evaluate) if squared else rule.evaluate,
+                df, delta, tol=tol, breakpoints=rule.breakpoints,
+            )
+            for squared in which
+        )
+    moments: dict[tuple[float, int], float] = {}
+
+    def below(cut: float, power: int) -> float:
+        if (cut, power) not in moments:
+            if cut != math.inf:
+                value = nc_chi2_moment(MOMENT_TRUNC_BELOW, df, delta, tol=tol, c=cut, power=power)
+            elif power == 0:
+                value = 1.0
+            else:
+                kind = MOMENT_INVERSE_FIRST if power == -1 else MOMENT_INVERSE_SECOND
+                value = nc_chi2_moment(kind, df, delta, tol=tol)
+            moments[cut, power] = value
+        return moments[cut, power]
+
+    out = []
+    for squared in which:
+        total = 0.0
+        for lo, hi, a, b in rule.pieces:
+            coefs = ((0, a * a), (-1, 2.0 * a * b), (-2, b * b)) if squared else ((0, a), (-1, b))
+            for power, coef in coefs:
+                if coef != 0.0:
+                    total += coef * (below(hi, power) - (below(lo, power) if lo > 0.0 else 0.0))
+        out.append(total)
+    return tuple(out)
+
+
+def rule_expectation(
+    rule: ShrinkageFunction,
+    df: int,
+    delta: float,
+    *,
+    squared: bool = False,
+    tol: float = 1e-11,
+) -> float:
+    """``E[h(X)]``, or ``E[h(X)^2]`` when ``squared``, for X noncentral
+    chi-square with ``df`` dof and noncentrality ``delta``.
+
+    A rule with :attr:`ShrinkageFunction.pieces` is evaluated exactly from
+    the moment kernels of :func:`nc_chi2_moment` at tolerance ``tol``; each
+    power ``p`` its pieces use needs ``df > 2|p|`` (``DivergentMoment``
+    otherwise), even on a piece bounded away from 0.  A rule without
+    pieces goes to :func:`nc_chi2_expectation` with its ``breakpoints``.
+    """
+    return _rule_expectations(rule, df, delta, (squared,), tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -365,22 +441,16 @@ def adr_class(
 ) -> AdrBreakdown:
     """Risk of the class member with rule ``h``, evaluated term by term.
 
-    The expectations ``E[h(.)]`` and ``E[h^2(.)]`` against the relevant
-    noncentral chi-square laws are computed by adaptive quadrature, so any
-    integrable rule is supported, not just the named estimators.
+    The expectations ``E[h(.)]`` and ``E[h^2(.)]`` against the noncentral
+    chi-square laws with ``k + 2`` and ``k + 4`` dof come from
+    :func:`rule_expectation`: from the moment kernels when ``h`` has
+    pieces (the James-Stein, positive-part and pretest rules), and by
+    adaptive quadrature otherwise, so any integrable rule is supported.
     """
     k, delta = scaffold.k, scaffold.delta
     tw11, _, m1wm1, m1al12wm1, cross_trace = _risk_pieces(scaffold, weight)
-    bp = h.breakpoints
-
-    def h2(x):
-        v = float(np.asarray(h.evaluate(x), dtype=float))
-        return v * v
-
-    e2 = nc_chi2_expectation(h.evaluate, k + 2, delta, tol=tol, breakpoints=bp)
-    e4 = nc_chi2_expectation(h.evaluate, k + 4, delta, tol=tol, breakpoints=bp)
-    s2 = nc_chi2_expectation(h2, k + 2, delta, tol=tol, breakpoints=bp)
-    s4 = nc_chi2_expectation(h2, k + 4, delta, tol=tol, breakpoints=bp)
+    e2, s2 = _rule_expectations(h, k + 2, delta, (False, True), tol)
+    e4, s4 = _rule_expectations(h, k + 4, delta, (False, True), tol)
     terms = (
         ("restricted_base", adr_restricted(scaffold, weight)),
         ("mean_quadratic", -2.0 * e2 * m1wm1),

@@ -82,7 +82,13 @@ class SegmentationResult:
     ``ssr`` is the SSR of the fit at the returned partition, computed from
     the data rows by ``fit_unrestricted`` or ``fit_restricted``, not the
     moment-based score the search ranked partitions by.  ``iterations``
-    counts refinement cycles (0 for the global methods).
+    counts refinement cycles (0 for the global methods) from the start the
+    search received: when a row fit rejects the chosen partition, its
+    segments are excluded and the search runs again, and every pass adds
+    its cycles.  The count therefore depends on the exclusions already
+    recorded on a shared :class:`SegmentMoments`: a search that follows
+    another on the same ``stats`` can report fewer cycles than the same
+    search alone.  The count measures work; it is not part of the result.
     """
 
     partition: Partition

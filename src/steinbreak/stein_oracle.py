@@ -25,15 +25,17 @@ how chunks would be scheduled.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats as sps
 
 from .errors import DimensionMismatch
+from .estimators import ShrinkageFunction
 from .linalg import hypothesis_errors, psd_rank_factor, sym, symmetric_rank
 from .model import _readonly
-from .risk import AsymptoticScaffold, make_weight, nc_chi2_expectation, random_scaffold
+from .risk import AsymptoticScaffold, make_weight, random_scaffold, rule_expectation
 
 _CHUNK = 1 << 16
 
@@ -240,10 +242,13 @@ def _check_identity(setup, h, n_samples, seed, statistic, closed_form, joint=Fal
     ``joint``, ``(X, Y)`` from the joint block with ``mu_Y = -mu``.
     ``statistic(hv, x, y)`` maps ``h(X'AX)`` and a chunk of draws to an
     ``(size, d)`` array; ``closed_form(e)`` returns the ``d`` values its
-    mean must match, given ``e(j) = E[h(chi2_{k+j}(mu'A mu))]``.
+    mean must match, given ``e(j) = E[h(chi2_{k+j}(mu'A mu))]`` from
+    :func:`rule_expectation`.  A plain callable ``h`` is a rule without
+    pieces, so its ``e(j)`` comes from quadrature.
     """
     if n_samples < 10_000:
         raise ValueError("need at least 10000 samples")
+    rule = h if isinstance(h, ShrinkageFunction) else ShrinkageFunction(evaluate=h, name="h")
     mu, a, p = setup.mu_x, setup.a, setup.dim
     if joint:
         if not setup.has_joint:
@@ -258,12 +263,12 @@ def _check_identity(setup, h, n_samples, seed, statistic, closed_form, joint=Fal
     def rows(idx, size):
         draws = center + _chunk_rng(seed, idx).standard_normal((size, rank)) @ factor.T
         x = draws[:, :p]
-        hv = _apply_h(h, np.einsum("ni,ij,nj->n", x, a, x))
+        hv = _apply_h(rule.evaluate, np.einsum("ni,ij,nj->n", x, a, x))
         return statistic(hv, x, draws[:, p:])
 
     mean, stderr = _chunked_mean(rows, n_samples, seed)
     k, ncp = setup.k, float(mu @ a @ mu)
-    closed = closed_form(functools.cache(lambda j: nc_chi2_expectation(h, k + j, ncp)))
+    closed = closed_form(functools.cache(lambda j: rule_expectation(rule, k + j, ncp)))
     return IdentityCheck(
         mc_estimate=mean,
         closed_form=closed,
@@ -279,7 +284,8 @@ def mc_vector_identity(
 ) -> IdentityCheck:
     """Check E[h(X'AX) W X] = E[h(chi2_{k+2}(mu'A mu))] W mu.
 
-    ``h`` must accept numpy arrays.  Draws use a rank factor of Sigma.
+    ``h`` is a :class:`ShrinkageFunction` or a plain callable, and must
+    accept numpy arrays.  Draws use a rank factor of Sigma.
     """
     w, mu = setup.w, setup.mu_x
     return _check_identity(
@@ -355,6 +361,28 @@ class VerifyEntry:
         return (not passed) if self.expect_fail else passed
 
 
+_H_ONE = ShrinkageFunction(
+    evaluate=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+    name="h=1",
+    pieces=((0.0, math.inf, 1.0, 0.0),),
+)
+_H_INV = ShrinkageFunction(
+    evaluate=lambda x: 1.0 / np.asarray(x, dtype=float),
+    name="h=1/x",
+    pieces=((0.0, math.inf, 0.0, 1.0),),
+)
+
+
+def _h_below(cut: float) -> ShrinkageFunction:
+    """The indicator rule ``1{x < cut}``."""
+    return ShrinkageFunction(
+        evaluate=lambda x: (np.asarray(x, dtype=float) < cut).astype(float),
+        name=f"h=ind(x<{cut:g})",
+        breakpoints=(cut,),
+        pieces=((0.0, cut, 1.0, 0.0),),
+    )
+
+
 _IDENTITIES = {
     "vector": mc_vector_identity,
     "quadratic": mc_quadratic_identity,
@@ -377,7 +405,8 @@ def run_verification_suite(
 ) -> list[VerifyEntry]:
     """Run all three identities on randomized valid setups, for the rules
     h = 1, h = 1/x and an indicator truncation, plus one negative control
-    that must fail.
+    that must fail.  Each rule has pieces, so every closed form comes from
+    the moment kernels.
 
     Every entry is judged by one two-sided Bonferroni bound over the ``n``
     components of the regular checks, ``norm.isf(1e-6 / (2 n))`` sigma
@@ -390,25 +419,14 @@ def run_verification_suite(
         p, k = dims[i % len(dims)]
         joint = "scaffold" if i % 2 == 0 else "general"
         setup = random_gaussian_setup(p, k, _suite_seed(seed, 0, i), joint=joint)
-        cut = float(k + 1)
-        rules = [
-            ("h=1", lambda x: np.ones_like(np.asarray(x, dtype=float))),
-            ("h=1/x", lambda x: 1.0 / np.asarray(x, dtype=float)),
-            (
-                f"h=ind(x<{cut:g})",
-                lambda x, c=cut: (np.asarray(x, dtype=float) < c).astype(float),
-            ),
-        ]
-        for j, (h_name, h) in enumerate(rules):
+        for j, rule in enumerate((_H_ONE, _H_INV, _h_below(float(k + 1)))):
             for l, (ident, fn) in enumerate(_IDENTITIES.items()):
-                check = fn(setup, h, n_samples, _suite_seed(seed, 1, i, j, l))
-                rows.append((i, ident, h_name, check, False))
+                check = fn(setup, rule, n_samples, _suite_seed(seed, 1, i, j, l))
+                rows.append((i, ident, rule.name, check, False))
     n_components = sum(np.size(row[3].mc_estimate) for row in rows)
     bound = float(sps.norm.isf(_FAMILY_LEVEL / (2 * max(n_components, 1))))
     if include_negative_control:
         bad = negative_control_setup(8, 4, _suite_seed(seed, 2))
-        check = mc_vector_identity(
-            bad, lambda x: 1.0 / np.asarray(x, dtype=float), n_samples, _suite_seed(seed, 3)
-        )
-        rows.append((-1, "vector", "h=1/x", check, True))
+        check = mc_vector_identity(bad, _H_INV, n_samples, _suite_seed(seed, 3))
+        rows.append((-1, "vector", _H_INV.name, check, True))
     return [VerifyEntry(*row, bound=bound) for row in rows]

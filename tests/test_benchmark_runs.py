@@ -4,7 +4,8 @@ One round of each workload, as ``steinbench/run.py`` runs it, in its own
 process: the run must exit 0 and its last line must be a JSON result with
 every output check passing and no failed operation.  With ``--trace 1`` the
 tracer patches every binding site, so a renamed or moved function that the
-tracer wraps fails here too.
+tracer wraps fails here too.  A traced risk-verify round must take every
+risk expectation from the moment kernels, with no quadrature.
 """
 
 import json
@@ -19,7 +20,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize(
     "workload, trace",
-    [("mc-study", 0), ("mc-study", 1), ("bootstrap-fit", 0), ("bootstrap-fit", 1), ("risk-verify", 0)],
+    [
+        ("mc-study", 0), ("mc-study", 1), ("bootstrap-fit", 0), ("bootstrap-fit", 1),
+        ("risk-verify", 0), ("risk-verify", 1),
+    ],
 )
 def test_benchmark_workload_runs(workload, trace):
     proc = subprocess.run(
@@ -31,3 +35,7 @@ def test_benchmark_workload_runs(workload, trace):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+    if (workload, trace) == ("risk-verify", 1):
+        metrics = result["metrics"]
+        assert metrics["risk.quadrature_calls"]["value"] == 0
+        assert metrics["risk.moment_kernel_calls"]["value"] > 0

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -17,14 +20,17 @@ from steinbreak import (
     empirical_noncentrality,
     make_james_stein,
     make_positive_part,
+    make_pretest,
     make_scaffold,
     make_weight,
     nc_chi2_expectation,
     nc_chi2_moment,
     random_dominant_scaffold,
     random_scaffold,
+    rule_expectation,
     scaffold_at_delta,
 )
+from steinbreak import stein_oracle
 from steinbreak.linalg import symmetric_rank
 
 H_ONE = ShrinkageFunction(evaluate=lambda x: 1.0, name="one")
@@ -71,6 +77,83 @@ def test_moment_large_noncentrality_window():
     value = nc_chi2_moment("inverse_first", 6, 10_000.0)
     # E[1/X] ~ 1/(df + delta) for large delta
     assert value == pytest.approx(1.0 / (6 + 10_000.0), rel=1e-3)
+
+
+def rules_with_pieces(k):
+    """Every rule the package builds with pieces, for restriction rank k."""
+    return [
+        make_james_stein(k),
+        make_positive_part(k),
+        make_pretest(k, 0.05),
+        make_pretest(k, 0.5),
+        stein_oracle._H_ONE,
+        stein_oracle._H_INV,
+        stein_oracle._h_below(float(k + 1)),
+    ]
+
+
+def piecewise_rule(cut, a, b, below):
+    """``a + b/x`` on [0, cut) when ``below``, on [cut, inf) otherwise."""
+    lo, hi = (0.0, cut) if below else (cut, math.inf)
+    return ShrinkageFunction(
+        evaluate=lambda x: a + b / x if lo <= x < hi else 0.0,
+        name=f"piecewise({cut:g})",
+        breakpoints=(cut,),
+        pieces=((lo, hi, a, b),),
+    )
+
+
+def without_pieces(rule):
+    return dataclasses.replace(rule, pieces=None)
+
+
+def test_pieces_reproduce_evaluate():
+    rng = np.random.default_rng(50)
+    xs = np.exp(rng.uniform(np.log(1e-3), np.log(1e4), size=400))
+    for k in (3, 4, 7):
+        for rule in rules_with_pieces(k):
+            for x in xs:
+                direct = float(np.asarray(rule.evaluate(x), dtype=float))
+                by_pieces = sum(a + b / x for lo, hi, a, b in rule.pieces if lo <= x < hi)
+                assert by_pieces == pytest.approx(direct, rel=1e-14, abs=1e-300), (rule.name, x)
+
+
+def test_kernel_route_matches_quadrature():
+    # the kernels against quadrature on the same evaluate: noncentrality 0
+    # to 5000, cuts at 1e-3 and next to df, k = 3; E[h^2] for the rules
+    # whose squares adr_class takes, E[h] for every rule
+    for k, df in ((3, 5), (3, 7), (6, 10)):
+        js, pp, pretest, _, one, inv, below = rules_with_pieces(k)
+        cuts = [
+            piecewise_rule(1e-3, 1.0, -1e-3, below=False),
+            piecewise_rule(df - 1e-3, 1.0, -(df - 1e-3), below=False),
+            piecewise_rule(df + 1e-3, 0.5, 2.0, below=True),
+        ]
+        cases = [(rule, sq) for rule in (js, pp, pretest, *cuts) for sq in (False, True)]
+        cases += [(rule, False) for rule in (one, inv, below)]
+        for rule, squared in cases:
+            for delta in (0.0, 4.0, 20.0, 5000.0):
+                kernel = rule_expectation(rule, df, delta, squared=squared)
+                quad = rule_expectation(without_pieces(rule), df, delta, squared=squared)
+                assert kernel == pytest.approx(quad, rel=1e-10), (rule.name, k, df, delta, squared)
+
+
+def test_kernel_route_uses_no_quadrature(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("quadrature called")
+
+    sc, w = random_dominant_scaffold(8, 4, 51)
+    monkeypatch.setattr("steinbreak.risk.nc_chi2_expectation", fail)
+    for rule in rules_with_pieces(4)[:4]:
+        assert np.isfinite(adr_class(rule, scaffold_at_delta(sc, 3.0), w).total)
+    with pytest.raises(AssertionError):
+        adr_class(H_ONE, sc, w)
+
+
+def test_pieces_of_a_reciprocal_need_the_moment():
+    # E[1/X] does not exist at df = 2, so the kernel route refuses it
+    with pytest.raises(DivergentMoment):
+        rule_expectation(stein_oracle._H_INV, 2, 1.0)
 
 
 def test_moment_divergence_guards():
@@ -204,6 +287,20 @@ def test_class_matches_closed_james_stein_and_positive_part():
         assert pp_class == pytest.approx(pp_closed, abs=1e-8 * max(1.0, abs(pp_closed)))
 
 
+def test_kernel_class_matches_closed_forms_on_benchmark_shapes():
+    # the scaffold shapes and the 41-point grid of the risk benchmark
+    for seed, (n, k) in enumerate(((8, 4), (10, 5), (6, 3), (12, 6))):
+        sc, w = random_dominant_scaffold(n, k, 60 + seed)
+        js, pp = make_james_stein(k), make_positive_part(k)
+        for delta in np.linspace(0.0, 20.0, 41):
+            at = scaffold_at_delta(sc, float(delta))
+            for rule, closed in ((js, adr_james_stein), (pp, adr_positive_part)):
+                expected = closed(at, w)
+                assert adr_class(rule, at, w).total == pytest.approx(expected, rel=1e-13), (
+                    rule.name, n, k, delta
+                )
+
+
 def test_class_breakdown_has_seven_terms():
     sc = random_scaffold(6, 3, 12)
     w = make_weight(sc.a)
@@ -330,3 +427,51 @@ def test_weight_requires_psd_seed():
     sc = random_scaffold(6, 3, 43)
     with pytest.raises(ValueError):
         make_weight(sc.a, -np.eye(6))
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic invariances
+
+
+def all_risks(sc, w):
+    pretest = make_pretest(sc.k, 0.05)
+    return np.array([
+        adr_unrestricted(sc, w),
+        adr_restricted(sc, w),
+        adr_james_stein(sc, w),
+        adr_positive_part(sc, w),
+        adr_class(pretest, sc, w).total,
+    ])
+
+
+def test_risks_invariant_under_direction_scaling():
+    # scaffold_at_delta fixes the noncentrality, so the length of the
+    # direction it rescales must not matter
+    rng = np.random.default_rng(70)
+    for seed in range(3):
+        sc, w = random_dominant_scaffold(8, 4, 70 + seed)
+        direction = rng.normal(size=sc.k)
+        for delta in (0.5, 6.0, 30.0):
+            base = all_risks(scaffold_at_delta(sc, delta, direction), w)
+            for c in (1e-3, 7.0):
+                moved = all_risks(scaffold_at_delta(sc, delta, c * direction), w)
+                assert_allclose(moved, base, rtol=1e-12)
+
+
+def test_risks_invariant_under_restriction_basis_change():
+    # (R, r) -> (M R, M r) is the same hypothesis; the drift moves with it,
+    # mu -> M mu, so A, the noncentrality and every risk stay put
+    rng = np.random.default_rng(71)
+    for seed in range(5):
+        sc = random_scaffold(8, 4, 71 + seed, proportional_omega=seed % 2 == 0)
+        m = rng.normal(size=(sc.k, sc.k)) + 2.0 * np.eye(sc.k)
+        moved_restr = Restriction(matrix=m @ sc.restriction.matrix, rhs=m @ sc.restriction.rhs)
+        moved = make_scaffold(sc.gamma, sc.omega, moved_restr, m @ sc.mu)
+        assert_allclose(moved.a, sc.a, rtol=1e-10, atol=1e-10 * np.abs(sc.a).max())
+        assert moved.delta == pytest.approx(sc.delta, rel=1e-10)
+        w_star = np.eye(sc.n_coefs) + 0.1 * np.ones((sc.n_coefs, sc.n_coefs))
+        assert_allclose(
+            all_risks(moved, make_weight(moved.a, w_star)),
+            all_risks(sc, make_weight(sc.a, w_star)),
+            rtol=1e-10,
+        )

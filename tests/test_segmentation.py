@@ -370,6 +370,26 @@ def test_restricted_search_skips_rank_deficient_segments():
             assert res.ssr == fit_restricted(data, res.partition, restr).ssr
 
 
+def test_refine_iterations_count_cycles_from_the_start_received():
+    # alone, the refinement's first start has rank-deficient segments and
+    # the search runs again after excluding them; after the unrestricted
+    # search on the same stats, those exclusions are already recorded.
+    # The result is the same, the cycle count is not
+    data = constant_block_instance(51)
+    restr = Restriction(
+        matrix=np.array([[0.0, 1.0, 0.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, 0.0, -1.0]]),
+        rhs=np.zeros(2),
+    )
+    cfg = SearchConfig(m=2, min_seg_frac=0.02, method=METHOD_REFINE)
+    alone = find_breaks_restricted(data, restr, cfg)
+    stats = SegmentMoments(data)
+    find_breaks_unrestricted(data, SearchConfig(m=2, min_seg_frac=0.02), stats=stats)
+    shared = find_breaks_restricted(data, restr, cfg, stats=stats)
+    assert shared.partition.breaks == alone.partition.breaks
+    assert shared.ssr == alone.ssr
+    assert (alone.iterations, shared.iterations) == (38, 9)
+
+
 def test_unrestricted_exclusions_carry_to_restricted_scores():
     # the first DP optimum of seed 6 has rank-deficient segments in the
     # constant block; once the unrestricted search has excluded them, the
