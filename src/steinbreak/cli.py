@@ -302,13 +302,19 @@ def _load_fit_data(cfg: RunConfig) -> RegressionData:
     return RegressionData(y=y, z=z)
 
 
-def _fit_pipeline(cfg: RunConfig, data: RegressionData) -> dict:
-    """Both break searches for one dataset, then the estimator class at their breaks."""
+def _fit_pipeline(
+    cfg: RunConfig, data: RegressionData, stats: SegmentMoments | None = None
+) -> dict:
+    """Both break searches for one dataset, then the estimator class at their breaks.
+
+    ``stats`` is the dataset's search state, fresh for ``data``; by default
+    it is built here.
+    """
     v = cfg.values
     m, q = v["m"], data.n_regressors
     restriction = restriction_from_spec(v["restriction"], m, q)
     method = _search_method(v)
-    stats = SegmentMoments(data)
+    stats = stats if stats is not None else SegmentMoments(data)
     cfg_dp = SearchConfig(m=m, min_seg_frac=v["min_seg_frac"])
     cfg_re = SearchConfig(
         m=m,
@@ -380,7 +386,9 @@ def cmd_bootstrap(cfg: RunConfig) -> int:
     data = _load_fit_data(cfg)
     out = Path(cfg.values["out"])
     out.mkdir(parents=True, exist_ok=True)
-    base = _fit_pipeline(cfg, data)
+    # the replicates keep z, so they share its segment Gram factors
+    base_stats = SegmentMoments(data)
+    base = _fit_pipeline(cfg, data, base_stats)
     resid = residuals_of(data, base["estimates"]["ue"])
     fitted = data.y - resid
     centered = resid - resid.mean()
@@ -394,7 +402,7 @@ def cmd_bootstrap(cfg: RunConfig) -> int:
         u_star = rng.choice(centered, size=data.n_obs, replace=True)
         data_b = RegressionData(y=fitted + u_star, z=data.z)
         try:
-            rerun = _fit_pipeline(cfg, data_b)
+            rerun = _fit_pipeline(cfg, data_b, base_stats.with_response(data_b.y))
         except SteinbreakError:
             failures += 1
             continue

@@ -103,6 +103,87 @@ class SegmentationResult:
         return self.method_used != METHOD_REFINE
 
 
+# Bytes of segment Gram factors one set of regressors keeps (O(T^2 q^2));
+# past it, every SSR table factors its Grams again, block by block.
+_FACTOR_CACHE_BYTES = 4 << 20
+# Segments per block of an SSR table build; bounds its temporaries.
+_TABLE_BLOCK = 2048
+# A Cholesky pivot at or below this fraction of its Gram diagonal marks a
+# Gram singular up to round-off; such a segment is solved by LU, so its
+# entry and its +inf (an exact LU zero pivot) are those of a plain solve.
+_PIVOT_FLOOR = 1e-13
+
+
+def _segment_blocks(t_total: int, min_len: int):
+    """Segments ``[s, e)`` with ``e - s >= min_len`` in row-major order, as
+    ``(starts, ends)`` blocks of whole start rows, about ``_TABLE_BLOCK``
+    segments each."""
+    n_starts = t_total - min_len + 1
+    i0 = 0
+    while i0 < n_starts:
+        i1, size = i0, 0
+        while i1 < n_starts and (i1 == i0 or size + n_starts - i1 <= _TABLE_BLOCK):
+            size += n_starts - i1
+            i1 += 1
+        rows = np.arange(i0, i1)
+        counts = n_starts - rows
+        first = np.cumsum(counts) - counts
+        starts = np.repeat(rows, counts)
+        ends = np.arange(size) - np.repeat(first - rows - min_len, counts)
+        yield starts, ends
+        i0 = i1
+
+
+def _packed(i: int, j: int) -> int:
+    """Row of entry ``(i, j)``, ``j <= i``, of a packed lower triangle."""
+    return i * (i + 1) // 2 + j
+
+
+def _cholesky_rows(grams: np.ndarray, q: int) -> np.ndarray:
+    """Factor a block of segment Grams in place; returns ``fallback``.
+
+    ``grams`` holds the lower triangle of every segment's Gram, entry
+    ``(i, j)`` in row ``_packed(i, j)``.  It is overwritten with ``L_ij``
+    below the diagonal and ``1 / L_jj`` on it.  ``fallback`` indexes the
+    segments with a pivot at or below ``_PIVOT_FLOOR`` of its Gram diagonal
+    (or NaN); their factor entries are zero.
+    """
+    ok = np.ones(grams.shape[1], dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(q):
+            jj = _packed(j, j)
+            diagonal = grams[jj].copy()
+            for k in range(j):
+                grams[jj] -= grams[_packed(j, k)] * grams[_packed(j, k)]
+            ok &= grams[jj] > _PIVOT_FLOOR * diagonal
+            grams[jj] = 1.0 / np.sqrt(np.where(ok, grams[jj], 1.0))
+            for i in range(j + 1, q):
+                ij = _packed(i, j)
+                for k in range(j):
+                    grams[ij] -= grams[_packed(i, k)] * grams[_packed(j, k)]
+                grams[ij] *= grams[jj]
+    fallback = np.flatnonzero(~ok)
+    grams[:, fallback] = 0.0
+    return fallback
+
+
+def _lu_ssr(mom: np.ndarray, q: int) -> np.ndarray:
+    """SSR ``y'y - y'Z beta`` of each augmented Gram in ``mom`` by an LU
+    solve of ``Z'Z beta = Z'y``; ``+inf`` on an exact zero pivot."""
+    grams, zys, yys = mom[:, :q, :q], mom[:, :q, q], mom[:, q, q]
+    try:
+        betas = np.linalg.solve(grams, zys[..., None])[..., 0]
+        return yys - np.einsum("nq,nq->n", zys, betas)
+    except np.linalg.LinAlgError:
+        ssr = np.empty(len(mom))
+        for idx in range(len(mom)):
+            try:
+                ssr[idx] = yys[idx] - zys[idx] @ np.linalg.solve(grams[idx], zys[idx])
+            except np.linalg.LinAlgError:
+                ssr[idx] = np.inf
+        return ssr
+
+
 class SegmentMoments:
     """Search state of one dataset, shared by both searches: prefix sums of
     ``w w'`` with ``w = (z, y)``, single-segment SSR tables, the unrestricted
@@ -112,17 +193,36 @@ class SegmentMoments:
     ``[[Z'Z, Z'y], [y'Z, y'y]]`` of the observations between them.  Every
     score it returns is ``+inf`` for a partition with a segment inside an
     excluded one.
+
+    The Cholesky factors of the segment Grams ``Z'Z`` depend on the
+    regressors only.  They are kept per minimum length while they fit in
+    ``_FACTOR_CACHE_BYTES``, and :meth:`with_response` hands them to the
+    state of another response on the same regressors, so that a residual
+    bootstrap factors every segment Gram once.
     """
 
     def __init__(self, data: RegressionData):
         w = np.column_stack([data.z, data.y])
         outer = w[:, :, None] * w[:, None, :]
         self._cum = np.concatenate([np.zeros((1, *outer.shape[1:])), np.cumsum(outer, axis=0)])
+        self._z = data.z
         self.n_obs = data.n_obs
         self.n_regressors = data.n_regressors
+        self._factors: dict[int, list[tuple]] = {}
         self._tables: dict[int, np.ndarray] = {}
         self._optima: dict[tuple[int, int], tuple[int, ...]] = {}
         self._excluded: list[tuple[int, int]] = []
+
+    def with_response(self, y: np.ndarray) -> SegmentMoments:
+        """A fresh search state for response ``y`` on the same regressors.
+
+        It shares this state's segment Gram factors and has its own prefix
+        sums, tables, optima and exclusions, so its tables are bit for bit
+        those of ``SegmentMoments(RegressionData(y=y, z=z))``.
+        """
+        state = SegmentMoments(RegressionData(y=y, z=self._z))
+        state._factors = self._factors
+        return state
 
     def exclude(self, segments) -> None:
         """Score every partition with a segment inside one of ``segments``
@@ -170,8 +270,16 @@ class SegmentMoments:
     def ssr_table(self, min_len: int) -> np.ndarray:
         """Table ``tab[i, j]`` = OLS SSR of observations ``i..j`` inclusive.
 
-        Entries for segments shorter than ``min_len``, whose Gram matrix is
-        exactly singular, or inside an excluded segment are ``+inf``.  A
+        Each entry is ``y'y - ||L^-1 Z'y||^2`` with ``L`` the Cholesky
+        factor of the segment's Gram ``Z'Z``; the factors come from
+        :meth:`_factor_blocks`, and only the ``Z'y`` and ``y'y`` prefix
+        sums are read per table.  Every operation is elementwise over a
+        block of segments, so an entry does not depend on the block it is
+        computed in.  A segment with a Cholesky pivot at or below
+        ``_PIVOT_FLOOR`` of its Gram diagonal is solved by LU instead.
+
+        Entries for segments shorter than ``min_len``, whose Gram has an
+        exact LU zero pivot, or inside an excluded segment are ``+inf``.  A
         segment whose rows are rank deficient but whose Gram is singular
         only up to round-off gets a finite entry, possibly below its true
         SSR, until a fit rejects it and the search excludes it.
@@ -181,29 +289,59 @@ class SegmentMoments:
             return self._tables[min_len]
         t_total, q = self.n_obs, self.n_regressors
         tab = np.full((t_total, t_total), np.inf)
-        for i in range(t_total):
-            n_ends = t_total - i - min_len + 1
-            if n_ends <= 0:
-                continue
-            lo = i + min_len  # first end boundary (exclusive) with valid length
-            mom = self._cum[lo:] - self._cum[i]
-            grams, zys, yys = mom[:, :q, :q], mom[:, :q, q], mom[:, q, q]
-            try:
-                betas = np.linalg.solve(grams, zys[..., None])[..., 0]
-                ssr = yys - np.einsum("nq,nq->n", zys, betas)
-            except np.linalg.LinAlgError:
-                ssr = np.empty(n_ends)
-                for idx in range(n_ends):
-                    try:
-                        beta = np.linalg.solve(grams[idx], zys[idx])
-                        ssr[idx] = yys[idx] - zys[idx] @ beta
-                    except np.linalg.LinAlgError:
-                        ssr[idx] = np.inf
-            tab[i, lo - 1:] = np.maximum(ssr, 0.0)
+        # rows: Z'y prefix sums, then y'y
+        response = np.ascontiguousarray(self._cum[:, :, q].T)
+        for starts, ends, fac, fallback in self._factor_blocks(min_len):
+            w = np.take(response, ends, axis=1)
+            w -= np.take(response, starts, axis=1)
+            for j in range(q):
+                for k in range(j):
+                    w[j] -= fac[_packed(j, k)] * w[k]
+                w[j] *= fac[_packed(j, j)]
+                w[q] -= w[j] * w[j]
+            # one LU batch per start row: an exact zero pivot sends only its
+            # own row's batch to row-by-row solves
+            fallback_starts = starts[fallback]
+            for s in np.unique(fallback_starts):
+                rows = fallback[fallback_starts == s]
+                w[q, rows] = _lu_ssr(self._cum[ends[rows]] - self._cum[s], q)
+            tab.ravel()[starts * t_total + ends - 1] = np.maximum(w[q], 0.0)
         for s, e in self._excluded:
             tab[s:e, s:e] = np.inf
         self._tables[min_len] = tab
         return tab
+
+    def _factor_blocks(self, min_len: int):
+        """Blocks ``(starts, ends, fac, fallback)`` of the segments
+        ``[s, e)`` with ``e - s >= min_len``, in row-major order.
+
+        ``fac`` holds each segment's Cholesky factor as
+        :func:`_cholesky_rows` leaves it, and ``fallback`` indexes the
+        segments it leaves to the LU solve.  The blocks are kept, and shared
+        with every :meth:`with_response` state, when all kept factors stay
+        within ``_FACTOR_CACHE_BYTES``; otherwise each table factors them
+        again.
+        """
+        if min_len in self._factors:
+            yield from self._factors[min_len]
+            return
+        q = self.n_regressors
+        n_starts = max(self.n_obs - min_len + 1, 0)
+        n_segments = n_starts * (n_starts + 1) // 2
+        held = sum(a.nbytes for blocks in self._factors.values() for blk in blocks for a in blk)
+        lower = [(i, j) for i in range(q) for j in range(i + 1)]
+        keep = held + n_segments * (len(lower) + 2) * 8 <= _FACTOR_CACHE_BYTES
+        cum = np.ascontiguousarray(self._cum[:, [i for i, _ in lower], [j for _, j in lower]].T)
+        blocks = []
+        for starts, ends in _segment_blocks(self.n_obs, min_len):
+            fac = np.take(cum, ends, axis=1)
+            fac -= np.take(cum, starts, axis=1)
+            block = (starts, ends, fac, _cholesky_rows(fac, q))
+            if keep:
+                blocks.append(block)
+            yield block
+        if keep:
+            self._factors[min_len] = blocks
 
     def dp_optimum(self, min_len: int, m: int) -> tuple[int, ...]:
         """Lexicographically first break vector minimizing the table total,
@@ -257,6 +395,10 @@ def count_partitions(n_obs: int, m: int, min_len: int) -> int:
     return math.comb(slack + m, m)
 
 
+# Table entries the suffix DP adds per array operation; bounds its memory.
+_DP_CHUNK = 1 << 18
+
+
 def _suffix_dp(tab: np.ndarray, m: int, min_len: int) -> tuple[np.ndarray, list[int]]:
     """Suffix Bellman recursion plus lexicographic front-to-back readout.
 
@@ -264,16 +406,22 @@ def _suffix_dp(tab: np.ndarray, m: int, min_len: int) -> tuple[np.ndarray, list[
     with ``c`` breaks.  The readout picks, at each level, the smallest next
     boundary attaining the recorded optimum, which yields the
     lexicographically smallest optimal break vector.
+
+    Each level ``c`` is computed for a chunk of rows ``j`` at once.  Row
+    ``j`` then also scans next boundaries below ``j + min_len``, whose table
+    entries are ``+inf`` (too short), so every ``best[j, c]`` is the minimum
+    of the same sums as in a row-by-row recursion.
     """
     t_total = tab.shape[0]
     best = np.full((t_total + 1, m + 1), np.inf)
-    for j in range(t_total - min_len + 1):
-        best[j, 0] = tab[j, t_total - 1]
+    best[:t_total - min_len + 1, 0] = tab[:t_total - min_len + 1, t_total - 1]
     for c in range(1, m + 1):
-        for j in range(t_total - (c + 1) * min_len + 1):
-            lo, hi = j + min_len, t_total - c * min_len
-            cand = tab[j, lo - 1:hi] + best[lo:hi + 1, c - 1]
-            best[j, c] = cand.min()
+        n_rows, hi = t_total - (c + 1) * min_len + 1, t_total - c * min_len
+        step = max(1, _DP_CHUNK // max(hi, 1))
+        for j0 in range(0, n_rows, step):
+            j1, lo = min(j0 + step, n_rows), j0 + min_len
+            cand = tab[j0:j1, lo - 1:hi] + best[lo:hi + 1, c - 1]
+            best[j0:j1, c] = cand.min(axis=1)
     if not np.isfinite(best[0, m]):
         raise SegmentRankDeficient("every feasible partition hit a singular segment")
     breaks: list[int] = []

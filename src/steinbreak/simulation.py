@@ -194,15 +194,18 @@ def _rep_rng(seed: int, sigma_index: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, sigma_index, rep)))
 
 
-def _one_replication(design: SimDesign, data: RegressionData):
+def _one_replication(
+    design: SimDesign, data: RegressionData, stats: SegmentMoments | None = None
+):
     """Estimate breaks and the four estimators on one dataset.
 
     Returns (losses by estimator, ue breaks, re breaks).  The restricted
     estimator is fitted at its own break estimates; the shrinkage pair
     conditions everything (including the plug-in matrices) on the
-    unrestricted breaks.
+    unrestricted breaks.  ``stats`` is the dataset's search state, fresh
+    for ``data``; by default it is built here.
     """
-    stats = SegmentMoments(data)
+    stats = stats if stats is not None else SegmentMoments(data)
     cfg = SearchConfig(m=design.m, min_seg_frac=design.min_seg_frac)
     ue_search = find_breaks_unrestricted(data, cfg, stats=stats)
     rcfg = SearchConfig(
@@ -232,10 +235,12 @@ def run_monte_carlo(design: SimDesign) -> SimResult:
         sigma2_grid=design.sigma2_grid,
         estimators=ESTIMATOR_NAMES,
     )
-    fixed_z = None
+    fixed_z = base_stats = None
     if not design.redraw_regressors:
         rng0 = np.random.default_rng(np.random.SeedSequence((design.seed, 0x5E6D)))
         fixed_z = _draw_regressors(design, rng0)
+        # every replication shares the segment Gram factors of fixed_z
+        base_stats = SegmentMoments(RegressionData(y=np.zeros(design.n_obs), z=fixed_z))
     for si, sigma2 in enumerate(design.sigma2_grid):
         t0 = time.perf_counter()
         sums = {name: 0.0 for name in ESTIMATOR_NAMES}
@@ -245,7 +250,8 @@ def run_monte_carlo(design: SimDesign) -> SimResult:
             rng = _rep_rng(design.seed, si, rep)
             data = simulate_dataset(design, sigma2, rng, z=fixed_z)
             try:
-                losses, bu, br = _one_replication(design, data)
+                stats = None if base_stats is None else base_stats.with_response(data.y)
+                losses, bu, br = _one_replication(design, data, stats)
             except SteinbreakError:
                 failures += 1
                 continue

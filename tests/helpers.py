@@ -169,3 +169,34 @@ def sequential_refine(data, restriction, config):
         if val < best_val or (val == best_val and best is not None and bounds < best):
             best, best_val = bounds, val
     return best, total
+
+
+def lu_ssr_table(data, min_len):
+    """Single-segment SSR table solved segment by segment: an LU solve of
+    each segment's normal equations from prefix-sum moments, ``+inf`` on an
+    exact zero pivot or a segment shorter than ``min_len``."""
+    cum = moment_prefix_sums(data)
+    t_total, q = data.n_obs, data.n_regressors
+    tab = np.full((t_total, t_total), np.inf)
+    for s in range(t_total):
+        for e in range(s + min_len, t_total + 1):
+            mom = cum[e] - cum[s]
+            try:
+                beta = np.linalg.solve(mom[:q, :q], mom[:q, q])
+            except np.linalg.LinAlgError:
+                continue
+            tab[s, e - 1] = max(mom[q, q] - mom[:q, q] @ beta, 0.0)
+    return tab
+
+
+def suffix_dp_reference(tab, m, min_len):
+    """``best[j, c]`` of the suffix recursion, one row ``j`` at a time."""
+    t_total = tab.shape[0]
+    best = np.full((t_total + 1, m + 1), np.inf)
+    for j in range(t_total - min_len + 1):
+        best[j, 0] = tab[j, t_total - 1]
+    for c in range(1, m + 1):
+        for j in range(t_total - (c + 1) * min_len + 1):
+            lo, hi = j + min_len, t_total - c * min_len
+            best[j, c] = (tab[j, lo - 1:hi] + best[lo:hi + 1, c - 1]).min()
+    return best

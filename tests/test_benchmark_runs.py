@@ -5,7 +5,9 @@ process: the run must exit 0 and its last line must be a JSON result with
 every output check passing and no failed operation.  With ``--trace 1`` the
 tracer patches every binding site, so a renamed or moved function that the
 tracer wraps fails here too.  A traced risk-verify round must take every
-risk expectation from the moment kernels, with no quadrature.
+risk expectation from the moment kernels, with no quadrature, and a traced
+bootstrap-fit round must spend time inside ``SegmentMoments.ssr_table``,
+where the SSR tables are built.
 """
 
 import json
@@ -39,3 +41,5 @@ def test_benchmark_workload_runs(workload, trace):
         metrics = result["metrics"]
         assert metrics["risk.quadrature_calls"]["value"] == 0
         assert metrics["risk.moment_kernel_calls"]["value"] > 0
+    if (workload, trace) == ("bootstrap-fit", 1):
+        assert result["metrics"]["segmentation.ssr_table_ms"]["value"] > 0

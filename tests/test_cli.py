@@ -192,6 +192,26 @@ def test_bootstrap_deterministic(tmp_path):
     assert (tmp_path / "out" / "table1.csv").read_bytes() == first
 
 
+def test_bootstrap_factors_segment_grams_once(tmp_path, monkeypatch):
+    # the replicates keep z, so the one block of segment Grams (T = 60,
+    # 15% segments: 1378 segments) is factored for the base fit only
+    from steinbreak import segmentation
+
+    write_trend_series(tmp_path / "series.csv", n_obs=60, brk=30, noise=0.05)
+    cfg = fit_config(tmp_path, bootstrap_b=6, min_seg_frac=0.15)
+    calls = []
+    original = segmentation._cholesky_rows
+
+    def counted(grams, q):
+        calls.append(grams.shape[1])
+        return original(grams, q)
+
+    monkeypatch.setattr(segmentation, "_cholesky_rows", counted)
+    assert main(["bootstrap", "--config", str(cfg)]) == EXIT_OK
+    assert calls == [1378]
+    assert read_rows(tmp_path / "out" / "table1.csv")[0]["n_fail"] == "0"
+
+
 def test_simulate_artifacts_and_rerun_identical(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(

@@ -6,11 +6,13 @@ from numpy.testing import assert_allclose
 
 from helpers import (
     kkt_restricted_ssr,
+    lu_ssr_table,
     moment_prefix_sums,
     nullspace_restricted_fit,
     random_instance,
     random_restriction,
     sequential_refine,
+    suffix_dp_reference,
 )
 from steinbreak import (
     BudgetExceeded,
@@ -524,3 +526,130 @@ def test_batched_refinement_matches_sequential_reference():
             res = find_breaks_restricted(data, design.restriction, cfg)
             breaks, cycles = sequential_refine(data, design.restriction, cfg)
             assert (res.partition.breaks, res.iterations) == (breaks, cycles), (design.label, i)
+
+
+def trend_series(n_obs, brk, seed):
+    # the bootstrap's setting: power-trend basis, one break, restriction true
+    from steinbreak.cli import power_trend_basis
+
+    rng = np.random.default_rng(seed)
+    z = power_trend_basis(n_obs)
+    y = np.where(np.arange(n_obs) < brk, z @ [0.5, 1.0, 0.0, 0.0], z @ [0.9, 1.6, 0.0, 0.0])
+    return RegressionData(y=y + rng.normal(0.0, 0.05, n_obs), z=z)
+
+
+def test_with_response_tables_match_a_fresh_state(monkeypatch):
+    # shared factors, refactored blocks and any block size give the same
+    # table bits as a fresh state on the same (z, y)
+    cases = [(trend_series(124, 62, 0), 18), (constant_block_instance(3), 2)]
+    cases += [random_instance(700 + seed, q_choices=(1, 2, 3))[:1] + (3,) for seed in range(5)]
+    for data, min_len in cases:
+        rng = np.random.default_rng(min_len)
+        base = SegmentMoments(data)
+        base.ssr_table(min_len)
+        for _ in range(3):
+            y = data.y + rng.normal(size=data.n_obs)
+            shared = base.with_response(y)
+            assert shared._factors is base._factors
+            fresh = SegmentMoments(RegressionData(y=y, z=data.z)).ssr_table(min_len)
+            assert np.array_equal(shared.ssr_table(min_len), fresh)
+            with monkeypatch.context() as patch:
+                patch.setattr(segmentation, "_FACTOR_CACHE_BYTES", 0)
+                patch.setattr(segmentation, "_TABLE_BLOCK", 7)
+                refactored = SegmentMoments(RegressionData(y=y, z=data.z))
+                assert np.array_equal(refactored.ssr_table(min_len), fresh)
+                assert refactored._factors == {}
+
+
+def test_with_response_keeps_its_own_search_state():
+    # the unrestricted search on seed 6 excludes rank-deficient segments;
+    # they stay on that replicate, not on its base or a sibling
+    data = constant_block_instance(6)
+    cfg = SearchConfig(m=2, min_seg_frac=0.02)
+    min_len = cfg.min_segment_length(data.n_obs, data.n_regressors)
+    base = SegmentMoments(data)
+    base_tab = base.ssr_table(min_len).copy()
+    first = base.with_response(data.y)
+    sibling = base.with_response(data.y)
+    found = find_breaks_unrestricted(data, cfg, stats=first)
+    assert first._excluded
+    assert (base._excluded, sibling._excluded) == ([], [])
+    assert base._optima == {} and sibling._optima == {} and sibling._tables == {}
+    assert first.dp_optimum(min_len, 2) == found.partition.breaks
+    sibling_tab = sibling.ssr_table(min_len)
+    assert sibling_tab is not first.ssr_table(min_len)
+    assert np.array_equal(sibling_tab, base_tab)
+    assert np.array_equal(base.ssr_table(min_len), base_tab)
+    for s, e in first._excluded:
+        assert np.isinf(first.ssr_table(min_len)[s:e, s:e]).all()
+        assert np.isfinite(sibling_tab[s:e, s:e]).any()
+    assert sibling.dp_optimum(min_len, 2) != found.partition.breaks
+
+
+@pytest.mark.parametrize("const", [0.3, 1.0])
+def test_table_inf_pattern_matches_lu_reference(const):
+    # near-singular Grams of the constant block go to the LU solve, so
+    # exactly the segments with an exact LU zero pivot are +inf
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=100)
+        x[:30] = const
+        y = 1.0 + 0.5 * x + rng.normal(size=100)
+        data = RegressionData(y=y, z=np.column_stack([np.ones(100), x]))
+        tab = SegmentMoments(data).ssr_table(2)
+        assert np.array_equal(np.isinf(tab), np.isinf(lu_ssr_table(data, 2))), seed
+
+
+def test_trend_table_matches_per_segment_lstsq():
+    # moment differences lose digits on the trend basis (about 1.1e-5 here,
+    # by Cholesky or by LU); the table stays within 2e-5 of lstsq, with a
+    # floor for tiny SSRs
+    data = trend_series(117, 60, 7)
+    min_len = 17
+    tab = SegmentMoments(data).ssr_table(min_len)
+    floor = 1e-10 * float(data.y @ data.y)
+    for s in range(data.n_obs):
+        for e in range(s + min_len, data.n_obs + 1):
+            _, res, *_ = np.linalg.lstsq(data.z[s:e], data.y[s:e], rcond=None)
+            ref = float(res[0])
+            assert abs(tab[s, e - 1] - ref) <= 2e-5 * max(ref, floor), (s, e)
+
+
+def test_one_off_table_memory_stays_bounded():
+    # at T = 2000 the table is 32 MB and all segment factors would take
+    # about 170 MB, so they are not kept and each block is factored in turn
+    rng = np.random.default_rng(18)
+    data = RegressionData(y=rng.normal(size=2000), z=rng.normal(size=(2000, 4)))
+    stats = SegmentMoments(data)
+    tracemalloc.start()
+    try:
+        tab = stats.ssr_table(100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 36e6, f"peak {peak / 1e6:.1f} MB"
+    assert stats._factors == {}
+    assert np.isfinite(tab[0, 99]) and np.isinf(tab[0, 98])
+
+
+def test_vectorised_dp_matches_row_by_row_recursion(monkeypatch):
+    # every best[j, c] is bit for bit the row-by-row minimum, also when a
+    # level is split into chunks of rows
+    rng = np.random.default_rng(19)
+    for seed in range(30):
+        data, m = random_instance(800 + seed, t_range=(12, 40), m_choices=(1, 2, 3))
+        min_len = max(2, data.n_regressors)
+        if (m + 1) * min_len > data.n_obs:
+            continue
+        tab = SegmentMoments(data).ssr_table(min_len).copy()
+        tab[rng.random(tab.shape) < 0.05] = np.inf
+        tab[np.isfinite(tab)] = np.round(tab[np.isfinite(tab)], 1)  # ties
+        expected = suffix_dp_reference(tab, m, min_len)
+        for chunk in (segmentation._DP_CHUNK, 1, 37):
+            monkeypatch.setattr(segmentation, "_DP_CHUNK", chunk)
+            try:
+                best, _ = segmentation._suffix_dp(tab, m, min_len)
+            except SegmentRankDeficient:
+                assert not np.isfinite(expected[0, m])
+                continue
+            assert np.array_equal(best, expected), (seed, chunk)

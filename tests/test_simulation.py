@@ -147,6 +147,35 @@ def test_fixed_regressor_mode():
     assert result.n_fail[1.0] == 0
 
 
+def test_fixed_regressors_share_one_factorization(monkeypatch):
+    # with z fixed, the replications read one set of segment Gram factors;
+    # refactoring per replication gives the same study
+    import dataclasses
+
+    from steinbreak import segmentation
+
+    design = dataclasses.replace(
+        build_case1(n_obs=40, n_reps=5, seed=5), redraw_regressors=False, sigma2_grid=(1.0, 2.0)
+    )
+    calls = []
+    original = segmentation._cholesky_rows
+
+    def counted(grams, q):
+        calls.append(grams.shape[1])
+        return original(grams, q)
+
+    monkeypatch.setattr(segmentation, "_cholesky_rows", counted)
+    shared = run_monte_carlo(design)
+    assert len(calls) == 1
+    monkeypatch.setattr(segmentation, "_FACTOR_CACHE_BYTES", 0)
+    alone = run_monte_carlo(design)
+    assert len(calls) == 1 + 10
+    assert shared.risks == alone.risks
+    for sigma2 in design.sigma2_grid:
+        assert np.array_equal(shared.breaks_ue[sigma2], alone.breaks_ue[sigma2])
+        assert np.array_equal(shared.breaks_re[sigma2], alone.breaks_re[sigma2])
+
+
 def test_simulate_and_fit_agree(tmp_path):
     # one estimation step serves both: the fit subcommand on a case-1
     # dataset reproduces the study's breaks and losses bit for bit
