@@ -49,6 +49,7 @@ from .model import (
     RegressionData,
     Restriction,
     SegmentedDesign,
+    block_restriction,
     build_design,
     load_regression_csv,
     read_series_csv,

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, KTooSmall, SteinbreakError
 from .estimators import SHRINKAGE_RULES, estimate_class, residuals_of
-from .model import RegressionData, Restriction, read_series_csv
+from .model import RegressionData, Restriction, block_restriction, read_series_csv
 from .risk import (
     adr_james_stein,
     adr_positive_part,
@@ -130,6 +130,14 @@ SCHEMAS: dict[str, dict] = {
     },
 }
 
+
+def _reject_unknown(spec: dict, allowed, what: str) -> None:
+    """Raise ``ConfigError`` naming the keys of ``spec`` outside ``allowed``."""
+    unknown = sorted(set(spec) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {what}: {unknown}")
+
+
 @dataclass
 class RunConfig:
     """Validated configuration for one subcommand."""
@@ -142,9 +150,7 @@ class RunConfig:
         if subcommand not in SCHEMAS:
             raise ConfigError(f"unknown subcommand {subcommand!r}")
         schema = SCHEMAS[subcommand]
-        unknown = sorted(set(raw) - set(schema))
-        if unknown:
-            raise ConfigError(f"unknown config keys for {subcommand}: {unknown}")
+        _reject_unknown(raw, schema, f"config keys for {subcommand}")
         values = {}
         for key, (typ, default) in schema.items():
             if key in raw:
@@ -227,11 +233,8 @@ def restriction_from_spec(spec: dict, m: int, q: int) -> Restriction:
     between two segments), ``zero-segment`` (all q coefficients of one
     segment are zero).
     """
-    n = (m + 1) * q
     if "matrix" in spec:
-        unknown = sorted(set(spec) - {"matrix", "rhs"})
-        if unknown:
-            raise ConfigError(f"unknown restriction keys: {unknown}")
+        _reject_unknown(spec, ("matrix", "rhs"), "restriction keys")
         matrix = np.asarray(spec["matrix"], dtype=float)
         rhs = np.asarray(spec.get("rhs", np.zeros(matrix.shape[0])), dtype=float)
         return Restriction(matrix=matrix, rhs=rhs)
@@ -239,47 +242,28 @@ def restriction_from_spec(spec: dict, m: int, q: int) -> Restriction:
         raise ConfigError("restriction needs either 'matrix' or 'pattern'")
     pattern = spec["pattern"]
     if pattern == "linear-trend":
-        unknown = sorted(set(spec) - {"pattern"})
-        if unknown:
-            raise ConfigError(f"unknown restriction keys: {unknown}")
+        _reject_unknown(spec, ("pattern",), "restriction keys")
         if q != 4:
             raise ConfigError("linear-trend restriction needs the 4-column trend basis")
-        rows = []
-        for seg in range(m + 1):
-            for coef in (2, 3):
-                row = np.zeros(n)
-                row[seg * q + coef] = 1.0
-                rows.append(row)
-        return Restriction(matrix=np.array(rows), rhs=np.zeros(len(rows)))
+        return block_restriction(m, q, [("zero", p, (3, 4)) for p in range(1, m + 2)])
     if pattern == "equal-segments":
-        unknown = sorted(set(spec) - {"pattern", "segments"})
-        if unknown:
-            raise ConfigError(f"unknown restriction keys: {unknown}")
+        _reject_unknown(spec, ("pattern", "segments"), "restriction keys")
         try:
             i, j = (int(v) for v in spec["segments"])
         except (KeyError, TypeError, ValueError):
             raise ConfigError("equal-segments needs 'segments': [i, j]") from None
         if not (1 <= i <= m + 1 and 1 <= j <= m + 1 and i != j):
             raise ConfigError(f"segments must be distinct and in 1..{m + 1}")
-        rows = np.zeros((q, n))
-        for coef in range(q):
-            rows[coef, (i - 1) * q + coef] = 1.0
-            rows[coef, (j - 1) * q + coef] = -1.0
-        return Restriction(matrix=rows, rhs=np.zeros(q))
+        return block_restriction(m, q, [("equal", i, j)])
     if pattern == "zero-segment":
-        unknown = sorted(set(spec) - {"pattern", "segment"})
-        if unknown:
-            raise ConfigError(f"unknown restriction keys: {unknown}")
+        _reject_unknown(spec, ("pattern", "segment"), "restriction keys")
         try:
             i = int(spec["segment"])
         except (KeyError, TypeError, ValueError):
             raise ConfigError("zero-segment needs 'segment': i") from None
         if not 1 <= i <= m + 1:
             raise ConfigError(f"segment must be in 1..{m + 1}")
-        rows = np.zeros((q, n))
-        for coef in range(q):
-            rows[coef, (i - 1) * q + coef] = 1.0
-        return Restriction(matrix=rows, rhs=np.zeros(q))
+        return block_restriction(m, q, [("zero", i)])
     raise ConfigError(f"unknown restriction pattern {pattern!r}")
 
 
@@ -303,16 +287,19 @@ def _load_fit_data(cfg: RunConfig) -> RegressionData:
 
 
 def _fit_pipeline(
-    cfg: RunConfig, data: RegressionData, stats: SegmentMoments | None = None
+    cfg: RunConfig,
+    data: RegressionData,
+    restriction: Restriction,
+    stats: SegmentMoments | None = None,
 ) -> dict:
     """Both break searches for one dataset, then the estimator class at their breaks.
 
-    ``stats`` is the dataset's search state, fresh for ``data``; by default
-    it is built here.
+    ``restriction`` is the config's restriction for ``data``'s regressors,
+    built once per run by the caller.  ``stats`` is the dataset's search
+    state, fresh for ``data``; by default it is built here.
     """
     v = cfg.values
-    m, q = v["m"], data.n_regressors
-    restriction = restriction_from_spec(v["restriction"], m, q)
+    m = v["m"]
     method = _search_method(v)
     stats = stats if stats is not None else SegmentMoments(data)
     cfg_dp = SearchConfig(m=m, min_seg_frac=v["min_seg_frac"])
@@ -338,7 +325,6 @@ def _fit_pipeline(
     return {
         "ue_search": ue_search,
         "re_search": re_search,
-        "k": restriction.k,
         **fitted,
     }
 
@@ -351,7 +337,8 @@ def cmd_fit(cfg: RunConfig) -> int:
     data = _load_fit_data(cfg)
     out = Path(cfg.values["out"])
     out.mkdir(parents=True, exist_ok=True)
-    result = _fit_pipeline(cfg, data)
+    restriction = restriction_from_spec(cfg.values["restriction"], cfg.values["m"], data.n_regressors)
+    result = _fit_pipeline(cfg, data, restriction)
     n = (cfg.values["m"] + 1) * data.n_regressors
     rows = []
     for name in cfg.values["estimators"]:
@@ -365,9 +352,9 @@ def cmd_fit(cfg: RunConfig) -> int:
             break_rows.append([label, j + 1, int(b)])
     write_csv(out / "breaks.csv", ["search", "break_index", "time"], break_rows)
     stat_rows = [
-        ["k", result["k"]],
+        ["k", restriction.k],
         ["psi", float(result["psi"])],
-        ["delta_hat", empirical_noncentrality(result["psi"], result["k"])],
+        ["delta_hat", empirical_noncentrality(result["psi"], restriction.k)],
         ["T", data.n_obs],
         ["q", data.n_regressors],
         ["m", cfg.values["m"]],
@@ -386,9 +373,10 @@ def cmd_bootstrap(cfg: RunConfig) -> int:
     data = _load_fit_data(cfg)
     out = Path(cfg.values["out"])
     out.mkdir(parents=True, exist_ok=True)
+    restriction = restriction_from_spec(cfg.values["restriction"], cfg.values["m"], data.n_regressors)
     # the replicates keep z, so they share its segment Gram factors
     base_stats = SegmentMoments(data)
-    base = _fit_pipeline(cfg, data, base_stats)
+    base = _fit_pipeline(cfg, data, restriction, base_stats)
     resid = residuals_of(data, base["estimates"]["ue"])
     fitted = data.y - resid
     centered = resid - resid.mean()
@@ -402,7 +390,7 @@ def cmd_bootstrap(cfg: RunConfig) -> int:
         u_star = rng.choice(centered, size=data.n_obs, replace=True)
         data_b = RegressionData(y=fitted + u_star, z=data.z)
         try:
-            rerun = _fit_pipeline(cfg, data_b, base_stats.with_response(data_b.y))
+            rerun = _fit_pipeline(cfg, data_b, restriction, base_stats.with_response(data_b.y))
         except SteinbreakError:
             failures += 1
             continue
@@ -499,16 +487,12 @@ def cmd_risk(cfg: RunConfig) -> int:
     out = Path(v["out"])
     out.mkdir(parents=True, exist_ok=True)
     if kind == "random-dominant":
-        unknown = sorted(set(spec) - {"kind", "n", "k"})
-        if unknown:
-            raise ConfigError(f"unknown scaffold keys: {unknown}")
+        _reject_unknown(spec, ("kind", "n", "k"), "scaffold keys")
         scaffold, weight = random_dominant_scaffold(
             int(spec.get("n", 8)), int(spec.get("k", 4)), v["seed"]
         )
     elif kind == "explicit":
-        unknown = sorted(set(spec) - {"kind", "gamma", "omega", "matrix", "rhs"})
-        if unknown:
-            raise ConfigError(f"unknown scaffold keys: {unknown}")
+        _reject_unknown(spec, ("kind", "gamma", "omega", "matrix", "rhs"), "scaffold keys")
         try:
             gamma = np.asarray(spec["gamma"], dtype=float)
             omega = np.asarray(spec["omega"], dtype=float)

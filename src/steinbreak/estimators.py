@@ -97,15 +97,38 @@ class ShrinkageFunction:
     ``pieces``, when given, is the same rule in closed form: disjoint
     ``(lo, hi, a, b)`` with ``0 <= lo < hi <= inf``, meaning
     ``h(x) = a + b/x`` on ``[lo, hi)`` and ``h(x) = 0`` outside every
-    piece.  It must agree with ``evaluate`` away from the piece ends; the
-    risk module then takes expectations from the noncentral chi-square
-    moment kernels instead of quadrature.
+    piece.  The risk module then takes expectations from the noncentral
+    chi-square moment kernels instead of quadrature.  Every built-in rule
+    is defined by its pieces alone, through :meth:`from_pieces`.
     """
 
     evaluate: Callable[[float], float]
     name: str
     breakpoints: tuple[float, ...] = ()
     pieces: tuple[tuple[float, float, float, float], ...] | None = None
+
+    @classmethod
+    def from_pieces(
+        cls, name: str, pieces: tuple[tuple[float, float, float, float], ...]
+    ) -> "ShrinkageFunction":
+        """The rule with these pieces; ``evaluate`` (on a float or an array)
+        and ``breakpoints`` (the finite positive piece ends) follow from them.
+        """
+        pieces = tuple((float(lo), float(hi), float(a), float(b)) for lo, hi, a, b in pieces)
+        ends = [end for lo, hi, _, _ in pieces for end in (lo, hi)]
+        if not ends or ends[0] < 0.0 or ends != sorted(ends) or any(lo == hi for lo, hi, _, _ in pieces):
+            raise ValueError(f"pieces must be nonempty, ordered and disjoint in [0, inf): {pieces}")
+
+        def evaluate(x):
+            x = np.asarray(x, dtype=float)
+            out = np.zeros(x.shape)
+            for lo, hi, a, b in pieces:
+                inside = (lo <= x) & (x < hi)
+                out[inside] = a + b / x[inside] if b else a
+            return out if out.ndim else float(out)
+
+        breakpoints = tuple(sorted({e for e in ends if 0.0 < e < math.inf}))
+        return cls(evaluate=evaluate, name=name, breakpoints=breakpoints, pieces=pieces)
 
 
 def _check_segment_ranks(segments: list[tuple[int, int]], ranks: list[int], q: int) -> None:
@@ -344,38 +367,24 @@ def make_james_stein(k: int) -> ShrinkageFunction:
     """h(x) = 1 - (k - 2)/x.  Requires k > 2."""
     if k <= 2:
         raise KTooSmall(f"James-Stein rule needs k > 2, got {k}")
-    return ShrinkageFunction(
-        evaluate=lambda x: 1.0 - (k - 2.0) / x,
-        name="james-stein",
-        pieces=((0.0, math.inf, 1.0, -(k - 2.0)),),
-    )
+    return ShrinkageFunction.from_pieces("james-stein", ((0.0, math.inf, 1.0, -(k - 2.0)),))
 
 
 def make_positive_part(k: int) -> ShrinkageFunction:
     """h(x) = max(0, 1 - (k - 2)/x).  Requires k > 2."""
     if k <= 2:
         raise KTooSmall(f"positive-part rule needs k > 2, got {k}")
-    return ShrinkageFunction(
-        evaluate=lambda x: max(0.0, 1.0 - (k - 2.0) / x),
-        name="positive-part",
-        breakpoints=(float(k - 2),),
-        pieces=((k - 2.0, math.inf, 1.0, -(k - 2.0)),),
-    )
+    return ShrinkageFunction.from_pieces("positive-part", ((k - 2.0, math.inf, 1.0, -(k - 2.0)),))
 
 
 def make_pretest(k: int, alpha: float) -> ShrinkageFunction:
-    """h(x) = 1{x > chi2 quantile at level 1 - alpha with k dof}."""
+    """h(x) = 1{x >= chi2 quantile at level 1 - alpha with k dof}."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if k < 1:
         raise KTooSmall(f"pretest needs k >= 1, got {k}")
     threshold = float(sps.chi2.ppf(1.0 - alpha, df=k))
-    return ShrinkageFunction(
-        evaluate=lambda x: 1.0 if x > threshold else 0.0,
-        name=f"pretest({alpha:g})",
-        breakpoints=(threshold,),
-        pieces=((threshold, math.inf, 1.0, 0.0),),
-    )
+    return ShrinkageFunction.from_pieces(f"pretest({alpha:g})", ((threshold, math.inf, 1.0, 0.0),))
 
 
 # Shrinkage members of the estimator class, by the names the CLI and the

@@ -128,7 +128,8 @@ class Restriction:
 
     ``matrix`` must have full row rank; rank is verified numerically at
     construction (smallest singular value above ``RANK_RTOL`` times the
-    largest).
+    largest).  Both arrays are stored ``+ 0.0``, so that a ``-0.0`` entry
+    gives the same restriction, null basis included, as ``+0.0``.
     """
 
     matrix: np.ndarray
@@ -138,6 +139,8 @@ class Restriction:
         mat = np.asarray(self.matrix, dtype=float)
         if mat.ndim != 2:
             raise DimensionMismatch("restriction matrix must be 2-D")
+        if mat.shape[0] == 0:
+            raise DimensionMismatch("restriction matrix has no rows")
         rhs = np.asarray(self.rhs, dtype=float).reshape(-1)
         if rhs.shape[0] != mat.shape[0]:
             raise DimensionMismatch(
@@ -150,8 +153,8 @@ class Restriction:
         sv = np.linalg.svd(mat, compute_uv=False)
         if sv[-1] <= RANK_RTOL * sv[0]:
             raise RestrictionRankDeficient("restriction matrix is row rank deficient")
-        object.__setattr__(self, "matrix", _readonly(mat))
-        object.__setattr__(self, "rhs", _readonly(rhs))
+        object.__setattr__(self, "matrix", _readonly(mat + 0.0))
+        object.__setattr__(self, "rhs", _readonly(rhs + 0.0))
 
     @property
     def k(self) -> int:
@@ -179,6 +182,37 @@ class Restriction:
             raise DimensionMismatch(
                 f"restriction has {self.n_coefs} columns, model has {n_coefs} coefficients"
             )
+
+
+def block_restriction(m: int, q: int, blocks) -> Restriction:
+    """The restriction ``R delta = 0`` that ties or zeroes segment blocks.
+
+    ``blocks`` holds ``("equal", i, j)``, one row ``delta_i[c] - delta_j[c]``
+    per coefficient ``c``, and ``("zero", p, coefs)``, one row ``delta_p[c]``
+    per ``c`` in ``coefs`` (every coefficient when left out).  Segments are
+    numbered ``1..m+1`` and coefficients ``1..q``; rows come in the order
+    given.  Raises ``DimensionMismatch`` on an index out of range or an
+    unknown kind, and ``RestrictionRankDeficient`` on dependent rows.
+    """
+    n = (m + 1) * q
+
+    def unit(p: int, c: int) -> np.ndarray:
+        if not (1 <= p <= m + 1 and 1 <= c <= q):
+            raise DimensionMismatch(f"no coefficient {c} of segment {p} with m = {m}, q = {q}")
+        row = np.zeros(n)
+        row[(p - 1) * q + c - 1] = 1.0
+        return row
+
+    rows = []
+    for kind, p, *rest in blocks:
+        if kind == "equal":
+            (j,) = rest
+            rows += [unit(p, c) - unit(j, c) for c in range(1, q + 1)]
+        elif kind == "zero":
+            rows += [unit(p, c) for c in (rest[0] if rest else range(1, q + 1))]
+        else:
+            raise DimensionMismatch(f"unknown restriction block {kind!r}")
+    return Restriction(matrix=np.array(rows).reshape(-1, n), rhs=np.zeros(len(rows)))
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,9 @@ METHOD_REFINE = "coordinate-refine"
 
 _METHODS = (METHOD_DP, METHOD_EXHAUSTIVE, METHOD_REFINE)
 
+# Coordinate refinement stops after this many cycles from one start.
+MAX_REFINE_CYCLES = 50
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -58,7 +61,6 @@ class SearchConfig:
     m: int
     min_seg_frac: float = 0.05
     method: str = METHOD_DP
-    max_iters: int = 50
     exhaustive_budget: int = 200_000
 
     def __post_init__(self):
@@ -68,8 +70,6 @@ class SearchConfig:
             raise InfeasibleConfig("min_seg_frac must be in (0, 1)")
         if self.method not in _METHODS:
             raise InfeasibleConfig(f"unknown method {self.method!r}")
-        if self.max_iters < 1:
-            raise InfeasibleConfig("max_iters must be >= 1")
 
     def min_segment_length(self, n_obs: int, n_regressors: int) -> int:
         return max(int(math.floor(self.min_seg_frac * n_obs)), n_regressors)
@@ -540,7 +540,7 @@ def find_breaks_restricted(
     all candidate positions scored as one batch of exact restricted SSRs.
     The break moves to the smallest position attaining the batch minimum,
     and only when that minimum is strictly below the current SSR.  Descent
-    stops when a full cycle makes no move or after ``max_iters`` cycles.  It
+    stops when a full cycle makes no move or after ``MAX_REFINE_CYCLES`` cycles.  It
     starts from :meth:`SegmentMoments.dp_optimum` and, for two or more
     breaks, also from the best few coarse-lattice partitions; the best
     refined end point is returned with ``iterations`` counting cycles over
@@ -588,9 +588,7 @@ def _search(data, restriction, config, stats) -> SegmentationResult:
         elif config.method == METHOD_EXHAUSTIVE:
             breaks = _exhaustive_min(t_total, m, min_len, score, config.exhaustive_budget)
         else:
-            breaks, cycles = _refine(
-                t_total, m, min_len, score, stats.dp_optimum(min_len, m), config.max_iters
-            )
+            breaks, cycles = _refine(t_total, m, min_len, score, stats.dp_optimum(min_len, m))
             total_cycles += cycles
         partition = Partition(tuple(breaks))
         try:
@@ -603,7 +601,7 @@ def _search(data, restriction, config, stats) -> SegmentationResult:
         )
 
 
-def _refine(t_total, m, min_len, objective, init, max_iters) -> tuple[tuple[int, ...], int]:
+def _refine(t_total, m, min_len, objective, init) -> tuple[tuple[int, ...], int]:
     """Cyclic coordinate descent from ``init`` and, for ``m >= 2``, from
     coarse-lattice starts; returns the best end point and the total cycles.
 
@@ -614,7 +612,7 @@ def _refine(t_total, m, min_len, objective, init, max_iters) -> tuple[tuple[int,
         bounds = np.array(start, dtype=np.intp)
         current = objective(bounds[None, :])[0]
         cycles = 0
-        for cycles in range(1, max_iters + 1):
+        for cycles in range(1, MAX_REFINE_CYCLES + 1):
             moved = False
             for p in range(m):
                 lo = (bounds[p - 1] if p > 0 else 0) + min_len

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import SteinbreakError
 from .estimators import estimate_class
-from .model import Partition, RegressionData, Restriction, _readonly
+from .model import Partition, RegressionData, Restriction, _readonly, block_restriction
 from .segmentation import (
     METHOD_REFINE,
     SearchConfig,
@@ -94,14 +94,7 @@ def build_case1(n_obs: int = 100, n_reps: int = 1000, seed: int = 0) -> SimDesig
         n_obs, _scaled_breaks(n_obs, (0.25, 0.5, 0.75))
     )
     delta0 = np.array([1.0, 2.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0])
-    unit = np.eye(6)
-    # rows 1-2: segment 1 equals segment 3; rows 3-4: segment 2 is zero;
-    # rows 5-6: segment 4 is zero
-    rmat = np.column_stack(
-        [unit[:, 0], unit[:, 1], unit[:, 2], unit[:, 3],
-         -unit[:, 0], -unit[:, 1], unit[:, 4], unit[:, 5]]
-    )
-    restriction = Restriction(matrix=rmat, rhs=np.zeros(6))
+    restriction = block_restriction(m, q, [("equal", 1, 3), ("zero", 2), ("zero", 4)])
     return SimDesign(
         m=m,
         q=q,
@@ -130,14 +123,9 @@ def build_case2(n_obs: int = 100, n_reps: int = 1000, seed: int = 0) -> SimDesig
     )
     block = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
     delta0 = np.concatenate([block, np.zeros(5), block, np.zeros(5), block])
-    rmat = np.zeros((8, 25))
-    for i in range(5):
-        rmat[i, i] = 1.0          # segment 1, coefficient i+1
-        rmat[i, 10 + i] = -1.0    # equals segment 3, coefficient i+1
-    rmat[5, 5] = 1.0              # segment 2, coefficient 1 is zero
-    rmat[6, 18] = 1.0             # segment 4, coefficient 4 is zero
-    rmat[7, 19] = 1.0             # segment 4, coefficient 5 is zero
-    restriction = Restriction(matrix=rmat, rhs=np.zeros(8))
+    restriction = block_restriction(
+        m, q, [("equal", 1, 3), ("zero", 2, (1,)), ("zero", 4, (4, 5))]
+    )
     return SimDesign(
         m=m,
         q=q,

@@ -24,6 +24,7 @@ how chunks would be scheduled.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -121,15 +122,7 @@ def random_gaussian_setup(dim: int, k: int, seed: int, joint: str = "scaffold") 
     kmat = 0.4 * rng.normal(size=(dim, dim))
     sigma12 = setup.sigma @ kmat
     sigma22 = sym(kmat.T @ setup.sigma @ kmat) + np.eye(dim)
-    return GaussianSetup(
-        mu_x=setup.mu_x,
-        sigma=setup.sigma,
-        a=setup.a,
-        w=setup.w,
-        w_star=setup.w_star,
-        sigma12=_readonly(sigma12),
-        sigma22=_readonly(sigma22),
-    )
+    return dataclasses.replace(setup, sigma12=_readonly(sigma12), sigma22=_readonly(sigma22))
 
 
 def negative_control_setup(dim: int, k: int, seed: int) -> GaussianSetup:
@@ -143,15 +136,7 @@ def negative_control_setup(dim: int, k: int, seed: int) -> GaussianSetup:
     component, so scaling ``A`` is the honest control.
     """
     base = random_gaussian_setup(dim, k, seed)
-    return GaussianSetup(
-        mu_x=base.mu_x,
-        sigma=base.sigma,
-        a=_readonly(1.5 * base.a),
-        w=base.w,
-        w_star=base.w_star,
-        sigma12=base.sigma12,
-        sigma22=base.sigma22,
-    )
+    return dataclasses.replace(base, a=_readonly(1.5 * base.a))
 
 
 @dataclass(frozen=True)
@@ -361,26 +346,13 @@ class VerifyEntry:
         return (not passed) if self.expect_fail else passed
 
 
-_H_ONE = ShrinkageFunction(
-    evaluate=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-    name="h=1",
-    pieces=((0.0, math.inf, 1.0, 0.0),),
-)
-_H_INV = ShrinkageFunction(
-    evaluate=lambda x: 1.0 / np.asarray(x, dtype=float),
-    name="h=1/x",
-    pieces=((0.0, math.inf, 0.0, 1.0),),
-)
+_H_ONE = ShrinkageFunction.from_pieces("h=1", ((0.0, math.inf, 1.0, 0.0),))
+_H_INV = ShrinkageFunction.from_pieces("h=1/x", ((0.0, math.inf, 0.0, 1.0),))
 
 
 def _h_below(cut: float) -> ShrinkageFunction:
     """The indicator rule ``1{x < cut}``."""
-    return ShrinkageFunction(
-        evaluate=lambda x: (np.asarray(x, dtype=float) < cut).astype(float),
-        name=f"h=ind(x<{cut:g})",
-        breakpoints=(cut,),
-        pieces=((0.0, cut, 1.0, 0.0),),
-    )
+    return ShrinkageFunction.from_pieces(f"h=ind(x<{cut:g})", ((0.0, cut, 1.0, 0.0),))
 
 
 _IDENTITIES = {

@@ -15,6 +15,7 @@ from steinbreak import (
     build_design,
     find_breaks_unrestricted,
 )
+from steinbreak.segmentation import MAX_REFINE_CYCLES
 
 
 def random_instance(seed, t_range=(10, 30), m_choices=(0, 1, 2), q_choices=(1, 2)):
@@ -130,7 +131,7 @@ def sequential_refine(data, restriction, config):
         bounds = list(start)
         current = score(bounds)
         cycles = 0
-        for cycles in range(1, config.max_iters + 1):
+        for cycles in range(1, MAX_REFINE_CYCLES + 1):
             moved = False
             for p in range(m):
                 lo = (bounds[p - 1] if p > 0 else 0) + min_len

@@ -96,6 +96,65 @@ def test_restriction_patterns():
         restriction_from_spec({"pattern": "linear-trend"}, m=1, q=3)
 
 
+def hand_built_pattern(pattern, m, q, i=None, j=None):
+    """The pattern matrices written entry by entry, as before the builder."""
+    n = (m + 1) * q
+    if pattern == "linear-trend":
+        rows = []
+        for seg in range(m + 1):
+            for coef in (2, 3):
+                row = np.zeros(n)
+                row[seg * q + coef] = 1.0
+                rows.append(row)
+        return np.array(rows)
+    rows = np.zeros((q, n))
+    for coef in range(q):
+        rows[coef, (i - 1) * q + coef] = 1.0
+        if pattern == "equal-segments":
+            rows[coef, (j - 1) * q + coef] = -1.0
+    return rows
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_restriction_patterns_match_hand_built_matrices(m):
+    cases = [({"pattern": "linear-trend"}, 4, ("linear-trend", m, 4))]
+    for q in (1, 2, 3):
+        for i in range(1, m + 2):
+            cases.append(({"pattern": "zero-segment", "segment": i}, q, ("zero-segment", m, q, i)))
+            for j in range(1, m + 2):
+                if i != j:
+                    spec = {"pattern": "equal-segments", "segments": [i, j]}
+                    cases.append((spec, q, ("equal-segments", m, q, i, j)))
+    for spec, q, ref in cases:
+        restr = restriction_from_spec(spec, m=m, q=q)
+        np.testing.assert_array_equal(restr.matrix, hand_built_pattern(*ref))
+        np.testing.assert_array_equal(restr.rhs, np.zeros(restr.k))
+
+
+def test_unknown_key_messages(tmp_path, capsys):
+    def message(fn, *args):
+        with pytest.raises(ConfigError) as info:
+            fn(*args)
+        return str(info.value)
+
+    assert message(RunConfig.from_dict, "verify", {"bogus": 1, "b": 2}) == (
+        "unknown config keys for verify: ['b', 'bogus']"
+    )
+    for spec in (
+        {"matrix": [[1.0]], "x": 1},
+        {"pattern": "linear-trend", "x": 1},
+        {"pattern": "equal-segments", "segments": [1, 2], "x": 1},
+        {"pattern": "zero-segment", "segment": 1, "x": 1},
+    ):
+        assert message(restriction_from_spec, spec, 1, 4) == "unknown restriction keys: ['x']"
+    for scaffold in ({"kind": "random-dominant", "x": 1}, {"kind": "explicit", "x": 1}):
+        cfg = tmp_path / "risk.json"
+        cfg.write_text(json.dumps({"scaffold": scaffold, "out": str(tmp_path / "risk")}))
+        assert main(["risk", "--config", str(cfg)]) == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"] == "unknown scaffold keys: ['x']"
+
+
 def test_fit_synthetic_trend_series(tmp_path, capsys):
     write_trend_series(tmp_path / "series.csv", brk=60)
     code = main(["fit", "--config", str(fit_config(tmp_path))])
@@ -209,6 +268,24 @@ def test_bootstrap_factors_segment_grams_once(tmp_path, monkeypatch):
     monkeypatch.setattr(segmentation, "_cholesky_rows", counted)
     assert main(["bootstrap", "--config", str(cfg)]) == EXIT_OK
     assert calls == [1378]
+    assert read_rows(tmp_path / "out" / "table1.csv")[0]["n_fail"] == "0"
+
+
+def test_bootstrap_builds_one_restriction(tmp_path, monkeypatch):
+    from steinbreak import cli
+
+    write_trend_series(tmp_path / "series.csv", n_obs=60, brk=30, noise=0.05)
+    cfg = fit_config(tmp_path, bootstrap_b=3, min_seg_frac=0.15)
+    calls = []
+    original = cli.restriction_from_spec
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "restriction_from_spec", counted)
+    assert main(["bootstrap", "--config", str(cfg)]) == EXIT_OK
+    assert len(calls) == 1
     assert read_rows(tmp_path / "out" / "table1.csv")[0]["n_fail"] == "0"
 
 

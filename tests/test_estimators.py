@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import special
+from scipy import stats as sps
 
 from helpers import nullspace_restricted_fit, random_restriction
 from steinbreak import (
@@ -13,6 +16,8 @@ from steinbreak import (
     RegressionData,
     Restriction,
     ShrinkageFunction,
+    build_case1,
+    build_case2,
     build_design,
     build_plugin_matrices,
     estimate_class,
@@ -26,9 +31,10 @@ from steinbreak import (
     newey_west_bandwidth,
     residuals_of,
     shrinkage_estimate,
+    simulate_dataset,
     wald_distance,
 )
-from steinbreak import estimators
+from steinbreak import estimators, stein_oracle
 from steinbreak.errors import GammaSingular, SegmentRankDeficient
 
 
@@ -305,6 +311,51 @@ def test_pretest_flips_at_independent_quantile():
     assert threshold == pytest.approx(9.4877, abs=1e-3)
     assert rule.evaluate(threshold - 1e-6) == 0.0
     assert rule.evaluate(threshold + 1e-6) == 1.0
+    # the piece [threshold, inf) holds the threshold itself
+    assert rule.evaluate(rule.breakpoints[0]) == 1.0
+
+
+def hand_written_rules(k):
+    """``(rule, evaluate)`` pairs: each built-in rule with the ``evaluate``
+    it had when every rule was written out by hand besides its pieces."""
+    threshold = float(sps.chi2.ppf(0.95, df=k))
+    cut = float(k + 1)
+    return [
+        (make_james_stein(k), lambda x: 1.0 - (k - 2.0) / x),
+        (make_positive_part(k), lambda x: max(0.0, 1.0 - (k - 2.0) / x)),
+        (make_pretest(k, 0.05), lambda x: 1.0 if x > threshold else 0.0),
+        (stein_oracle._H_ONE, lambda x: np.ones_like(np.asarray(x, dtype=float))),
+        (stein_oracle._H_INV, lambda x: 1.0 / np.asarray(x, dtype=float)),
+        (stein_oracle._h_below(cut), lambda x: (np.asarray(x, dtype=float) < cut).astype(float)),
+    ]
+
+
+def test_rules_from_pieces_match_hand_written_rules():
+    rng = np.random.default_rng(13)
+    for k in (3, 4, 7):
+        draws = rng.noncentral_chisquare(k, 3.0, size=65_536)
+        # the positive part below and at k - 2, the indicator at its cut
+        draws[:3] = (0.5 * (k - 2.0), k - 2.0, k + 1.0)
+        scalars = [float(x) for x in draws[:200]] + [1e-9, 1e9]
+        for rule, by_hand in hand_written_rules(k):
+            ends = set(rule.breakpoints) if rule.name.startswith("pretest") else set()
+            for x in scalars:
+                if x not in ends:
+                    got = rule.evaluate(x)
+                    assert isinstance(got, float)
+                    assert np.float64(got).tobytes() == np.float64(by_hand(x)).tobytes(), (rule.name, x)
+            xs = draws[~np.isin(draws, list(ends))]
+            expected = np.array([float(by_hand(x)) for x in xs])
+            assert rule.evaluate(xs).tobytes() == expected.tobytes(), rule.name
+
+
+def test_from_pieces_derives_breakpoints_and_rejects_overlaps():
+    rule = ShrinkageFunction.from_pieces("r", ((0.0, 2.0, 1.0, 0.0), (2.0, 5.0, 0.5, 1.0), (7.0, math.inf, 1.0, -1.0)))
+    assert rule.breakpoints == (2.0, 5.0, 7.0)
+    assert_allclose(rule.evaluate(np.array([1.0, 2.0, 4.0, 6.0, 8.0])), [1.0, 1.0, 0.75, 0.0, 0.875])
+    for bad in ((), ((1.0, 1.0, 1.0, 0.0),), ((-1.0, 1.0, 1.0, 0.0),), ((0.0, 3.0, 1.0, 0.0), (2.0, 4.0, 1.0, 0.0))):
+        with pytest.raises(ValueError):
+            ShrinkageFunction.from_pieces("bad", bad)
 
 
 def test_wald_distance_zero_iff_restriction_satisfied():
@@ -432,3 +483,25 @@ def test_estimate_class_builds_only_requested_members():
     assert got["psi"] > 0.0
     with pytest.raises(KTooSmall):
         estimate_class(data, restr, part, part, part, shrinkage=("pp",))
+
+
+@pytest.mark.parametrize("builder", [build_case1, build_case2])
+def test_estimate_class_invariant_under_restriction_row_mixing(builder):
+    # (R, r) and (M R, M r) state the same restriction for invertible M
+    design = builder(100, n_reps=1)
+    restr, part = design.restriction, design.true_partition
+    rng = np.random.default_rng(14)
+    for rep in range(3):
+        data = simulate_dataset(design, 1.5, np.random.default_rng((14, rep)))
+        mix = rng.normal(size=(restr.k, restr.k)) + restr.k * np.eye(restr.k)
+        mixed = Restriction(matrix=mix @ restr.matrix, rhs=mix @ restr.rhs)
+        base = estimate_class(data, restr, part, part, part)
+        moved = estimate_class(data, mixed, part, part, part)
+
+        def rel(a, b):
+            return np.max(np.abs(np.subtract(a, b))) / np.max(np.abs(a))
+
+        assert rel(base["psi"], moved["psi"]) <= 1e-9
+        assert rel(base["plugin"].a_hat, moved["plugin"].a_hat) <= 1e-9
+        for name in ("re", "js", "pp"):
+            assert rel(base["estimates"][name].delta, moved["estimates"][name].delta) <= 1e-9, name

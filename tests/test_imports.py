@@ -1,8 +1,12 @@
-"""Every top-level import of a package module is used in that module.
+"""Every top-level import of a package module is used in that module, and
+every top-level private name is read somewhere in the package.
 
-No linter ships with the package, so this test parses each module with
-``ast`` and fails on a name that a top-level import binds but nothing in
-the module reads.  ``__init__.py`` is left out: it imports to re-export.
+No linter ships with the package, so these tests parse each module with
+``ast``.  The first fails on a name that a top-level import binds but
+nothing in the module reads; ``__init__.py`` is left out, because it
+imports to re-export.  The second fails on a private function, class or
+constant (one leading underscore) that no module of the package reads, so
+a helper that a refactor leaves orphaned does not linger.
 """
 
 import ast
@@ -11,7 +15,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "steinbreak"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,3 +42,55 @@ def test_detector_finds_unused_names():
 def test_no_unused_top_level_imports(path):
     assert MODULES, "no package modules found"
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Top-level private names a module defines, with their lines."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        names[name.id] = node.lineno
+    return {n: line for n, line in names.items() if n.startswith("_") and not n.startswith("__")}
+
+
+def names_read(tree: ast.Module) -> set[str]:
+    """Names a module loads, reads as attributes or imports from elsewhere."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set().union(*(names_read(tree) for tree in trees.values()))
+    return [
+        f"{module} line {line}: {name}"
+        for module, tree in trees.items()
+        for name, line in private_definitions(tree).items()
+        if name not in read
+    ]
+
+
+def test_private_name_detector():
+    sources = {
+        "a.py": "_A = 1\n_B = 2\ndef _f():\n    return _A\nclass _C:\n    pass\n",
+        "b.py": "from .a import _f\n_f()\n",
+    }
+    assert unread_private_names(sources) == ["a.py line 2: _B", "a.py line 5: _C"]
+
+
+def test_every_private_name_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in ALL_MODULES}
+    assert unread_private_names(sources) == []

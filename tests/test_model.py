@@ -10,6 +10,7 @@ from steinbreak import (
     Restriction,
     RestrictionRankDeficient,
     SegmentRankDeficient,
+    block_restriction,
     build_design,
     fit_restricted,
     fit_unrestricted,
@@ -133,6 +134,46 @@ def test_restriction_rank_check():
         Restriction(matrix=mat, rhs=np.zeros(2))
     with pytest.raises(RestrictionRankDeficient):
         Restriction(matrix=np.ones((3, 2)), rhs=np.zeros(3))
+
+
+def test_restriction_ignores_the_sign_of_zeros():
+    # case 1's restriction as once written, with ten -0.0 entries
+    unit = np.eye(6)
+    signed = np.column_stack(
+        [unit[:, 0], unit[:, 1], unit[:, 2], unit[:, 3],
+         -unit[:, 0], -unit[:, 1], unit[:, 4], unit[:, 5]]
+    )
+    assert np.signbit(signed[signed == 0.0]).sum() == 10
+    flipped = Restriction(matrix=signed, rhs=-np.zeros(6))
+    plain = Restriction(matrix=signed + 0.0, rhs=np.zeros(6))
+    assert not np.signbit(flipped.matrix[flipped.matrix == 0.0]).any()
+    assert flipped.matrix.tobytes() == plain.matrix.tobytes()
+    assert flipped.rhs.tobytes() == plain.rhs.tobytes()
+    for a, b in zip(flipped.null_form, plain.null_form):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_block_restriction_rows_in_order():
+    restr = block_restriction(2, 2, [("zero", 3, (2,)), ("equal", 1, 2), ("zero", 1)])
+    np.testing.assert_array_equal(
+        restr.matrix,
+        [
+            [0, 0, 0, 0, 0, 1],
+            [1, 0, -1, 0, 0, 0],
+            [0, 1, 0, -1, 0, 0],
+            [1, 0, 0, 0, 0, 0],
+            [0, 1, 0, 0, 0, 0],
+        ],
+    )
+    np.testing.assert_array_equal(restr.rhs, np.zeros(5))
+    for bad in ([("zero", 4)], [("zero", 0)], [("zero", 1, (3,))], [("equal", 1, 4)], [("same", 1, 2)]):
+        with pytest.raises(DimensionMismatch):
+            block_restriction(2, 2, bad)
+    with pytest.raises(RestrictionRankDeficient):
+        block_restriction(2, 2, [("equal", 2, 2)])
+    for no_rows in ([], [("zero", 1, ())]):
+        with pytest.raises(DimensionMismatch):
+            block_restriction(2, 2, no_rows)
 
 
 def test_restriction_k_and_dims():

@@ -95,12 +95,7 @@ def rules_with_pieces(k):
 def piecewise_rule(cut, a, b, below):
     """``a + b/x`` on [0, cut) when ``below``, on [cut, inf) otherwise."""
     lo, hi = (0.0, cut) if below else (cut, math.inf)
-    return ShrinkageFunction(
-        evaluate=lambda x: a + b / x if lo <= x < hi else 0.0,
-        name=f"piecewise({cut:g})",
-        breakpoints=(cut,),
-        pieces=((lo, hi, a, b),),
-    )
+    return ShrinkageFunction.from_pieces(f"piecewise({cut:g})", ((lo, hi, a, b),))
 
 
 def without_pieces(rule):

@@ -31,7 +31,12 @@ from steinbreak import (
     ssr_unrestricted,
 )
 from steinbreak import segmentation
-from steinbreak.segmentation import METHOD_EXHAUSTIVE, METHOD_REFINE, SegmentMoments
+from steinbreak.segmentation import (
+    MAX_REFINE_CYCLES,
+    METHOD_EXHAUSTIVE,
+    METHOD_REFINE,
+    SegmentMoments,
+)
 
 
 def two_regime_means():
@@ -220,7 +225,7 @@ def test_refine_never_worse_than_initialization():
         init_ssr = ssr_restricted(data, ue.partition, restr)
         cr = find_breaks_restricted(data, restr, SearchConfig(m=m, method=METHOD_REFINE))
         assert cr.ssr <= init_ssr + 1e-10
-        assert cr.iterations <= SearchConfig(m=m).max_iters
+        assert cr.iterations <= MAX_REFINE_CYCLES
 
 
 def test_result_ssr_matches_recompute():

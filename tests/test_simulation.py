@@ -36,7 +36,7 @@ def test_case1_design_matches_printed_values():
         [unit[:, 0], unit[:, 1], unit[:, 2], unit[:, 3],
          -unit[:, 0], -unit[:, 1], unit[:, 4], unit[:, 5]]
     )
-    assert_allclose(rmat, expected)
+    np.testing.assert_array_equal(rmat, expected)
     # the truth satisfies the restriction
     assert_allclose(rmat @ design.delta0, np.zeros(6), atol=1e-14)
 

@@ -25,14 +25,9 @@ H_INV = lambda x: 1.0 / np.asarray(x, dtype=float)  # noqa: E731
 
 
 def h_indicator(cut):
-    # with its piece and breakpoint, the closed form takes the exact kernel
-    # route; as a plain callable it got quadrature without the jump
-    return ShrinkageFunction(
-        evaluate=lambda x: (np.asarray(x, dtype=float) < cut).astype(float),
-        name=f"h=ind(x<{cut:g})",
-        breakpoints=(cut,),
-        pieces=((0.0, cut, 1.0, 0.0),),
-    )
+    # with its piece, the closed form takes the exact kernel route; as a
+    # plain callable it got quadrature without the jump
+    return ShrinkageFunction.from_pieces(f"h=ind(x<{cut:g})", ((0.0, cut, 1.0, 0.0),))
 
 
 def test_setup_hypotheses_hold():
