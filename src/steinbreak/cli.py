@@ -5,11 +5,15 @@ bootstrap MSE around a fit), ``simulate`` (canned or custom Monte Carlo
 designs), ``risk`` (asymptotic risk curves over a noncentrality grid) and
 ``verify`` (the Gaussian-identity Monte Carlo suite).
 
-Runs are driven by a JSON config file plus flag overrides; unknown config
-keys are rejected.  Every artifact is written atomically (temp file then
-rename) with deterministic formatting, so a rerun with the same config and
-seed is byte-identical.  Exit codes: 0 ok, 2 config error, 3 numerical
-failure, 4 verification failure.
+Runs are driven by a JSON config file plus flag overrides.  A run checks
+the whole config first (unknown keys, types, the values in ``ALLOWED`` and
+the bounds in ``RANGES``), computes its tables, and only then does
+:func:`main` create the output directory and write them with
+``manifest.json``: a run exiting 2 or 3 creates no output directory, while a
+``verify`` exiting 4 still writes its report.  Artifacts are written
+atomically (temp file then rename) with deterministic formatting, so a rerun
+with the same config and seed is byte-identical.  Exit codes: 0 ok, 2 config
+error, 3 numerical failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -57,14 +61,14 @@ from .simulation import (
     rmse_rows,
     run_monte_carlo,
 )
-from .stein_oracle import run_verification_suite
+from .stein_oracle import MIN_SAMPLES, run_verification_suite
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
-_SEARCH_ALIASES = {
+_SEARCH_METHODS = {
     "exhaustive": METHOD_EXHAUSTIVE,
     "refine": METHOD_REFINE,
     METHOD_REFINE: METHOD_REFINE,
@@ -130,6 +134,43 @@ SCHEMAS: dict[str, dict] = {
     },
 }
 
+# Allowed values of the enumerated keys; a list key allows each element.
+ALLOWED: dict[str, tuple] = {
+    "basis": ("none", "power-trend"),
+    "omega": ("hc0", "hac"),
+    "restricted_search": tuple(_SEARCH_METHODS),
+    "shrink_partition": ("ue", "re"),
+    "estimators": ("ue", "re", *SHRINKAGE_RULES),
+    "case": (None, 1, 2),
+}
+
+# key -> (lowest value, whether the lowest value itself is excluded); a list
+# key bounds each element, and a null value is not bounded.
+RANGES: dict[str, tuple] = {
+    "m": (0, False),
+    "hac_bandwidth": (0, False),
+    "bootstrap_b": (1, False),
+    "reps": (1, False),
+    "sigma2_grid": (0.0, True),
+    "delta_start": (0.0, False),
+    "delta_stop": (0.0, False),
+    "delta_points": (0, False),
+    "seed": (0, False),
+    "n_samples": (MIN_SAMPLES, False),
+}
+
+
+def _check_value(key: str, value) -> None:
+    """Raise ``ConfigError`` if ``value`` is outside ``ALLOWED`` or ``RANGES``."""
+    for item in value if isinstance(value, list) else [value]:
+        if key in ALLOWED and item not in ALLOWED[key]:
+            raise ConfigError(f"config key {key!r} must be one of {list(ALLOWED[key])}, got {item!r}")
+        if key in RANGES and item is not None:
+            low, strict = RANGES[key]
+            number = isinstance(item, (int, float)) and not isinstance(item, bool)
+            if not (number and (item > low if strict else item >= low)):
+                raise ConfigError(f"config key {key!r} must be {'>' if strict else '>='} {low}, got {item!r}")
+
 
 def _reject_unknown(spec: dict, allowed, what: str) -> None:
     """Raise ``ConfigError`` naming the keys of ``spec`` outside ``allowed``."""
@@ -161,6 +202,7 @@ class RunConfig:
                     raise ConfigError(
                         f"config key {key!r} must be {typ.__name__}, got {type(value).__name__}"
                     )
+                _check_value(key, value)
                 values[key] = copy.deepcopy(value)
             elif default is REQUIRED:
                 raise ConfigError(f"config key {key!r} is required for {subcommand}")
@@ -169,10 +211,7 @@ class RunConfig:
         return cls(subcommand=subcommand, values=values)
 
     def to_dict(self) -> dict:
-        out = {"subcommand": self.subcommand}
-        for key in SCHEMAS[self.subcommand]:
-            out[key] = self.values[key]
-        return out
+        return {"subcommand": self.subcommand, **self.values}
 
 
 # ---------------------------------------------------------------------------
@@ -267,23 +306,16 @@ def restriction_from_spec(spec: dict, m: int, q: int) -> Restriction:
     raise ConfigError(f"unknown restriction pattern {pattern!r}")
 
 
-def _search_method(values: dict) -> str:
-    """The segmentation method that a config's ``restricted_search`` names."""
-    method = _SEARCH_ALIASES.get(values["restricted_search"])
-    if method is None:
-        raise ConfigError(f"unknown restricted_search {values['restricted_search']!r}")
-    return method
-
-
-def _load_fit_data(cfg: RunConfig) -> RegressionData:
-    _, y, z = read_series_csv(cfg.values["csv"])
-    if cfg.values["basis"] == "power-trend":
+def _load_fit_data(cfg: RunConfig) -> tuple[RegressionData, Restriction]:
+    """The series of a ``fit``/``bootstrap`` config and its restriction."""
+    v = cfg.values
+    _, y, z = read_series_csv(v["csv"])
+    if v["basis"] == "power-trend":
         z = power_trend_basis(len(y))
-    elif cfg.values["basis"] != "none":
-        raise ConfigError(f"unknown basis {cfg.values['basis']!r}")
     elif z is None:
         raise ConfigError("CSV has no regressor columns and no basis was requested")
-    return RegressionData(y=y, z=z)
+    data = RegressionData(y=y, z=z)
+    return data, restriction_from_spec(v["restriction"], v["m"], data.n_regressors)
 
 
 def _fit_pipeline(
@@ -300,13 +332,12 @@ def _fit_pipeline(
     """
     v = cfg.values
     m = v["m"]
-    method = _search_method(v)
     stats = stats if stats is not None else SegmentMoments(data)
     cfg_dp = SearchConfig(m=m, min_seg_frac=v["min_seg_frac"])
     cfg_re = SearchConfig(
         m=m,
         min_seg_frac=v["min_seg_frac"],
-        method=method,
+        method=_SEARCH_METHODS[v["restricted_search"]],
         exhaustive_budget=v["exhaustive_budget"],
     )
     ue_search = find_breaks_unrestricted(data, cfg_dp, stats=stats)
@@ -330,50 +361,41 @@ def _fit_pipeline(
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its tables, ``{file name: (header, rows)}``, and
+# its exit code; ``main`` writes them.
 
 
-def cmd_fit(cfg: RunConfig) -> int:
-    data = _load_fit_data(cfg)
-    out = Path(cfg.values["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    restriction = restriction_from_spec(cfg.values["restriction"], cfg.values["m"], data.n_regressors)
+def cmd_fit(cfg: RunConfig) -> tuple[dict, int]:
+    v = cfg.values
+    data, restriction = _load_fit_data(cfg)
     result = _fit_pipeline(cfg, data, restriction)
-    n = (cfg.values["m"] + 1) * data.n_regressors
-    rows = []
-    for name in cfg.values["estimators"]:
-        est = result["estimates"].get(name)
-        if est is not None:
-            rows.append([name] + [float(v) for v in est.delta])
-    write_csv(out / "estimates.csv", ["estimator"] + [f"coef_{i + 1}" for i in range(n)], rows)
+    n = (v["m"] + 1) * data.n_regressors
+    estimates = [[name] + [float(c) for c in result["estimates"][name].delta] for name in v["estimators"]]
     break_rows = []
     for label, search in (("ue", result["ue_search"]), ("re", result["re_search"])):
         for j, b in enumerate(search.partition.breaks):
             break_rows.append([label, j + 1, int(b)])
-    write_csv(out / "breaks.csv", ["search", "break_index", "time"], break_rows)
     stat_rows = [
         ["k", restriction.k],
         ["psi", float(result["psi"])],
         ["delta_hat", empirical_noncentrality(result["psi"], restriction.k)],
         ["T", data.n_obs],
         ["q", data.n_regressors],
-        ["m", cfg.values["m"]],
+        ["m", v["m"]],
         ["ssr_ue", float(result["estimates"]["ue"].ssr)],
         ["ssr_re", float(result["estimates"]["re"].ssr)],
         ["omega_method", result["plugin"].omega_method],
         ["restricted_is_global", result["re_search"].is_global],
     ]
-    write_csv(out / "fit_stats.csv", ["key", "value"], stat_rows)
-    write_manifest(out, cfg)
-    print(f"wrote {out}/estimates.csv, breaks.csv, fit_stats.csv")
-    return EXIT_OK
+    return {
+        "estimates.csv": (["estimator"] + [f"coef_{i + 1}" for i in range(n)], estimates),
+        "breaks.csv": (["search", "break_index", "time"], break_rows),
+        "fit_stats.csv": (["key", "value"], stat_rows),
+    }, EXIT_OK
 
 
-def cmd_bootstrap(cfg: RunConfig) -> int:
-    data = _load_fit_data(cfg)
-    out = Path(cfg.values["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    restriction = restriction_from_spec(cfg.values["restriction"], cfg.values["m"], data.n_regressors)
+def cmd_bootstrap(cfg: RunConfig) -> tuple[dict, int]:
+    data, restriction = _load_fit_data(cfg)
     # the replicates keep z, so they share its segment Gram factors
     base_stats = SegmentMoments(data)
     base = _fit_pipeline(cfg, data, restriction, base_stats)
@@ -413,23 +435,16 @@ def cmd_bootstrap(cfg: RunConfig) -> int:
         row.append(float(mse[name]))
     header += ["n_fail", "b"]
     row += [failures, n_b]
-    write_csv(out / "table1.csv", header, [row])
-    write_manifest(out, cfg)
-    print(f"wrote {out}/table1.csv")
-    return EXIT_OK
+    return {"table1.csv": (header, [row])}, EXIT_OK
 
 
 def _design_from_config(cfg: RunConfig) -> SimDesign:
     v = cfg.values
-    search = _search_method(v)
     common = dict(
         n_reps=v["reps"],
         seed=v["seed"],
     )
-    if v["case"] in (1, 2):
-        builder = build_case1 if v["case"] == 1 else build_case2
-        design = builder(n_obs=v["t"], **common)
-    elif v["case"] is None:
+    if v["case"] is None:
         needed = ("m", "q", "true_breaks", "delta0", "restriction")
         missing = [key for key in needed if v[key] is None]
         if missing:
@@ -445,47 +460,34 @@ def _design_from_config(cfg: RunConfig) -> SimDesign:
             **common,
         )
     else:
-        raise ConfigError(f"case must be 1, 2 or null, got {v['case']}")
+        builder = build_case1 if v["case"] == 1 else build_case2
+        design = builder(n_obs=v["t"], **common)
     return dataclasses.replace(
         design,
         sigma2_grid=tuple(float(s) for s in v["sigma2_grid"]),
-        restricted_search=search,
+        restricted_search=_SEARCH_METHODS[v["restricted_search"]],
         redraw_regressors=v["redraw_regressors"],
         min_seg_frac=v["min_seg_frac"],
     )
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    design = _design_from_config(cfg)
-    out = Path(cfg.values["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    result = run_monte_carlo(design)
-    write_csv(
-        out / "rmse.csv",
-        ["sigma2", "estimator", "rmse", "n_fail"],
-        [[r["sigma2"], r["estimator"], float(r["rmse"]), r["n_fail"]] for r in rmse_rows(result)],
-    )
-    write_csv(
-        out / "break_histogram.csv",
-        ["case", "T", "search", "sigma2", "break_index", "estimated_time", "count"],
-        [
-            [r["case"], r["T"], r["search"], r["sigma2"], r["break_index"], r["estimated_time"], r["count"]]
-            for r in histogram_rows(result)
-        ],
-    )
-    write_manifest(out, cfg)
+def cmd_simulate(cfg: RunConfig) -> tuple[dict, int]:
+    result = run_monte_carlo(_design_from_config(cfg))
     if result.flagged:
         print("warning: failure rate above 1% at some noise level")
-    print(f"wrote {out}/rmse.csv, break_histogram.csv")
-    return EXIT_OK
+    rmse = [[r["sigma2"], r["estimator"], float(r["rmse"]), r["n_fail"]] for r in rmse_rows(result)]
+    hist_header = ["case", "T", "search", "sigma2", "break_index", "estimated_time", "count"]
+    hist = [[r[key] for key in hist_header] for r in histogram_rows(result)]
+    return {
+        "rmse.csv": (["sigma2", "estimator", "rmse", "n_fail"], rmse),
+        "break_histogram.csv": (hist_header, hist),
+    }, EXIT_OK
 
 
-def cmd_risk(cfg: RunConfig) -> int:
+def cmd_risk(cfg: RunConfig) -> tuple[dict, int]:
     v = cfg.values
     spec = v["scaffold"]
     kind = spec.get("kind", "random-dominant")
-    out = Path(v["out"])
-    out.mkdir(parents=True, exist_ok=True)
     if kind == "random-dominant":
         _reject_unknown(spec, ("kind", "n", "k"), "scaffold keys")
         scaffold, weight = random_dominant_scaffold(
@@ -525,20 +527,12 @@ def cmd_risk(cfg: RunConfig) -> int:
                 holds,
             ]
         )
-    write_csv(
-        out / "adr_curves.csv",
-        ["delta", "adr_ue", "adr_re", "adr_js", "adr_pp", "dominance_holds"],
-        rows,
-    )
-    write_manifest(out, cfg)
-    print(f"wrote {out}/adr_curves.csv")
-    return EXIT_OK
+    header = ["delta", "adr_ue", "adr_re", "adr_js", "adr_pp", "dominance_holds"]
+    return {"adr_curves.csv": (header, rows)}, EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
     v = cfg.values
-    out = Path(v["out"])
-    out.mkdir(parents=True, exist_ok=True)
     entries = run_verification_suite(
         n_samples=v["n_samples"],
         seed=v["seed"],
@@ -546,10 +540,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         include_negative_control=v["negative_control"],
     )
     rows = []
-    any_bad = False
     for entry in entries:
         status = "ok" if entry.ok else "FAIL"
-        any_bad = any_bad or not entry.ok
         rows.append(
             [
                 entry.setup_index,
@@ -566,13 +558,9 @@ def cmd_verify(cfg: RunConfig) -> int:
             f"{status}: {tag}setup {entry.setup_index} {entry.identity} {entry.h_name} "
             f"({entry.check.sigma_excess():.2f} sigma)"
         )
-    write_csv(
-        out / "verify_report.csv",
-        ["setup", "identity", "h", "sigma_excess", "max_abs_err", "expected", "status"],
-        rows,
-    )
-    write_manifest(out, cfg)
-    return EXIT_VERIFY if any_bad else EXIT_OK
+    header = ["setup", "identity", "h", "sigma_excess", "max_abs_err", "expected", "status"]
+    code = EXIT_OK if all(entry.ok for entry in entries) else EXIT_VERIFY
+    return {"verify_report.csv": (header, rows)}, code
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +589,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None)
         if name in ("fit", "bootstrap"):
             p.add_argument("--csv", type=str, default=None)
-            p.add_argument("--omega", choices=["hc0", "hac"], default=None)
+            p.add_argument("--omega", choices=ALLOWED["omega"], default=None)
         if name in ("fit", "bootstrap", "simulate"):
             p.add_argument(
                 "--restricted-search",
@@ -641,13 +629,18 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        return _COMMANDS[args.subcommand](cfg)
-    except ConfigError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return EXIT_CONFIG
+        tables, code = _COMMANDS[args.subcommand](cfg)
     except SteinbreakError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return EXIT_NUMERIC
+        return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_NUMERIC
+    out = Path(cfg.values["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        write_csv(out / name, header, rows)
+    write_manifest(out, cfg)
+    if args.subcommand != "verify":  # verify's report is its per-check lines
+        print(f"wrote {out}/{', '.join(tables)}")
+    return code
 
 
 if __name__ == "__main__":

@@ -37,10 +37,6 @@ from .errors import (
 from .linalg import RANK_RTOL, pd_solve, sym
 from .model import Partition, RegressionData, Restriction, SegmentedDesign, build_design
 
-KIND_UNRESTRICTED = "unrestricted"
-KIND_RESTRICTED = "restricted"
-KIND_SHRINKAGE = "shrinkage"
-
 # Constraint satisfaction tolerance for restricted fits:
 # ||R d - r||_inf <= CONSTRAINT_TOL * (1 + ||r||_inf).
 CONSTRAINT_TOL = 1e-8
@@ -52,13 +48,12 @@ class CoefEstimate:
 
     ``ssr`` is the residual sum of squares of the fit; it is None for
     shrinkage estimates, which are formed from two existing fits without
-    access to the data.  ``label`` names the shrinkage rule when
-    ``kind == "shrinkage"``.
+    access to the data.  ``label`` names the shrinkage rule of a shrinkage
+    estimate.
     """
 
     delta: np.ndarray
     partition: Partition
-    kind: str
     ssr: float | None
     label: str = ""
 
@@ -163,7 +158,7 @@ def fit_unrestricted(data: RegressionData, partition: Partition) -> CoefEstimate
         resid = yseg - zseg @ beta
         ssr += float(resid @ resid)
     _check_segment_ranks(segments, ranks, q)
-    return CoefEstimate(delta=delta, partition=partition, kind=KIND_UNRESTRICTED, ssr=ssr)
+    return CoefEstimate(delta=delta, partition=partition, ssr=ssr)
 
 
 def _restricted_ls(grams: np.ndarray, zys: np.ndarray, restriction: Restriction) -> np.ndarray:
@@ -236,7 +231,7 @@ def fit_restricted(
     for p, (s, e) in enumerate(segments):
         resid = data.y[s:e] - data.z[s:e] @ delta[p * q:(p + 1) * q]
         ssr += float(resid @ resid)
-    return CoefEstimate(delta=delta, partition=partition, kind=KIND_RESTRICTED, ssr=ssr)
+    return CoefEstimate(delta=delta, partition=partition, ssr=ssr)
 
 
 def estimate_gamma(design: SegmentedDesign) -> np.ndarray:
@@ -354,13 +349,7 @@ def shrinkage_estimate(
     else:
         factor = float(h.evaluate(psi))
         delta = re.delta + factor * (ue.delta - re.delta)
-    return CoefEstimate(
-        delta=delta,
-        partition=ue.partition,
-        kind=KIND_SHRINKAGE,
-        ssr=None,
-        label=h.name,
-    )
+    return CoefEstimate(delta=delta, partition=ue.partition, ssr=None, label=h.name)
 
 
 def make_james_stein(k: int) -> ShrinkageFunction:

@@ -39,6 +39,8 @@ from .model import _readonly
 from .risk import AsymptoticScaffold, make_weight, random_scaffold, rule_expectation
 
 _CHUNK = 1 << 16
+# Fewest draws an identity check accepts.
+MIN_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -231,8 +233,8 @@ def _check_identity(setup, h, n_samples, seed, statistic, closed_form, joint=Fal
     :func:`rule_expectation`.  A plain callable ``h`` is a rule without
     pieces, so its ``e(j)`` comes from quadrature.
     """
-    if n_samples < 10_000:
-        raise ValueError("need at least 10000 samples")
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
     rule = h if isinstance(h, ShrinkageFunction) else ShrinkageFunction(evaluate=h, name="h")
     mu, a, p = setup.mu_x, setup.a, setup.dim
     if joint:

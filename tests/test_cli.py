@@ -4,16 +4,22 @@ import json
 import numpy as np
 import pytest
 
+from steinbreak import cli
 from steinbreak.cli import (
+    ALLOWED,
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
+    EXIT_VERIFY,
+    RANGES,
+    SCHEMAS,
     RunConfig,
     power_trend_basis,
     main,
     restriction_from_spec,
 )
 from steinbreak.errors import ConfigError
+from steinbreak.stein_oracle import MIN_SAMPLES, IdentityCheck, VerifyEntry
 
 
 def write_trend_series(path, n_obs=117, brk=60, noise=0.02, seed=0, restriction_true=True):
@@ -204,6 +210,7 @@ def test_fit_low_rank_restriction_exits_numeric(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["fit", "--config", str(cfg_path)]) == EXIT_NUMERIC
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_error_exit_code(tmp_path):
@@ -211,6 +218,66 @@ def test_config_error_exit_code(tmp_path):
     cfg.write_text(json.dumps({"csv": "x.csv", "restriction": {"pattern": "linear-trend"}, "oops": 1}))
     assert main(["fit", "--config", str(cfg)]) == EXIT_CONFIG
     assert main(["fit"]) == EXIT_CONFIG  # missing required keys
+
+
+BAD_CONFIGS = {
+    "restriction-pattern": ("fit", {"restriction": {"pattern": "nope"}}),
+    "scaffold-kind": ("risk", {"scaffold": {"kind": "nope"}}),
+    "scaffold-key": ("risk", {"scaffold": {"kind": "random-dominant", "x": 1}}),
+    "omega": ("fit", {"omega": "nope"}),
+    "shrink-partition": ("fit", {"shrink_partition": "nope"}),
+    "estimators": ("bootstrap", {"estimators": ["ue", "foo"]}),
+    "m": ("fit", {"m": -1}),
+    "bootstrap-b": ("bootstrap", {"bootstrap_b": 0}),
+    "reps": ("simulate", {"case": 1, "reps": 0}),
+    "hac-bandwidth": ("fit", {"omega": "hac", "hac_bandwidth": -1}),
+    "sigma2-grid": ("simulate", {"case": 1, "t": 40, "reps": 2, "sigma2_grid": [1.0, -1.0]}),
+    "delta-start": ("risk", {"delta_start": -1.0}),
+    "delta-points": ("risk", {"delta_points": -1}),
+    "seed": ("simulate", {"case": 1, "seed": -1}),
+    "n-samples": ("verify", {"n_samples": MIN_SAMPLES - 1}),
+}
+
+
+@pytest.mark.parametrize("subcommand, extra", BAD_CONFIGS.values(), ids=BAD_CONFIGS)
+def test_bad_config_exits_before_any_output(tmp_path, capsys, subcommand, extra):
+    if subcommand in ("fit", "bootstrap"):
+        write_trend_series(tmp_path / "series.csv", n_obs=60, brk=30)
+        cfg = fit_config(tmp_path, **{"min_seg_frac": 0.15, "bootstrap_b": 2, **extra})
+    else:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**extra, "out": str(tmp_path / "out")}))
+    assert main([subcommand, "--config", str(cfg)]) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not (tmp_path / "out").exists()
+
+
+def test_allowed_values_and_ranges_hold_for_schema_defaults():
+    for table in (ALLOWED, RANGES):
+        for key in table:
+            schemas = [schema for schema in SCHEMAS.values() if key in schema]
+            assert schemas, key
+            for schema in schemas:
+                cli._check_value(key, schema[key][1])
+
+
+def test_verify_failure_still_writes_report(tmp_path, monkeypatch, capsys):
+    check = IdentityCheck(
+        mc_estimate=np.array([1.0]),
+        closed_form=np.array([0.0]),
+        max_abs_err=1.0,
+        mc_stderr=np.array([0.01]),
+        n_samples=MIN_SAMPLES,
+        seed=0,
+    )
+    entry = VerifyEntry(setup_index=0, identity="vector", h_name="h=1", check=check, expect_fail=False, bound=3.0)
+    monkeypatch.setattr(cli, "run_verification_suite", lambda **kwargs: [entry])
+    out = tmp_path / "verify"
+    assert main(["verify", "--out", str(out)]) == EXIT_VERIFY
+    assert capsys.readouterr().out.startswith("FAIL: setup 0 vector h=1")
+    rows = read_rows(out / "verify_report.csv")
+    assert [r["status"] for r in rows] == ["FAIL"]
+    assert json.loads((out / "manifest.json").read_text())["config"]["subcommand"] == "verify"
 
 
 @pytest.mark.parametrize(

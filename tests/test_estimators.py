@@ -209,8 +209,8 @@ def _unit_plugin(n):
 
 def _pair(delta_ue, delta_re):
     part = Partition(())
-    ue = CoefEstimate(delta=np.asarray(delta_ue, float), partition=part, kind="unrestricted", ssr=0.0)
-    re = CoefEstimate(delta=np.asarray(delta_re, float), partition=part, kind="restricted", ssr=0.0)
+    ue = CoefEstimate(delta=np.asarray(delta_ue, float), partition=part, ssr=0.0)
+    re = CoefEstimate(delta=np.asarray(delta_re, float), partition=part, ssr=0.0)
     return ue, re
 
 
@@ -255,9 +255,7 @@ def test_shrinkage_psi_zero_skips_h():
 
 def test_shrinkage_mismatched_partitions():
     ue, _ = _pair([1.0, 2.0], [0.0, 0.0])
-    re = CoefEstimate(
-        delta=np.zeros(2), partition=Partition((3,)), kind="restricted", ssr=0.0
-    )
+    re = CoefEstimate(delta=np.zeros(2), partition=Partition((3,)), ssr=0.0)
     with pytest.raises(MismatchedPartitions):
         shrinkage_estimate(ue, re, _unit_plugin(2), make_james_stein(3), 10)
 
