@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, KTooSmall, SteinbreakError
+from .errors import ConfigError, InfeasibleConfig, KTooSmall, SteinbreakError
 from .estimators import SHRINKAGE_RULES, estimate_class, residuals_of
 from .model import RegressionData, Restriction, block_restriction, read_series_csv
 from .risk import (
@@ -144,10 +144,12 @@ ALLOWED: dict[str, tuple] = {
     "case": (None, 1, 2),
 }
 
-# key -> (lowest value, whether the lowest value itself is excluded); a list
-# key bounds each element, and a null value is not bounded.
+# key -> (lowest value, whether the lowest value itself is excluded[, an
+# excluded highest value]); a list key bounds each element, and a null value
+# is not bounded.
 RANGES: dict[str, tuple] = {
     "m": (0, False),
+    "min_seg_frac": (0.0, True, 1.0),
     "hac_bandwidth": (0, False),
     "bootstrap_b": (1, False),
     "reps": (1, False),
@@ -166,10 +168,11 @@ def _check_value(key: str, value) -> None:
         if key in ALLOWED and item not in ALLOWED[key]:
             raise ConfigError(f"config key {key!r} must be one of {list(ALLOWED[key])}, got {item!r}")
         if key in RANGES and item is not None:
-            low, strict = RANGES[key]
+            low, strict, *high = RANGES[key]
             number = isinstance(item, (int, float)) and not isinstance(item, bool)
-            if not (number and (item > low if strict else item >= low)):
-                raise ConfigError(f"config key {key!r} must be {'>' if strict else '>='} {low}, got {item!r}")
+            if not (number and (item > low if strict else item >= low) and all(item < h for h in high)):
+                bounds = f"{'>' if strict else '>='} {low}" + "".join(f" and < {h}" for h in high)
+                raise ConfigError(f"config key {key!r} must be {bounds}, got {item!r}")
 
 
 def _reject_unknown(spec: dict, allowed, what: str) -> None:
@@ -196,6 +199,8 @@ class RunConfig:
         for key, (typ, default) in schema.items():
             if key in raw:
                 value = raw[key]
+                if value is None and default is not None:
+                    raise ConfigError(f"config key {key!r} must not be null")
                 if value is not None and typ is float and isinstance(value, int):
                     value = float(value)
                 if value is not None and not isinstance(value, typ):
@@ -306,6 +311,15 @@ def restriction_from_spec(spec: dict, m: int, q: int) -> Restriction:
     raise ConfigError(f"unknown restriction pattern {pattern!r}")
 
 
+def _check_segments_fit(m: int, min_seg_frac: float, n_obs: int, q: int) -> None:
+    """Raise ``ConfigError`` unless ``m + 1`` segments of the minimum length
+    fit in ``n_obs`` observations, so that some partition is admissible."""
+    try:
+        SearchConfig(m=m, min_seg_frac=min_seg_frac).feasible_min_length(n_obs, q)
+    except InfeasibleConfig as exc:
+        raise ConfigError(f"min_seg_frac {min_seg_frac} leaves no partition: {exc}") from None
+
+
 def _load_fit_data(cfg: RunConfig) -> tuple[RegressionData, Restriction]:
     """The series of a ``fit``/``bootstrap`` config and its restriction."""
     v = cfg.values
@@ -315,6 +329,7 @@ def _load_fit_data(cfg: RunConfig) -> tuple[RegressionData, Restriction]:
     elif z is None:
         raise ConfigError("CSV has no regressor columns and no basis was requested")
     data = RegressionData(y=y, z=z)
+    _check_segments_fit(v["m"], v["min_seg_frac"], data.n_obs, data.n_regressors)
     return data, restriction_from_spec(v["restriction"], v["m"], data.n_regressors)
 
 
@@ -462,6 +477,7 @@ def _design_from_config(cfg: RunConfig) -> SimDesign:
     else:
         builder = build_case1 if v["case"] == 1 else build_case2
         design = builder(n_obs=v["t"], **common)
+    _check_segments_fit(design.m, v["min_seg_frac"], design.n_obs, design.q)
     return dataclasses.replace(
         design,
         sigma2_grid=tuple(float(s) for s in v["sigma2_grid"]),
@@ -490,9 +506,12 @@ def cmd_risk(cfg: RunConfig) -> tuple[dict, int]:
     kind = spec.get("kind", "random-dominant")
     if kind == "random-dominant":
         _reject_unknown(spec, ("kind", "n", "k"), "scaffold keys")
-        scaffold, weight = random_dominant_scaffold(
-            int(spec.get("n", 8)), int(spec.get("k", 4)), v["seed"]
-        )
+        n, k = spec.get("n", 8), spec.get("k", 4)
+        if not all(isinstance(d, int) and not isinstance(d, bool) for d in (n, k)):
+            raise ConfigError(f"random-dominant scaffold needs integer n and k, got {n!r} and {k!r}")
+        if not 2 < k <= n:
+            raise ConfigError(f"random-dominant scaffold needs 2 < k <= n, got n={n}, k={k}")
+        scaffold, weight = random_dominant_scaffold(n, k, v["seed"])
     elif kind == "explicit":
         _reject_unknown(spec, ("kind", "gamma", "omega", "matrix", "rhs"), "scaffold keys")
         try:

@@ -51,7 +51,7 @@ _MAX_SERIES_TERMS = 100_000
 
 
 def _central_terms(kind: str, df: float, power: int, c: float | None):
-    """Per-mixture-index central moments m_j, vectorized over j.
+    """Per-mixture-index central moments m_j, for a scalar j or an array of j.
 
     Each m_j is the moment of a central chi-square with ``nu = df + 2j``
     degrees of freedom, ``E[X^p 1{X < c}] = P(chi2_{nu+2p} < c) /
@@ -130,7 +130,7 @@ def nc_chi2_moment(
     terms = _central_terms(kind, float(df), power, c)
     lam = delta / 2.0
     if lam == 0.0:
-        return float(terms(np.array([0.0]))[0])
+        return float(terms(0.0))
 
     radius = 10.0 * math.sqrt(lam) + 20.0
     while True:
@@ -142,13 +142,14 @@ def nc_chi2_moment(
             )
         # m_j decreases in j, so mass below the window is bounded by m_0 and
         # mass above by m_{jhi+1}.
-        err_below = sps.poisson.cdf(jlo - 1, lam) * terms(np.array([0.0]))[0] if jlo > 0 else 0.0
-        err_above = sps.poisson.sf(jhi, lam) * terms(np.array([float(jhi + 1)]))[0]
+        err_below = special.pdtr(jlo - 1, lam) * terms(0.0) if jlo > 0 else 0.0
+        err_above = special.pdtrc(jhi, lam) * terms(float(jhi + 1))
         if err_below + err_above <= tol:
             break
         radius *= 2.0
     js = np.arange(jlo, jhi + 1, dtype=float)
-    weights = sps.poisson.pmf(js, lam)
+    # the Poisson(lam) pmf, as scipy.stats.poisson computes it
+    weights = np.exp(special.xlogy(js, lam) - special.gammaln(js + 1) - lam)
     return float(np.sum(weights * terms(js)))
 
 
@@ -162,9 +163,13 @@ def nc_chi2_expectation(
 ) -> float:
     """E[h(X)] for X noncentral chi-square, by adaptive quadrature.
 
-    Supports arbitrary (integrable) ``h``; pass the rule's kinks or jumps in
-    ``breakpoints`` so the integrator can split there.  ``h`` may be a
-    scalar function or a numpy-vectorized one.
+    Supports arbitrary (integrable) ``h``, a scalar function or a
+    numpy-vectorized one.  Every jump of ``h`` must be listed in
+    ``breakpoints``, and kinks should be: the integrator splits only there,
+    and a jump it is not told of is missed without warning.  For
+    ``E[1{X < 4}]`` with 7 dof and noncentrality 1.753 the result is
+    1.2e-8 low without ``breakpoints=(4.0,)`` and within 1.1e-14 of
+    ``scipy.stats.ncx2.cdf`` with it.
     """
     if delta < 0:
         raise ValueError(f"noncentrality must be >= 0, got {delta}")
@@ -258,7 +263,9 @@ def rule_expectation(
     the moment kernels of :func:`nc_chi2_moment` at tolerance ``tol``; each
     power ``p`` its pieces use needs ``df > 2|p|`` (``DivergentMoment``
     otherwise), even on a piece bounded away from 0.  A rule without
-    pieces goes to :func:`nc_chi2_expectation` with its ``breakpoints``.
+    pieces goes to :func:`nc_chi2_expectation` with its ``breakpoints``,
+    which must list every jump of the rule: an undeclared jump is missed
+    silently.
     """
     return _rule_expectations(rule, df, delta, (squared,), tol)[0]
 

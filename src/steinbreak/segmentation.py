@@ -74,6 +74,16 @@ class SearchConfig:
     def min_segment_length(self, n_obs: int, n_regressors: int) -> int:
         return max(int(math.floor(self.min_seg_frac * n_obs)), n_regressors)
 
+    def feasible_min_length(self, n_obs: int, n_regressors: int) -> int:
+        """The minimum segment length, after checking that ``m + 1``
+        segments of it fit in ``n_obs``; ``InfeasibleConfig`` otherwise."""
+        min_len = self.min_segment_length(n_obs, n_regressors)
+        if (self.m + 1) * min_len > n_obs:
+            raise InfeasibleConfig(
+                f"{self.m + 1} segments of length >= {min_len} do not fit in T = {n_obs}"
+            )
+        return min_len
+
 
 @dataclass(frozen=True)
 class SegmentationResult:
@@ -565,11 +575,7 @@ def _search(data, restriction, config, stats) -> SegmentationResult:
     """
     stats = stats if stats is not None else SegmentMoments(data)
     t_total, q, m = data.n_obs, data.n_regressors, config.m
-    min_len = config.min_segment_length(t_total, q)
-    if (m + 1) * min_len > t_total:
-        raise InfeasibleConfig(
-            f"{m + 1} segments of length >= {min_len} do not fit in T = {t_total}"
-        )
+    min_len = config.feasible_min_length(t_total, q)
     if restriction is None:
         score = lambda breaks: _fold_total(stats.ssr_table(min_len), breaks, t_total)
         fit = lambda partition: ssr_unrestricted(data, partition)

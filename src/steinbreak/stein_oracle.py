@@ -222,6 +222,11 @@ def _chunk_rng(seed: int, idx: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, idx)))
 
 
+def _quadratic_form(u: np.ndarray, m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise ``u_n' M v_n`` for draws stacked in the rows of ``u`` and ``v``."""
+    return ((u @ m) * v).sum(axis=1)
+
+
 def _check_identity(setup, h, n_samples, seed, statistic, closed_form, joint=False):
     """Monte Carlo mean of ``statistic`` against its closed form.
 
@@ -250,7 +255,7 @@ def _check_identity(setup, h, n_samples, seed, statistic, closed_form, joint=Fal
     def rows(idx, size):
         draws = center + _chunk_rng(seed, idx).standard_normal((size, rank)) @ factor.T
         x = draws[:, :p]
-        hv = _apply_h(rule.evaluate, np.einsum("ni,ij,nj->n", x, a, x))
+        hv = _apply_h(rule.evaluate, _quadratic_form(x, a, x))
         return statistic(hv, x, draws[:, p:])
 
     mean, stderr = _chunked_mean(rows, n_samples, seed)
@@ -291,7 +296,7 @@ def mc_quadratic_identity(
     d2 = float(mu @ w @ mu)
     return _check_identity(
         setup, h, n_samples, seed,
-        lambda hv, x, _: (hv * np.einsum("ni,ij,nj->n", x, w, x))[:, None],
+        lambda hv, x, _: (hv * _quadratic_form(x, w, x))[:, None],
         lambda e: np.array([e(2) * d1 + e(4) * d2]),
     )
 
@@ -309,7 +314,7 @@ def mc_cross_identity(
     mu, a, w, s12 = setup.mu_x, setup.a, setup.w, setup.sigma12
     return _check_identity(
         setup, h, n_samples, seed,
-        lambda hv, x, y: (hv * np.einsum("ni,ij,nj->n", y, w, x))[:, None],
+        lambda hv, x, y: (hv * _quadratic_form(y, w, x))[:, None],
         lambda e: np.array(
             [
                 -e(2) * float(mu @ w @ mu)

@@ -236,6 +236,14 @@ BAD_CONFIGS = {
     "delta-points": ("risk", {"delta_points": -1}),
     "seed": ("simulate", {"case": 1, "seed": -1}),
     "n-samples": ("verify", {"n_samples": MIN_SAMPLES - 1}),
+    "scaffold-k-type": ("risk", {"scaffold": {"kind": "random-dominant", "k": "x"}}),
+    "scaffold-k-above-n": ("risk", {"scaffold": {"kind": "random-dominant", "n": 3, "k": 4}}),
+    "scaffold-k-float": ("risk", {"scaffold": {"kind": "random-dominant", "k": 4.7}}),
+    "out-null": ("risk", {"out": None}),
+    "m-null": ("fit", {"m": None}),
+    "min-seg-frac-range": ("simulate", {"case": 1, "t": 40, "reps": 2, "min_seg_frac": 2.0}),
+    "min-seg-frac-no-partition": ("fit", {"min_seg_frac": 0.6}),
+    "min-seg-frac-no-design-partition": ("simulate", {"case": 1, "t": 40, "reps": 2, "min_seg_frac": 0.3}),
 }
 
 
@@ -246,7 +254,7 @@ def test_bad_config_exits_before_any_output(tmp_path, capsys, subcommand, extra)
         cfg = fit_config(tmp_path, **{"min_seg_frac": 0.15, "bootstrap_b": 2, **extra})
     else:
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({**extra, "out": str(tmp_path / "out")}))
+        cfg.write_text(json.dumps({"out": str(tmp_path / "out"), **extra}))
     assert main([subcommand, "--config", str(cfg)]) == EXIT_CONFIG
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
     assert not (tmp_path / "out").exists()

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import stats as sps
 
 from helpers import orthonormal_rows
 from steinbreak import (
@@ -30,7 +31,7 @@ from steinbreak import (
     rule_expectation,
     scaffold_at_delta,
 )
-from steinbreak import stein_oracle
+from steinbreak import risk, stein_oracle
 from steinbreak.linalg import symmetric_rank
 
 H_ONE = ShrinkageFunction(evaluate=lambda x: 1.0, name="one")
@@ -77,6 +78,57 @@ def test_moment_large_noncentrality_window():
     value = nc_chi2_moment("inverse_first", 6, 10_000.0)
     # E[1/X] ~ 1/(df + delta) for large delta
     assert value == pytest.approx(1.0 / (6 + 10_000.0), rel=1e-3)
+
+
+def poisson_window_reference(kind, df, delta, *, tol=1e-10, c=None, power=0):
+    """``nc_chi2_moment`` with its Poisson terms from ``scipy.stats.poisson``:
+    the ``cdf``/``sf`` tail bounds and ``pmf`` weights the kernel replaced
+    by the ufuncs behind them."""
+    terms = risk._central_terms(kind, float(df), power, c)
+    lam = delta / 2.0
+    if lam == 0.0:
+        return float(terms(np.array([0.0]))[0])
+    radius = 10.0 * math.sqrt(lam) + 20.0
+    while True:
+        jlo = max(0, int(math.floor(lam - radius)))
+        jhi = int(math.ceil(lam + radius))
+        err_below = sps.poisson.cdf(jlo - 1, lam) * terms(np.array([0.0]))[0] if jlo > 0 else 0.0
+        err_above = sps.poisson.sf(jhi, lam) * terms(np.array([float(jhi + 1)]))[0]
+        if err_below + err_above <= tol:
+            break
+        radius *= 2.0
+    js = np.arange(jlo, jhi + 1, dtype=float)
+    return float(np.sum(sps.poisson.pmf(js, lam) * terms(js)))
+
+
+def test_moment_kernel_matches_poisson_reference_bitwise():
+    # the large noncentralities put jlo > 0, so the lower tail bound runs
+    count = 0
+    for df in (3, 5, 6, 7, 8, 10, 14):
+        cases = [("inverse_first", {}), ("inverse_second", {})]
+        cases += [
+            ("trunc_below", {"c": float(c), "power": p})
+            for c in (0.5, 2.0, df - 2.0, 30.0)
+            for p in (0, -1, -2)
+        ]
+        for kind, kwargs in cases:
+            for delta in (0.0, 1e-9, 0.37, 4.0, 20.0, 63.2, 250.0, 1000.0, 9876.5):
+                try:
+                    value = nc_chi2_moment(kind, df, delta, **kwargs)
+                except DivergentMoment:
+                    continue
+                reference = poisson_window_reference(kind, df, delta, **kwargs)
+                assert value == reference, (kind, df, delta, kwargs)
+                count += 1
+    assert count == 837
+
+
+def test_declared_jump_matches_noncentral_cdf():
+    # a rule without pieces gets its jump only from breakpoints
+    indicator = lambda x: float(x < 4.0)  # noqa: E731
+    delta = 1.7531105284834456
+    declared = nc_chi2_expectation(indicator, 7, delta, breakpoints=(4.0,))
+    assert abs(declared - sps.ncx2.cdf(4.0, 7, delta)) <= 1e-11
 
 
 def rules_with_pieces(k):

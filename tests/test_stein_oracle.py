@@ -17,6 +17,7 @@ from steinbreak import (
     run_verification_suite,
     setup_from_scaffold,
 )
+from steinbreak import stein_oracle
 
 N_FAST = 60_000
 
@@ -36,6 +37,18 @@ def test_setup_hypotheses_hold():
         assert max(setup.hypothesis_errors().values()) <= 1e-8
         assert setup.k == 4
         assert setup.has_joint
+
+
+def test_quadratic_form_matches_einsum():
+    # x'Ax and x'Wx on one draw block, y'Wx on a second independent one
+    setup = random_gaussian_setup(9, 4, 3, joint="general")
+    rng = np.random.default_rng(8)
+    x = setup.mu_x + rng.standard_normal((5000, 9))
+    y = rng.standard_normal((5000, 9))
+    for u, m, v in ((x, setup.a, x), (x, setup.w, x), (y, setup.w, x)):
+        direct = np.einsum("ni,ij,nj->n", u, m, v)
+        scale = ((np.abs(u) @ np.abs(m)) * np.abs(v)).sum(axis=1)
+        assert np.all(np.abs(stein_oracle._quadratic_form(u, m, v) - direct) <= 1e-12 * scale)
 
 
 def test_constant_rule_reduces_to_plain_means():
