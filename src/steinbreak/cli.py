@@ -149,6 +149,7 @@ ALLOWED: dict[str, tuple] = {
 # is not bounded.
 RANGES: dict[str, tuple] = {
     "m": (0, False),
+    "q": (1, False),
     "min_seg_frac": (0.0, True, 1.0),
     "hac_bandwidth": (0, False),
     "bootstrap_b": (1, False),
@@ -269,6 +270,18 @@ def power_trend_basis(n_obs: int) -> np.ndarray:
     return np.column_stack([np.ones(n_obs), u, u**1.5, u**2])
 
 
+def _float_array(value, what: str) -> np.ndarray:
+    """A config value of numbers (or nested lists of them) as a float
+    array; ``ConfigError`` for anything else, strings and booleans too."""
+    try:
+        array = np.asarray(value)
+    except ValueError:
+        array = None
+    if array is None or array.dtype.kind not in "iuf":
+        raise ConfigError(f"{what} must be numeric, got {value!r}")
+    return array.astype(float)
+
+
 def restriction_from_spec(spec: dict, m: int, q: int) -> Restriction:
     """Build a restriction from an explicit matrix or a named pattern.
 
@@ -279,8 +292,10 @@ def restriction_from_spec(spec: dict, m: int, q: int) -> Restriction:
     """
     if "matrix" in spec:
         _reject_unknown(spec, ("matrix", "rhs"), "restriction keys")
-        matrix = np.asarray(spec["matrix"], dtype=float)
-        rhs = np.asarray(spec.get("rhs", np.zeros(matrix.shape[0])), dtype=float)
+        matrix = _float_array(spec["matrix"], "restriction matrix")
+        if matrix.ndim != 2:
+            raise ConfigError("restriction matrix must be a list of rows")
+        rhs = _float_array(spec.get("rhs", [0.0] * len(matrix)), "restriction rhs")
         return Restriction(matrix=matrix, rhs=rhs)
     if "pattern" not in spec:
         raise ConfigError("restriction needs either 'matrix' or 'pattern'")
@@ -464,13 +479,22 @@ def _design_from_config(cfg: RunConfig) -> SimDesign:
         missing = [key for key in needed if v[key] is None]
         if missing:
             raise ConfigError(f"custom design needs keys {missing}")
-        restriction = restriction_from_spec(v["restriction"], v["m"], v["q"])
+        m, q, n_obs, breaks = v["m"], v["q"], v["t"], v["true_breaks"]
+        integral = all(isinstance(b, int) and not isinstance(b, bool) for b in breaks)
+        if len(breaks) != m or not integral or not all(a < b for a, b in zip([0, *breaks], [*breaks, n_obs])):
+            raise ConfigError(f"true_breaks must be {m} increasing integers in 1..{n_obs - 1}, got {breaks}")
+        delta0 = _float_array(v["delta0"], "delta0")
+        if delta0.shape != ((m + 1) * q,):
+            raise ConfigError(f"delta0 must have (m + 1) q = {(m + 1) * q} entries, got {delta0.size}")
+        restriction = restriction_from_spec(v["restriction"], m, q)
+        if restriction.n_coefs != (m + 1) * q:
+            raise ConfigError(f"restriction has {restriction.n_coefs} columns, the design {(m + 1) * q}")
         design = SimDesign(
-            m=v["m"],
-            q=v["q"],
-            n_obs=v["t"],
-            true_breaks=tuple(int(b) for b in v["true_breaks"]),
-            delta0=np.asarray(v["delta0"], dtype=float),
+            m=m,
+            q=q,
+            n_obs=n_obs,
+            true_breaks=tuple(breaks),
+            delta0=delta0,
             restriction=restriction,
             **common,
         )
@@ -515,22 +539,36 @@ def cmd_risk(cfg: RunConfig) -> tuple[dict, int]:
     elif kind == "explicit":
         _reject_unknown(spec, ("kind", "gamma", "omega", "matrix", "rhs"), "scaffold keys")
         try:
-            gamma = np.asarray(spec["gamma"], dtype=float)
-            omega = np.asarray(spec["omega"], dtype=float)
-            matrix = np.asarray(spec["matrix"], dtype=float)
+            gamma, omega, matrix = (_float_array(spec[key], key) for key in ("gamma", "omega", "matrix"))
         except KeyError as exc:
             raise ConfigError(f"explicit scaffold needs key {exc}") from None
-        rhs = np.asarray(spec.get("rhs", np.zeros(matrix.shape[0])), dtype=float)
+        n = len(gamma) if gamma.ndim == 2 else 0
+        if not n or gamma.shape != (n, n) or omega.shape != (n, n) or matrix.ndim != 2 or matrix.shape[1] != n:
+            raise ConfigError(
+                "explicit scaffold needs square gamma and omega of one size n and a matrix with n columns"
+            )
+        rhs = _float_array(spec.get("rhs", [0.0] * len(matrix)), "rhs")
+        if rhs.shape != (len(matrix),):
+            raise ConfigError(f"explicit scaffold rhs must have one entry per matrix row ({len(matrix)})")
         restriction = Restriction(matrix=matrix, rhs=rhs)
         mu = np.ones(restriction.k)
         scaffold = make_scaffold(gamma, omega, restriction, mu)
-        w_star = None if v["w_star"] is None else np.asarray(v["w_star"], dtype=float)
-        weight = make_weight(scaffold.a, w_star)
+        w_star = None if v["w_star"] is None else _float_array(v["w_star"], "w_star")
+        if w_star is not None and w_star.shape != (n, n):
+            raise ConfigError(f"w_star must be {n} x {n}")
+        try:
+            weight = make_weight(scaffold.a, w_star)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     else:
         raise ConfigError(f"unknown scaffold kind {kind!r}")
     if scaffold.k <= 2:
         raise KTooSmall(f"risk curves need k > 2, got k={scaffold.k}")
-    direction = None if v["mu_direction"] is None else np.asarray(v["mu_direction"], dtype=float)
+    direction = None
+    if v["mu_direction"] is not None:
+        direction = _float_array(v["mu_direction"], "mu_direction")
+        if direction.shape != (scaffold.k,) or not direction.any():
+            raise ConfigError(f"mu_direction must be a nonzero vector of length k = {scaffold.k}")
     grid = np.linspace(v["delta_start"], v["delta_stop"], v["delta_points"])
     holds = dominance_check(scaffold, weight).holds
     rows = []

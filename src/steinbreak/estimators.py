@@ -162,7 +162,7 @@ def fit_unrestricted(data: RegressionData, partition: Partition) -> CoefEstimate
 
 
 def _restricted_ls(grams: np.ndarray, zys: np.ndarray, restriction: Restriction) -> np.ndarray:
-    """The package's one restricted least-squares solve, batched.
+    """The restricted least-squares solve of :func:`fit_restricted`, batched.
 
     Minimizes ``delta'G delta - 2 delta'Z'y`` subject to ``R delta = r``,
     with ``G`` block diagonal from ``grams[..., p, :, :] = Z_p'Z_p`` and

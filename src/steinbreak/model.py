@@ -20,6 +20,7 @@ import csv
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,6 +123,25 @@ class Partition:
         return [(b[p], b[p + 1]) for p in range(self.n_segments)]
 
 
+def _null_form(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal null basis of the full-row-rank ``matrix`` and the
+    minimum-norm solution of ``matrix d = rhs``, from one SVD."""
+    u, s, vt = np.linalg.svd(matrix)
+    k = matrix.shape[0]
+    d0 = vt[:k].T @ ((u.T @ rhs) / s)
+    return _readonly(vt[k:].T), _readonly(d0)
+
+
+class RestrictionComponent(NamedTuple):
+    """One independent group of a restriction: its segments (0-based,
+    ascending) and the null form ``(null, d0)`` of its rows on their
+    stacked coefficients."""
+
+    segments: tuple[int, ...]
+    null: np.ndarray
+    d0: np.ndarray
+
+
 @dataclass(frozen=True)
 class Restriction:
     """Linear hypothesis ``matrix @ delta = rhs`` on the stacked coefficients.
@@ -155,6 +175,7 @@ class Restriction:
             raise RestrictionRankDeficient("restriction matrix is row rank deficient")
         object.__setattr__(self, "matrix", _readonly(mat + 0.0))
         object.__setattr__(self, "rhs", _readonly(rhs + 0.0))
+        object.__setattr__(self, "_components", {})
 
     @property
     def k(self) -> int:
@@ -173,9 +194,48 @@ class Restriction:
         (``n_coefs x (n_coefs - k)``) and ``d0`` the minimum-norm solution,
         both from one SVD, computed once per restriction.
         """
-        u, s, vt = np.linalg.svd(self.matrix)
-        d0 = vt[:self.k].T @ ((u.T @ self.rhs) / s)
-        return _readonly(vt[self.k:].T), _readonly(d0)
+        return _null_form(self.matrix, self.rhs)
+
+    def segment_components(self, q: int) -> tuple[RestrictionComponent, ...]:
+        """The restriction split into independent groups of segments.
+
+        With ``q`` coefficients per segment, two segments are coupled when
+        one row of ``matrix`` touches both; a union-find over the segments
+        each row touches gives the groups, ordered by their first segment.
+        Each group carries the null form of its own rows on its own
+        coefficients; a segment no row touches is a group of its own with
+        ``N = I`` and ``d0 = 0``.  The restricted fit is then the sum of one
+        independent fit per group.  Computed once per ``q``.
+        """
+        if q in self._components:
+            return self._components[q]
+        if q < 1 or self.n_coefs % q:
+            raise DimensionMismatch(f"{self.n_coefs} coefficients do not split into segments of {q}")
+        n_seg = self.n_coefs // q
+        touched = [np.flatnonzero(row.reshape(n_seg, q).any(axis=1)) for row in self.matrix]
+        parent = list(range(n_seg))
+
+        def root(p: int) -> int:
+            while parent[p] != p:
+                p = parent[p]
+            return p
+
+        for segs in touched:
+            for p in segs[1:]:
+                parent[root(p)] = root(segs[0])
+        roots = [root(p) for p in range(n_seg)]
+        components = []
+        for r in dict.fromkeys(roots):
+            segs = tuple(p for p in range(n_seg) if roots[p] == r)
+            cols = np.concatenate([np.arange(p * q, (p + 1) * q) for p in segs])
+            rows = [i for i, t in enumerate(touched) if roots[t[0]] == r]
+            if rows:
+                null, d0 = _null_form(self.matrix[np.ix_(rows, cols)], self.rhs[rows])
+            else:
+                null, d0 = _readonly(np.eye(len(cols))), _readonly(np.zeros(len(cols)))
+            components.append(RestrictionComponent(segs, null, d0))
+        self._components[q] = tuple(components)
+        return self._components[q]
 
     def check_dims(self, n_coefs: int) -> None:
         if self.n_coefs != n_coefs:

@@ -14,10 +14,14 @@ recursion over a table of single-segment SSRs finds the global optimum in
 restricted search therefore offers exhaustive enumeration (global, guarded
 by a partition-count budget) and cyclic coordinate refinement of one break
 at a time (fast, flagged non-global).  Both score their candidates in
-batches: every position of one coordinate move, the whole coarse start
-lattice, or a fixed-size chunk of the enumeration is one call to
-:meth:`SegmentMoments.restricted_ssr`, which solves all of them at once in
-the null space of the restriction.
+batches: a coordinate move of every start still refining, the whole coarse
+start lattice, or a fixed-size chunk of the enumeration is one call to
+:meth:`SegmentMoments.restricted_ssr`.  It splits the restriction into
+segment components (:meth:`Restriction.segment_components`; Perron & Qu,
+2006) and adds one score per component, each the Schur complement of that
+component's summed moments in its own null coordinates.  Refinement moves
+its starts in lock step, and a partition's score does not depend on its
+batch, so every start makes the moves of a descent on its own.
 
 Ties between partitions with identical SSR are broken lexicographically on
 the break vector, in every search method, so results are deterministic.
@@ -28,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +41,7 @@ from .errors import (
     InfeasibleConfig,
     SegmentRankDeficient,
 )
-from .estimators import _restricted_ls, fit_restricted, fit_unrestricted
+from .estimators import fit_restricted, fit_unrestricted
 from .model import Partition, RegressionData, Restriction
 
 METHOD_DP = "dynamic-programming"
@@ -194,6 +199,90 @@ def _lu_ssr(mom: np.ndarray, q: int) -> np.ndarray:
         return ssr
 
 
+def _schur_ssr(w: np.ndarray, f: int) -> np.ndarray:
+    """Score ``s - c'A^-1 c`` of each augmented matrix ``w[:, :, i] =
+    [[A, c], [c', s]]``, ``A`` of size ``f``, from its lower triangle;
+    overwrites ``w``.
+
+    Symmetric Gaussian elimination without pivoting: after ``f`` steps the
+    last diagonal entry is the score.  Unlike the SSR table, which keeps the
+    Cholesky factors of ``Z'Z`` for every response, each matrix here is used
+    once, and eliminating it whole takes the fewest array operations.
+    Every operation is elementwise over ``i``.  A matrix with a pivot at or
+    below ``_PIVOT_FLOOR`` of its diagonal entry, or NaN, is scored by
+    :func:`_lu_ssr` instead, so it gets ``+inf`` exactly when its LU solve
+    meets a zero pivot, and a vanishing pivot never yields ``-inf``.
+    """
+    if f == 0:
+        return w[0, 0]
+    original = w.copy()
+    floor = _PIVOT_FLOOR * np.diagonal(w)[:, :f]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(f):
+            col = w[j + 1:, j]
+            w[j + 1:, j + 1:] -= (col / w[j, j])[:, None] * col
+    fallback = np.flatnonzero(~(np.diagonal(w)[:, :f] > floor).all(axis=1))
+    ssr = w[f, f]
+    if len(fallback):
+        mom = np.tril(np.moveaxis(original[:, :, fallback], 2, 0))
+        ssr[fallback] = _lu_ssr(mom + np.swapaxes(np.tril(mom, -1), 1, 2), f)
+    return ssr
+
+
+class _ComponentLayout(NamedTuple):
+    """How :meth:`SegmentMoments.restricted_ssr` scores one restriction.
+
+    The segments are laid out in slots, grouped by component
+    (:meth:`Restriction.segment_components`): ``slots[i]`` is the segment
+    in slot ``i`` and ``basis[i]`` its ``B_p = [[N_p, d0_p], [0, -1]]``,
+    ``N_p`` and ``d0_p`` the segment's rows of its component's null form,
+    with ``u_p = (d_p, -1) = B_p (theta, 1)``.  Every component is padded
+    to the widest null space ``F``: its ``f`` null coordinates come first,
+    then ``F - f`` unit pivots, then the constant.  A unit pivot's row and
+    column are exact zeros off the diagonal, so padding leaves a score bit
+    for bit unchanged.  ``heads`` is the first
+    slot of each component, ``tails`` lists ``(components, slots)`` pairs
+    whose moments are added to those components, in slot order, and
+    ``pad`` the ``(coordinate, component)`` pairs of the unit pivots.
+    """
+
+    slots: np.ndarray
+    basis: np.ndarray
+    heads: np.ndarray
+    tails: tuple
+    pad: tuple
+
+
+def _component_layout(restriction: Restriction, q: int) -> _ComponentLayout:
+    """The :class:`_ComponentLayout` of ``restriction`` on ``q`` regressors."""
+    components = restriction.segment_components(q)
+    width = max(comp.null.shape[1] for comp in components)
+    slots, heads, tails, pad, bases = [], [], {}, ([], []), []
+    for c, comp in enumerate(components):
+        f = comp.null.shape[1]
+        heads.append(len(slots))
+        pad[0].extend(range(f, width))
+        pad[1].extend([c] * (width - f))
+        for i, p in enumerate(comp.segments):
+            if i:
+                tails.setdefault(i, ([], []))
+                tails[i][0].append(c)
+                tails[i][1].append(len(slots))
+            basis = np.zeros((q + 1, width + 1))
+            basis[:q, :f] = comp.null[i * q:(i + 1) * q]
+            basis[:q, width] = comp.d0[i * q:(i + 1) * q]
+            basis[q, width] = -1.0
+            slots.append(p)
+            bases.append(basis)
+    return _ComponentLayout(
+        slots=np.array(slots),
+        basis=np.array(bases),
+        heads=np.array(heads),
+        tails=tuple((np.array(cs), np.array(ss)) for cs, ss in tails.values()),
+        pad=(np.array(pad[0], dtype=np.intp), np.array(pad[1], dtype=np.intp)),
+    )
+
+
 class SegmentMoments:
     """Search state of one dataset, shared by both searches: prefix sums of
     ``w w'`` with ``w = (z, y)``, single-segment SSR tables, the unrestricted
@@ -222,6 +311,7 @@ class SegmentMoments:
         self._tables: dict[int, np.ndarray] = {}
         self._optima: dict[tuple[int, int], tuple[int, ...]] = {}
         self._excluded: list[tuple[int, int]] = []
+        self._prefix: tuple | None = None
 
     def with_response(self, y: np.ndarray) -> SegmentMoments:
         """A fresh search state for response ``y`` on the same regressors.
@@ -248,34 +338,60 @@ class SegmentMoments:
         """Restricted-LS SSR of each row of segment boundaries.
 
         Row ``i`` of the integer array ``bounds`` is ``(0, T_1, ..., T_m, T)``.
-        With the segments' moments ``M_p`` (one prefix-sum difference) and
-        ``u_p = (d_p, -1)``, the SSR is ``sum_p u_p'M_p u_p``.  All rows are
-        solved as one batch; a row whose constrained normal equations are
-        singular, whose score is NaN, or with an excluded segment gets
-        ``+inf``.
+        The SSR is a sum of one score per component of the restriction
+        (:meth:`Restriction.segment_components`), added in component order.
+        A component's score is read from its summed moments
+        ``W = sum_p B_p'M_p B_p`` (see :meth:`_component_prefix`), without
+        forming ``delta``: it is the Schur complement ``s - c'A^-1 c`` of
+        ``W = [[A, c], [c', s]]``, by :func:`_schur_ssr`.  Every operation
+        is elementwise over the rows, so a row's score does not depend on
+        its batch.  A row gets ``+inf`` when some component's ``A`` meets a
+        zero pivot in an LU solve, when its score is NaN, or when it has a
+        segment inside an excluded one.
         """
-        q = self.n_regressors
-        mom = self._cum[bounds[:, 1:]] - self._cum[bounds[:, :-1]]
-        grams, zys = mom[..., :q, :q], mom[..., :q, q]
-        u = np.empty(mom.shape[:-1])
-        try:
-            delta = _restricted_ls(grams, zys, restriction)
-        except np.linalg.LinAlgError:
-            # A batched solve fails as a whole; find the singular rows.
-            delta = np.full((len(bounds), u.shape[1] * q), np.nan)
-            for i in range(len(bounds)):
-                try:
-                    delta[i] = _restricted_ls(grams[i], zys[i], restriction)
-                except np.linalg.LinAlgError:
-                    pass
-        u[..., :q] = delta.reshape(len(bounds), -1, q)
-        u[..., q] = -1.0
-        ssr = np.einsum("bpi,bpij,bpj->b", u, mom, u)
+        layout, prefix = self._component_prefix(restriction)
+        base = np.arange(len(layout.slots))[:, None] * (self.n_obs + 1)
+        moments = np.take(prefix, bounds[:, layout.slots + 1].T + base, axis=2)
+        moments -= np.take(prefix, bounds[:, layout.slots].T + base, axis=2)
+        # each component's moments, summed over its segments in slot order
+        w = moments[:, :, layout.heads]
+        for components, slots in layout.tails:
+            w[:, :, components] += moments[:, :, slots]
+        w[layout.pad[0], layout.pad[0], layout.pad[1]] = 1.0
+        width = w.shape[0] - 1
+        ssr = _schur_ssr(w.reshape(width + 1, width + 1, -1), width)
+        ssr = ssr.reshape(len(layout.heads), len(bounds)).sum(axis=0)
         ssr[np.isnan(ssr)] = np.inf
         for s, e in self._excluded:
             inside = (bounds[:, :-1] >= s) & (bounds[:, 1:] <= e)
             ssr[inside.any(axis=1)] = np.inf
         return ssr
+
+    def _component_prefix(self, restriction: Restriction) -> tuple[_ComponentLayout, np.ndarray]:
+        """The restriction's :class:`_ComponentLayout` and the prefix sums
+        of every slot's moments in its component's coordinates, kept for
+        the last restriction scored.
+
+        A segment's moments in those coordinates are ``B_p'M_p B_p``, so the
+        prefix sums ``B_p'C_t B_p`` of the augmented Grams ``C_t`` give them
+        by one difference: ``prefix[a, b, i * (T + 1) + t]`` is entry
+        ``(a, b)`` of ``B'C_t B`` for slot ``i``.  Only its lower triangle
+        is read.
+        """
+        if self._prefix is not None and self._prefix[0] is restriction:
+            return self._prefix[1]
+        q, t_total = self.n_regressors, self.n_obs
+        layout = _component_layout(restriction, q)
+        n_slots, _, width = layout.basis.shape
+        # C_t B for every slot in one product, then B' (C_t B) slot by slot
+        half = (self._cum.reshape(-1, q + 1) @ np.hstack(layout.basis)).reshape(
+            t_total + 1, q + 1, n_slots, width
+        )
+        half = np.ascontiguousarray(half.transpose(2, 1, 0, 3)).reshape(n_slots, q + 1, -1)
+        prefix = (np.swapaxes(layout.basis, 1, 2) @ half).reshape(n_slots, width, t_total + 1, width)
+        prefix = np.ascontiguousarray(prefix.transpose(1, 3, 0, 2)).reshape(width, width, -1)
+        self._prefix = (restriction, (layout, prefix))
+        return layout, prefix
 
     def ssr_table(self, min_len: int) -> np.ndarray:
         """Table ``tab[i, j]`` = OLS SSR of observations ``i..j`` inclusive.
@@ -611,50 +727,59 @@ def _refine(t_total, m, min_len, objective, init) -> tuple[tuple[int, ...], int]
     """Cyclic coordinate descent from ``init`` and, for ``m >= 2``, from
     coarse-lattice starts; returns the best end point and the total cycles.
 
-    ``objective`` maps a ``(rows, m)`` array of break vectors to scores.
+    ``objective`` maps a ``(rows, m)`` array of break vectors to scores,
+    and a row's score must not depend on its batch.  The starts advance in
+    lock step: for each cycle and coordinate, one ``objective`` call scores
+    the candidates of every start still moving.  A start stops after a
+    cycle without a move or after ``MAX_REFINE_CYCLES`` cycles, so each
+    start makes the moves, and counts the cycles, of a descent on its own.
     """
-
-    def refine_from(start: tuple[int, ...]) -> tuple[tuple[int, ...], float, int]:
-        bounds = np.array(start, dtype=np.intp)
-        current = objective(bounds[None, :])[0]
-        cycles = 0
-        for cycles in range(1, MAX_REFINE_CYCLES + 1):
-            moved = False
-            for p in range(m):
-                lo = (bounds[p - 1] if p > 0 else 0) + min_len
-                hi = (bounds[p + 1] if p + 1 < m else t_total) - min_len
-                cand = np.arange(lo, hi + 1)
-                cand = cand[cand != bounds[p]]
-                if not len(cand):
-                    continue
-                trials = np.repeat(bounds[None, :], len(cand), axis=0)
-                trials[:, p] = cand
-                vals = objective(trials)
-                i = int(np.argmin(vals))
-                if vals[i] < current:
-                    bounds[p], current = cand[i], vals[i]
-                    moved = True
-            if not moved:
-                break
-        return tuple(int(b) for b in bounds), current, cycles
-
     starts = [init]
     # Single-coordinate moves cannot cross SSR valleys when several breaks
     # must shift together, so for m >= 2 a few coarse-lattice starts are
     # refined as well (the best end point wins; result stays non-global).
     if m >= 2:
         starts.extend(_coarse_starts(t_total, m, min_len, objective, init))
-    best_bounds: tuple[int, ...] | None = None
+    bounds = np.array(starts, dtype=np.intp).reshape(len(starts), m)
+    current = objective(bounds)
+    cycles = np.zeros(len(starts), dtype=int)
+    active = np.arange(len(starts))
+    for cycle in range(1, MAX_REFINE_CYCLES + 1):
+        if not len(active):
+            break
+        cycles[active] = cycle
+        moved = np.zeros(len(starts), dtype=bool)
+        for p in range(m):
+            # every feasible position of break p but the current one, start
+            # by start; a feasible partition keeps it inside [lo, hi]
+            lo = (bounds[active, p - 1] if p > 0 else 0) + min_len
+            hi = (bounds[active, p + 1] if p + 1 < m else t_total) - min_len
+            counts = np.broadcast_to(hi - lo, active.shape)  # scalars when m = 1
+            if not counts.any():
+                continue
+            owner = np.repeat(np.arange(len(active)), counts)
+            first = np.cumsum(counts) - counts
+            cand = np.arange(len(owner)) - (first - lo)[owner]
+            cand += cand >= bounds[active, p][owner]
+            trials = bounds[active[owner]]
+            trials[:, p] = cand
+            vals = objective(trials)
+            for s, i0, n in zip(active, first, counts):
+                if n:
+                    i = i0 + int(np.argmin(vals[i0:i0 + n]))
+                    if vals[i] < current[s]:
+                        bounds[s, p], current[s] = cand[i], vals[i]
+                        moved[s] = True
+        active = active[moved[active]]
+    best: tuple[int, ...] | None = None
     best_val = np.inf
-    total_cycles = 0
-    for start in starts:
-        bounds, val, cycles = refine_from(start)
-        total_cycles += cycles
-        if np.isfinite(val) and (val < best_val or (val == best_val and bounds < best_bounds)):
-            best_bounds, best_val = bounds, val
-    if best_bounds is None:
+    for row, val in zip(bounds, current):
+        row = tuple(int(b) for b in row)
+        if np.isfinite(val) and (val < best_val or (val == best_val and row < best)):
+            best, best_val = row, val
+    if best is None:
         raise SegmentRankDeficient("no refinement start produced an estimable fit")
-    return best_bounds, total_cycles
+    return best, int(cycles.sum())
 
 
 # Refinement seeds: the best _COARSE_STARTS partitions on a lattice with

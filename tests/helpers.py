@@ -40,6 +40,24 @@ def random_restriction(rng, n_coefs, k):
     return Restriction(matrix=mat, rhs=rng.normal(size=k))
 
 
+def segment_sparse_restriction(rng, m, q):
+    """Full-row-rank random restriction on ``m + 1`` segments of ``q``
+    coefficients whose rows each touch one to three segments, so that it
+    splits into one or more segment components; the right-hand side is
+    nonzero half of the time."""
+    n_seg = m + 1
+    n = n_seg * q
+    while True:
+        k = int(rng.integers(1, n))
+        mat = np.zeros((k, n))
+        for row in mat:
+            for p in rng.choice(n_seg, size=int(rng.integers(1, min(3, n_seg) + 1)), replace=False):
+                cols = rng.choice(q, size=int(rng.integers(1, q + 1)), replace=False)
+                row[p * q + cols] = rng.normal(size=len(cols))
+        if np.linalg.matrix_rank(mat) == k:
+            return Restriction(matrix=mat, rhs=rng.normal(size=k) * rng.integers(0, 2))
+
+
 def nullspace_restricted_fit(data, partition, restriction):
     """Independent constrained-LS oracle via null-space reparameterization.
 
@@ -201,3 +219,36 @@ def suffix_dp_reference(tab, m, min_len):
             lo, hi = j + min_len, t_total - c * min_len
             best[j, c] = (tab[j, lo - 1:hi] + best[lo:hi + 1, c - 1]).min()
     return best
+
+
+def nullspace_kernel_ssr(cum, bounds, restriction):
+    """Restricted SSR of each row of ``bounds`` from prefix-sum moments by
+    one ``(n - k)``-wide null-space solve per row, on the null form of the
+    whole restriction.
+
+    ``delta = d0 + N theta`` with ``(N'GN) theta = N'(Z'y - G d0)``, and
+    the SSR is ``sum_p u_p'M_p u_p`` with ``u_p = (d_p, -1)``.  A row whose
+    ``N'GN`` meets an exact zero LU pivot, or whose SSR is NaN, gets
+    ``+inf``; excluded segments are not known here.
+    """
+    bounds = np.atleast_2d(bounds)
+    mom = cum[bounds[:, 1:]] - cum[bounds[:, :-1]]
+    n_seg, q = mom.shape[1], mom.shape[-1] - 1
+    n = n_seg * q
+    null, d0 = restriction.null_form
+    f = null.shape[1]
+    ssr = np.empty(len(bounds))
+    for i, moments in enumerate(mom):
+        delta = d0
+        if f:
+            gn = (moments[:, :q, :q] @ null.reshape(n_seg, q, f)).reshape(n, f)
+            c = moments[:, :q, q].reshape(n) @ null - d0 @ gn
+            try:
+                delta = d0 + null @ np.linalg.solve(null.T @ gn, c)
+            except np.linalg.LinAlgError:
+                ssr[i] = np.inf
+                continue
+        u = np.column_stack([delta.reshape(n_seg, q), -np.ones(n_seg)])
+        ssr[i] = np.einsum("pi,pij,pj->", u, moments, u)
+    ssr[np.isnan(ssr)] = np.inf
+    return ssr

@@ -244,6 +244,33 @@ BAD_CONFIGS = {
     "min-seg-frac-range": ("simulate", {"case": 1, "t": 40, "reps": 2, "min_seg_frac": 2.0}),
     "min-seg-frac-no-partition": ("fit", {"min_seg_frac": 0.6}),
     "min-seg-frac-no-design-partition": ("simulate", {"case": 1, "t": 40, "reps": 2, "min_seg_frac": 0.3}),
+    "explicit-gamma-text": ("risk", {"scaffold": {"kind": "explicit", "gamma": "x", "omega": [[1]], "matrix": [[1]]}}),
+    "explicit-matrix-text": (
+        "risk", {"scaffold": {"kind": "explicit", "gamma": [[1]], "omega": [[1]], "matrix": [["a"]]}}
+    ),
+    "explicit-rhs-text": (
+        "risk", {"scaffold": {"kind": "explicit", "gamma": [[1]], "omega": [[1]], "matrix": [[1]], "rhs": ["b"]}}
+    ),
+    "explicit-omega-shape": (
+        "risk", {"scaffold": {"kind": "explicit", "gamma": [[1, 0], [0, 1]], "omega": [[1]], "matrix": [[1, 0]]}}
+    ),
+    "explicit-w-star-shape": (
+        "risk",
+        {"scaffold": {"kind": "explicit", "gamma": [[1]], "omega": [[1]], "matrix": [[1]]}, "w_star": [[1, 0]]},
+    ),
+    "mu-direction-length": ("risk", {"mu_direction": [1, 2]}),
+    "mu-direction-text": ("risk", {"mu_direction": ["a", "b", "c", "d"]}),
+    "delta0-length": (
+        "simulate",
+        {"m": 1, "q": 2, "true_breaks": [20], "delta0": [1, 2, 3],
+         "restriction": {"pattern": "zero-segment", "segment": 1}, "t": 40, "reps": 2},
+    ),
+    "true-breaks-past-t": (
+        "simulate",
+        {"m": 1, "q": 2, "true_breaks": [60], "delta0": [1, 2, 3, 4],
+         "restriction": {"pattern": "zero-segment", "segment": 1}, "t": 40, "reps": 2},
+    ),
+    "restriction-matrix-text": ("fit", {"restriction": {"matrix": [["x"]]}}),
 }
 
 

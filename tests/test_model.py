@@ -176,6 +176,56 @@ def test_block_restriction_rows_in_order():
             block_restriction(2, 2, no_rows)
 
 
+def test_segment_components_of_the_canned_and_trend_restrictions():
+    from steinbreak.cli import restriction_from_spec
+    from steinbreak.simulation import build_case1, build_case2
+
+    # (segments, null width) per component, in order of the first segment
+    expected = {
+        "case1": (build_case1(100, n_reps=1).restriction, 2, [((0, 2), 2), ((1,), 0), ((3,), 0)]),
+        "case2": (build_case2(100, n_reps=1).restriction, 5, [((0, 2), 5), ((1,), 4), ((3,), 3), ((4,), 5)]),
+        "linear-trend": (
+            restriction_from_spec({"pattern": "linear-trend"}, 2, 4), 4, [((0,), 2), ((1,), 2), ((2,), 2)]
+        ),
+    }
+    for label, (restr, q, layout) in expected.items():
+        components = restr.segment_components(q)
+        assert [(c.segments, c.null.shape[1]) for c in components] == layout, label
+        assert restr.segment_components(q) is components
+        for comp in components:
+            assert comp.null.shape[0] == comp.d0.shape[0] == len(comp.segments) * q
+            assert not comp.d0.any(), label
+    # segment 5 of case 2 is touched by no row: the identity, d0 = 0
+    free = build_case2(100, n_reps=1).restriction.segment_components(5)[3]
+    assert np.array_equal(free.null, np.eye(5))
+
+
+def test_segment_components_assemble_the_whole_null_form():
+    # the components' null bases, placed in their segments' columns, are
+    # an orthonormal basis of ker(R), and their d0 solve R d = r
+    from helpers import segment_sparse_restriction
+
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        m, q = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        restr = segment_sparse_restriction(rng, m, q)
+        n = (m + 1) * q
+        blocks, d0 = [], np.zeros(n)
+        for comp in restr.segment_components(q):
+            cols = np.concatenate([np.arange(p * q, (p + 1) * q) for p in comp.segments])
+            block = np.zeros((n, comp.null.shape[1]))
+            block[cols] = comp.null
+            blocks.append(block)
+            d0[cols] = comp.d0
+        null = np.hstack(blocks)
+        assert null.shape[1] == n - restr.k
+        assert_allclose(null.T @ null, np.eye(n - restr.k), atol=1e-12)
+        assert_allclose(restr.matrix @ null, 0.0, atol=1e-12)
+        assert_allclose(restr.matrix @ d0, restr.rhs, atol=1e-12)
+    with pytest.raises(DimensionMismatch):
+        Restriction(matrix=np.eye(3), rhs=np.zeros(3)).segment_components(2)
+
+
 def test_restriction_k_and_dims():
     restr = Restriction(matrix=np.eye(3), rhs=np.zeros(3))
     assert restr.k == 3

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -8,9 +9,11 @@ from helpers import (
     kkt_restricted_ssr,
     lu_ssr_table,
     moment_prefix_sums,
+    nullspace_kernel_ssr,
     nullspace_restricted_fit,
     random_instance,
     random_restriction,
+    segment_sparse_restriction,
     sequential_refine,
     suffix_dp_reference,
 )
@@ -316,6 +319,107 @@ def test_restricted_kernel_three_ways_agree():
                 assert_allclose(fit.delta, delta_ns, rtol=1e-10, atol=1e-10 * np.max(np.abs(delta_ns)))
 
 
+def random_bounds(rng, t_total, m, min_len, rows):
+    """``rows`` random boundary rows ``(0, T_1, ..., T_m, T)`` with every
+    segment at least ``min_len`` long."""
+    out = []
+    while len(out) < rows:
+        b = np.sort(rng.choice(np.arange(min_len, t_total - min_len + 1), size=m, replace=False))
+        if np.all(np.diff(np.r_[0, b, t_total]) >= min_len):
+            out.append((0, *b, t_total))
+    return np.array(out)
+
+
+def test_component_scores_match_the_full_null_space_kernel():
+    # one score per restriction component, summed, against one null-space
+    # solve on the whole restriction, on 240 random (R, r): 200 that split
+    # into segment components and 40 dense ones, r != 0 on most of them
+    rng = np.random.default_rng(2026)
+    n_components = []
+    for i in range(240):
+        q, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        t_total = int(rng.integers((m + 1) * (2 * q + 2) + 6, 81))
+        data = RegressionData(y=rng.normal(size=t_total), z=rng.normal(1.0, 1.0, size=(t_total, q)))
+        n = (m + 1) * q
+        if i < 200:
+            restr = segment_sparse_restriction(rng, m, q)
+        else:
+            restr = random_restriction(rng, n, int(rng.integers(1, n + 1)))
+        n_components.append(len(restr.segment_components(q)))
+        rows = random_bounds(rng, t_total, m, 2 * q + 2, 20)
+        scores = SegmentMoments(data).restricted_ssr(rows, restr)
+        assert_allclose(scores, nullspace_kernel_ssr(moment_prefix_sums(data), rows, restr), rtol=1e-12)
+    assert np.bincount(n_components)[1:].min() >= 5
+
+
+def test_restricted_score_bits_do_not_depend_on_the_batch():
+    from steinbreak.simulation import build_case2, simulate_dataset
+
+    rng = np.random.default_rng(18)
+    design = build_case2(100, n_reps=1)
+    data = simulate_dataset(design, 1.5, rng)
+    restrictions = [design.restriction, segment_sparse_restriction(rng, 4, 5)]
+    restrictions.append(random_restriction(rng, 25, 7))
+    rows = random_bounds(rng, 100, 4, 5, 60)
+    for restr in restrictions:
+        stats = SegmentMoments(data)
+        whole = stats.restricted_ssr(rows, restr)
+        order = rng.permutation(len(rows))
+        assert np.array_equal(stats.restricted_ssr(rows[order], restr), whole[order])
+        for chunk in np.array_split(np.arange(len(rows)), 7):
+            assert np.array_equal(SegmentMoments(data).restricted_ssr(rows[chunk], restr), whole[chunk])
+        for i in (0, 17, 59):
+            assert np.array_equal(stats.restricted_ssr(rows[i:i + 1], restr), whole[i:i + 1])
+
+
+def test_restricted_inf_pattern_matches_the_full_null_space_kernel():
+    # x is exactly zero over the first 8 observations, so some segment
+    # Grams and some null-space Grams are exactly singular; the scores are
+    # +inf on the rows the full kernel's LU solve finds singular and on
+    # every row with a segment inside an excluded one, and nowhere else
+    rng = np.random.default_rng(15)
+    t_total = 30
+    n_inf = 0
+    for trial in range(24):
+        x = rng.normal(size=t_total)
+        x[:8] = 0.0
+        data = RegressionData(y=rng.normal(size=t_total), z=np.column_stack([np.ones(t_total), x]))
+        m = 1 + trial % 2
+        restr = [
+            random_restriction(rng, 2 * (m + 1), 1 + trial % 2),
+            Restriction(matrix=np.eye(2 * (m + 1))[[0]], rhs=np.array([0.5])),
+            segment_sparse_restriction(rng, m, 2),
+            Restriction(matrix=np.eye(2 * (m + 1))[[2 * m + 1]], rhs=np.array([1.0])),
+        ][trial % 4]
+        rows = np.array([
+            (0, *c, t_total) for c in itertools.combinations(range(2, t_total - 1), m)
+            if all(b - a >= 2 for a, b in zip((0, *c), (*c, t_total)))
+        ])
+        stats = SegmentMoments(data)
+        expected = np.isinf(nullspace_kernel_ssr(moment_prefix_sums(data), rows, restr))
+        assert np.array_equal(np.isinf(stats.restricted_ssr(rows, restr)), expected), trial
+        n_inf += expected.sum()
+        s, e = sorted(rng.choice(np.arange(t_total + 1), size=2, replace=False))
+        stats.exclude([(s, e)])
+        expected |= ((rows[:, :-1] >= s) & (rows[:, 1:] <= e)).any(axis=1)
+        assert np.array_equal(np.isinf(stats.restricted_ssr(rows, restr)), expected), trial
+    assert n_inf > 0
+
+
+def test_schur_score_leaves_vanishing_pivots_to_lu():
+    # column 0: A = [[1, 1], [1, 1]] with c outside its range, where the
+    # elimination's second pivot is exactly 0 and would give -inf; column
+    # 1: a pivot at 1e-15 of its diagonal; column 2: a well-posed matrix
+    singular = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 2.0], [1.0, 2.0, 5.0]])
+    near = np.array([[1.0, 1.0, 0.5], [1.0, 1.0 + 1e-15, 0.25], [0.5, 0.25, 3.0]])
+    regular = np.array([[4.0, 1.0, 2.0], [1.0, 3.0, -1.0], [2.0, -1.0, 6.0]])
+    w = np.stack([singular, near, regular], axis=2)
+    scores = segmentation._schur_ssr(w.copy(), 2)
+    assert scores[0] == np.inf
+    assert scores[1] == segmentation._lu_ssr(near[None], 2)[0]
+    assert_allclose(scores[2], 6.0 - regular[:2, 2] @ np.linalg.solve(regular[:2, :2], regular[:2, 2]), rtol=1e-14)
+
+
 def test_breaks_invariant_under_response_scaling():
     # (y, r) -> (c y, c r) scales every fit and every SSR by c and c^2
     rng = np.random.default_rng(11)
@@ -470,7 +574,7 @@ def test_batch_with_one_singular_candidate():
 
 
 def test_nan_score_is_never_chosen(monkeypatch):
-    # a NaN coefficient for the partition every search would pick must
+    # a NaN component score for the partition every search would pick must
     # neither be returned nor stop the search at a worse partition
     rng = np.random.default_rng(16)
     y = np.concatenate([rng.normal(0.0, 0.1, 12), rng.normal(3.0, 0.1, 12)])
@@ -478,17 +582,20 @@ def test_nan_score_is_never_chosen(monkeypatch):
     restr = Restriction(matrix=np.array([[1.0, 0.0]]), rhs=np.zeros(1))
     best = find_breaks_restricted(data, restr, SearchConfig(m=1, method=METHOD_EXHAUSTIVE))
     first_len = best.partition.breaks[0]
-    original = segmentation._restricted_ls
+    original = segmentation._schur_ssr
 
-    def poisoned(grams, zys, restriction):
-        delta = original(grams, zys, restriction)
-        # with z = 1, the first segment's Gram is its length
-        delta[grams[..., 0, 0, 0] == first_len] = np.nan
-        return delta
+    def poisoned(w, f):
+        # R zeroes segment 1, so segment 2 is a free component of its own;
+        # with z = 1, its Gram is its length (segment 1's pivot is the unit pad)
+        hit = w[0, 0] == 24 - first_len
+        ssr = original(w, f)
+        ssr[hit] = np.nan
+        return ssr
 
-    monkeypatch.setattr(segmentation, "_restricted_ls", poisoned)
+    monkeypatch.setattr(segmentation, "_schur_ssr", poisoned)
     stats = SegmentMoments(data)
     assert stats.restricted_ssr(np.array([(0, first_len, 24)]), restr)[0] == np.inf
+    assert np.isfinite(stats.restricted_ssr(np.array([(0, first_len + 1, 24)]), restr)[0])
     for method in (METHOD_EXHAUSTIVE, METHOD_REFINE):
         res = find_breaks_restricted(data, restr, SearchConfig(m=1, method=method))
         assert res.partition.breaks != best.partition.breaks, method
