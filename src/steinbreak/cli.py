@@ -150,8 +150,10 @@ ALLOWED: dict[str, tuple] = {
 RANGES: dict[str, tuple] = {
     "m": (0, False),
     "q": (1, False),
+    "t": (2, False),
     "min_seg_frac": (0.0, True, 1.0),
     "hac_bandwidth": (0, False),
+    "exhaustive_budget": (1, False),
     "bootstrap_b": (1, False),
     "reps": (1, False),
     "sigma2_grid": (0.0, True),
@@ -160,6 +162,7 @@ RANGES: dict[str, tuple] = {
     "delta_points": (0, False),
     "seed": (0, False),
     "n_samples": (MIN_SAMPLES, False),
+    "n_setups": (1, False),
 }
 
 
@@ -480,6 +483,7 @@ def _design_from_config(cfg: RunConfig) -> SimDesign:
         if missing:
             raise ConfigError(f"custom design needs keys {missing}")
         m, q, n_obs, breaks = v["m"], v["q"], v["t"], v["true_breaks"]
+        _check_segments_fit(m, v["min_seg_frac"], n_obs, q)
         integral = all(isinstance(b, int) and not isinstance(b, bool) for b in breaks)
         if len(breaks) != m or not integral or not all(a < b for a, b in zip([0, *breaks], [*breaks, n_obs])):
             raise ConfigError(f"true_breaks must be {m} increasing integers in 1..{n_obs - 1}, got {breaks}")
@@ -499,9 +503,10 @@ def _design_from_config(cfg: RunConfig) -> SimDesign:
             **common,
         )
     else:
-        builder = build_case1 if v["case"] == 1 else build_case2
+        # (m, q) of the canned design, checked before its builder places the breaks
+        builder, m, q = (build_case1, 3, 2) if v["case"] == 1 else (build_case2, 4, 5)
+        _check_segments_fit(m, v["min_seg_frac"], v["t"], q)
         design = builder(n_obs=v["t"], **common)
-    _check_segments_fit(design.m, v["min_seg_frac"], design.n_obs, design.q)
     return dataclasses.replace(
         design,
         sigma2_grid=tuple(float(s) for s in v["sigma2_grid"]),

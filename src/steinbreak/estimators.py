@@ -6,7 +6,7 @@ steered by the Wald-type distance
 
     psi = T (delta_re - delta_ue)' A_hat (delta_re - delta_ue),
 
-where ``A_hat = R'(R Gamma_hat^-1 Omega_hat^-1 Gamma_hat^-1 R')^-1 R`` is built
+where ``A_hat = R'(R Gamma_hat^-1 Omega_hat Gamma_hat^-1 R')^-1 R`` is built
 from the scaled design Gram matrix ``Gamma_hat = Zbar'Zbar / T`` and a
 heteroskedasticity-robust (optionally autocorrelation-robust) score
 covariance ``Omega_hat``.  A shrinkage rule ``h`` maps psi to a mixing factor:
@@ -162,31 +162,32 @@ def fit_unrestricted(data: RegressionData, partition: Partition) -> CoefEstimate
 
 
 def _restricted_ls(grams: np.ndarray, zys: np.ndarray, restriction: Restriction) -> np.ndarray:
-    """The restricted least-squares solve of :func:`fit_restricted`, batched.
+    """The restricted least-squares solve of :func:`fit_restricted`.
 
     Minimizes ``delta'G delta - 2 delta'Z'y`` subject to ``R delta = r``,
-    with ``G`` block diagonal from ``grams[..., p, :, :] = Z_p'Z_p`` and
-    ``Z'y`` stacked from ``zys[..., p, :] = Z_p'y_p``; leading axes index
-    independent problems sharing the restriction.  Writing
-    ``delta = d0 + N theta`` with :attr:`Restriction.null_form` leaves the
-    unconstrained ``(N'GN) theta = N'(Z'y - G d0)``.  Returns the stacked
-    ``delta`` with shape ``(..., P q)``; raises ``LinAlgError`` when some
-    ``N'GN`` is exactly singular, which, ``R`` having full row rank, is
-    exactly when the constrained normal equations are.
+    with ``G`` block diagonal from ``grams[p] = Z_p'Z_p`` and ``Z'y`` stacked
+    from ``zys[p] = Z_p'y_p``, one solve per component of
+    :meth:`Restriction.segment_components`.  Writing ``delta_c = d0 + N theta``
+    on a component's coefficients leaves the unconstrained
+    ``(N'G_c N) theta = N'(Z_c'y - G_c d0)``; a component of null width 0
+    takes ``delta_c = d0``.  Returns the stacked ``delta``; raises
+    ``LinAlgError`` when some ``N'G_c N`` is exactly singular, which, ``R``
+    having full row rank, is exactly when the constrained normal equations
+    are.
     """
-    *lead, n_seg, q = zys.shape
-    n = n_seg * q
-    restriction.check_dims(n)
-    null, d0 = restriction.null_form
-    f = null.shape[1]
-    if f == 0:
-        return np.broadcast_to(d0, (*lead, n)).copy()
-    # Every product is stacked, one small product per problem, so a
-    # problem's rounding does not depend on the batch it is solved in.
-    gn = (grams.reshape(-1, n_seg, q, q) @ null.reshape(n_seg, q, f)).reshape(-1, n, f)
-    c = (zys.reshape(-1, 1, n) @ null)[:, 0] - d0 @ gn
-    theta = np.linalg.solve(null.T @ gn, c[..., None])
-    return (d0 + (null @ theta)[..., 0]).reshape(*lead, n)
+    n_seg, q = zys.shape
+    restriction.check_dims(n_seg * q)
+    delta = np.empty((n_seg, q))
+    for segments, null, d0 in restriction.segment_components(q):
+        segments, f = list(segments), null.shape[1]
+        if f == 0:
+            delta[segments] = d0.reshape(-1, q)
+            continue
+        gn = (grams[segments] @ null.reshape(len(segments), q, f)).reshape(-1, f)
+        c = zys[segments].reshape(-1) @ null - d0 @ gn
+        theta = np.linalg.solve(null.T @ gn, c)
+        delta[segments] = (d0 + null @ theta).reshape(-1, q)
+    return delta.reshape(-1)
 
 
 def fit_restricted(
@@ -194,9 +195,9 @@ def fit_restricted(
 ) -> CoefEstimate:
     """Least squares subject to ``R delta = r``.
 
-    Runs the restricted solve (:func:`_restricted_ls`, a batch of one) on
-    each segment's data rows, ``Z_p'Z_p`` and ``Z_p'y_p``, and reports the
-    SSR from explicit residuals.
+    Runs the restricted solve (:func:`_restricted_ls`, one per restriction
+    component) on each segment's data rows, ``Z_p'Z_p`` and ``Z_p'y_p``, and
+    reports the SSR from explicit residuals.
 
     Raises
     ------

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -149,7 +148,7 @@ class Restriction:
     ``matrix`` must have full row rank; rank is verified numerically at
     construction (smallest singular value above ``RANK_RTOL`` times the
     largest).  Both arrays are stored ``+ 0.0``, so that a ``-0.0`` entry
-    gives the same restriction, null basis included, as ``+0.0``.
+    gives the same restriction, component null bases included, as ``+0.0``.
     """
 
     matrix: np.ndarray
@@ -186,16 +185,6 @@ class Restriction:
     def n_coefs(self) -> int:
         return self.matrix.shape[1]
 
-    @cached_property
-    def null_form(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(N, d0)`` with ``R d = r`` exactly when ``d = d0 + N theta``.
-
-        ``N`` is an orthonormal basis of the null space of ``matrix``
-        (``n_coefs x (n_coefs - k)``) and ``d0`` the minimum-norm solution,
-        both from one SVD, computed once per restriction.
-        """
-        return _null_form(self.matrix, self.rhs)
-
     def segment_components(self, q: int) -> tuple[RestrictionComponent, ...]:
         """The restriction split into independent groups of segments.
 
@@ -204,8 +193,9 @@ class Restriction:
         each row touches gives the groups, ordered by their first segment.
         Each group carries the null form of its own rows on its own
         coefficients; a segment no row touches is a group of its own with
-        ``N = I`` and ``d0 = 0``.  The restricted fit is then the sum of one
-        independent fit per group.  Computed once per ``q``.
+        ``N = I`` and ``d0 = 0``.  The restricted fit and the restricted
+        search score both solve one independent problem per group.  Computed
+        once per ``q``.
         """
         if q in self._components:
             return self._components[q]

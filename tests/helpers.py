@@ -15,6 +15,7 @@ from steinbreak import (
     build_design,
     find_breaks_unrestricted,
 )
+from steinbreak.model import _null_form
 from steinbreak.segmentation import MAX_REFINE_CYCLES
 
 
@@ -235,7 +236,7 @@ def nullspace_kernel_ssr(cum, bounds, restriction):
     mom = cum[bounds[:, 1:]] - cum[bounds[:, :-1]]
     n_seg, q = mom.shape[1], mom.shape[-1] - 1
     n = n_seg * q
-    null, d0 = restriction.null_form
+    null, d0 = _null_form(restriction.matrix, restriction.rhs)
     f = null.shape[1]
     ssr = np.empty(len(bounds))
     for i, moments in enumerate(mom):

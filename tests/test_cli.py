@@ -271,6 +271,10 @@ BAD_CONFIGS = {
          "restriction": {"pattern": "zero-segment", "segment": 1}, "t": 40, "reps": 2},
     ),
     "restriction-matrix-text": ("fit", {"restriction": {"matrix": [["x"]]}}),
+    "n-setups": ("verify", {"n_setups": 0, "n_samples": 10000}),
+    "exhaustive-budget": ("fit", {"exhaustive_budget": -1}),
+    "t-too-small-for-case": ("simulate", {"case": 1, "t": 3}),
+    "t-negative": ("simulate", {"case": 1, "t": -5}),
 }
 
 
@@ -294,6 +298,31 @@ def test_allowed_values_and_ranges_hold_for_schema_defaults():
             assert schemas, key
             for schema in schemas:
                 cli._check_value(key, schema[key][1])
+
+
+def test_every_numeric_key_is_bounded():
+    # an enumerated key (ALLOWED) is bounded by its values
+    unbounded = sorted(
+        {key for schema in SCHEMAS.values() for key, (typ, _) in schema.items() if typ in (int, float)}
+        - set(RANGES)
+        - set(ALLOWED)
+    )
+    assert not unbounded
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_canned_design_is_checked_before_it_is_built(case):
+    # every T either is a config error or builds a design whose segments fit
+    built = 0
+    for t_total in range(2, 41):
+        cfg = RunConfig.from_dict("simulate", {"case": case, "t": t_total})
+        try:
+            design = cli._design_from_config(cfg)
+        except ConfigError:
+            continue
+        cli._check_segments_fit(design.m, design.min_seg_frac, t_total, design.q)
+        built += 1
+    assert built > 0
 
 
 def test_verify_failure_still_writes_report(tmp_path, monkeypatch, capsys):

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 from scipy import special
 from scipy import stats as sps
 
-from helpers import nullspace_restricted_fit, random_restriction
+from helpers import kkt_restricted_ls, nullspace_restricted_fit, random_restriction, segment_sparse_restriction
 from steinbreak import (
     CoefEstimate,
     KTooSmall,
@@ -118,6 +118,32 @@ def test_fit_restricted_matches_nullspace_oracle():
         assert_allclose(fit.delta, delta_o, atol=1e-7)
         gap = np.max(np.abs(restr.matrix @ fit.delta - restr.rhs))
         assert gap <= 1e-8 * (1.0 + np.max(np.abs(restr.rhs)))
+
+
+def test_fit_restricted_per_component_matches_kkt_reference():
+    # segment-sparse restrictions split into several components, some of
+    # null width 0 (every coefficient they hold is fixed by R)
+    rng = np.random.default_rng(15)
+    layouts = []
+    for _ in range(120):
+        m, q = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        restr = segment_sparse_restriction(rng, m, q)
+        components = restr.segment_components(q)
+        layouts.append((len(components), min(c.null.shape[1] for c in components), bool(restr.rhs.any())))
+        t_total = 8 * (m + 1) * q
+        data = RegressionData(y=rng.normal(size=t_total), z=rng.normal(1.0, 1.0, size=(t_total, q)))
+        part = Partition(tuple(sorted(rng.choice(np.arange(q, t_total - q + 1, q), size=m, replace=False))))
+        fit = fit_restricted(data, part, restr)
+        rows = [(data.z[s:e], data.y[s:e]) for s, e in part.segments(t_total)]
+        ref = kkt_restricted_ls(np.array([z.T @ z for z, _ in rows]), np.array([z.T @ y for z, y in rows]), restr)
+        assert np.max(np.abs(fit.delta - ref)) <= 1e-10 * np.max(np.abs(ref)), layouts[-1]
+        resid = data.y - build_design(data, part).zbar @ ref
+        assert abs(fit.ssr - resid @ resid) <= 1e-10 * (resid @ resid)
+        gap = np.max(np.abs(restr.matrix @ fit.delta - restr.rhs))
+        assert gap <= estimators.CONSTRAINT_TOL * (1.0 + np.max(np.abs(restr.rhs)))
+    n_comp, min_width, nonzero_rhs = zip(*layouts)
+    assert set(n_comp) >= {2, 3, 4}
+    assert 0 in min_width and any(nonzero_rhs) and not all(nonzero_rhs)
 
 
 def test_estimate_gamma_constant_regressor():

@@ -149,8 +149,9 @@ def test_restriction_ignores_the_sign_of_zeros():
     assert not np.signbit(flipped.matrix[flipped.matrix == 0.0]).any()
     assert flipped.matrix.tobytes() == plain.matrix.tobytes()
     assert flipped.rhs.tobytes() == plain.rhs.tobytes()
-    for a, b in zip(flipped.null_form, plain.null_form):
-        assert a.tobytes() == b.tobytes()
+    for a, b in zip(flipped.segment_components(2), plain.segment_components(2), strict=True):
+        assert a.segments == b.segments
+        assert a.null.tobytes() == b.null.tobytes() and a.d0.tobytes() == b.d0.tobytes()
 
 
 def test_block_restriction_rows_in_order():
