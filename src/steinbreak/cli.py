@@ -145,8 +145,8 @@ ALLOWED: dict[str, tuple] = {
 }
 
 # key -> (lowest value, whether the lowest value itself is excluded[, an
-# excluded highest value]); a list key bounds each element, and a null value
-# is not bounded.
+# excluded highest value]); a list key bounds each element and must have
+# one, and a null value is not bounded.
 RANGES: dict[str, tuple] = {
     "m": (0, False),
     "q": (1, False),
@@ -159,7 +159,7 @@ RANGES: dict[str, tuple] = {
     "sigma2_grid": (0.0, True),
     "delta_start": (0.0, False),
     "delta_stop": (0.0, False),
-    "delta_points": (0, False),
+    "delta_points": (1, False),
     "seed": (0, False),
     "n_samples": (MIN_SAMPLES, False),
     "n_setups": (1, False),
@@ -168,6 +168,8 @@ RANGES: dict[str, tuple] = {
 
 def _check_value(key: str, value) -> None:
     """Raise ``ConfigError`` if ``value`` is outside ``ALLOWED`` or ``RANGES``."""
+    if key in RANGES and value == []:
+        raise ConfigError(f"config key {key!r} must not be empty")
     for item in value if isinstance(value, list) else [value]:
         if key in ALLOWED and item not in ALLOWED[key]:
             raise ConfigError(f"config key {key!r} must be one of {list(ALLOWED[key])}, got {item!r}")

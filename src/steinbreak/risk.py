@@ -18,10 +18,15 @@ non-surjective linear images of the unrestricted limit.  Risk is expected
 weighted quadratic loss of the limit law under a weight ``W = A^(1/2) W*
 A^(1/2)``; every formula below reduces to expectations of functions of
 noncentral chi-square variables.  Those come from the Poisson-mixture
-series in :func:`nc_chi2_moment`: :func:`rule_expectation` turns a rule
-given in pieces ``a + b/x`` into truncated-moment differences.  Only a
-rule without pieces goes to adaptive quadrature against the noncentral
-density in :func:`nc_chi2_expectation`.
+series in :func:`nc_chi2_moment`, which evaluates a batch of moments of
+one law in one call: one Poisson window, one weight vector and one
+``gammainc`` vector per truncation point, shared by all of them.  Each risk
+evaluation makes one such call: :func:`adr_james_stein` for its three
+inverse moments, :func:`adr_positive_part` for those and its six truncated
+ones, and :func:`adr_class` and :func:`rule_expectation` for the distinct
+moments of a rule given in pieces ``a + b/x``, which they turn into
+truncated-moment differences.  Only a rule without pieces goes to adaptive
+quadrature against the noncentral density in :func:`nc_chi2_expectation`.
 """
 
 from __future__ import annotations
@@ -74,37 +79,8 @@ def _central_terms(kind: str, df: float, power: int, c: float | None):
     return terms
 
 
-def nc_chi2_moment(
-    kind: str,
-    df: int,
-    delta: float,
-    *,
-    tol: float = 1e-10,
-    c: float | None = None,
-    power: int = 0,
-) -> float:
-    """Moment of a noncentral chi-square with ``df`` dof and noncentrality ``delta``.
-
-    Kinds
-    -----
-    - ``"inverse_first"``: E[X^-1] (requires df > 2)
-    - ``"inverse_second"``: E[X^-2] (requires df > 4)
-    - ``"trunc_below"``: E[X^power 1{X < c}] for power in {0, -1, -2}
-      (requires c > 0 and df > 2|power|)
-
-    The value is the Poisson(delta/2) mixture of central chi-square moments
-    with ``df + 2j`` dof.  Terms are summed over a window around the Poisson
-    bulk; because the per-term moments decrease in j, the mass outside the
-    window bounds the truncation error, and the window grows until that
-    bound is below ``tol`` (absolute).
-
-    Raises
-    ------
-    DivergentMoment
-        If ``df`` is too small for the requested moment to exist.
-    NonConvergence
-        If the series needs more than 100000 terms.
-    """
+def _check_moment(kind: str, df, delta: float, tol: float, c, power) -> None:
+    """Raise the error of one moment request, if it has one."""
     if df <= 0:
         raise DivergentMoment(f"df must be positive, got {df}")
     if delta < 0:
@@ -116,7 +92,7 @@ def nc_chi2_moment(
         if df <= needed:
             raise DivergentMoment(f"{kind} needs df > {needed}, got {df}")
     elif kind == MOMENT_TRUNC_BELOW:
-        if c is None or c <= 0:
+        if c is None or not c > 0:
             raise ValueError("trunc_below needs a positive truncation point c")
         if power not in (0, -1, -2):
             raise ValueError(f"trunc_below power must be 0, -1 or -2, got {power}")
@@ -126,31 +102,176 @@ def nc_chi2_moment(
             )
     else:
         raise ValueError(f"unknown moment kind {kind!r}")
+    if not float(df).is_integer():
+        raise ValueError(f"df must be an integer, got {df}")
 
-    terms = _central_terms(kind, float(df), power, c)
+
+def _is_scalar(x) -> bool:
+    """Whether a ``df``, ``c`` or ``power`` argument is one value."""
+    return isinstance(x, (int, float)) or (not isinstance(x, (list, tuple)) and np.ndim(x) == 0)
+
+
+def _flat_list(x, shape: tuple[int, ...]) -> list:
+    """``x`` broadcast to ``shape``, as a flat list of Python scalars."""
+    if isinstance(x, (list, tuple)) and (len(x),) == shape:
+        return list(x)
+    if _is_scalar(x):
+        return [x] * math.prod(shape)
+    return np.broadcast_to(np.asarray(x), shape).ravel().tolist()
+
+
+def _central_rows(requests, j0: int, n: int) -> np.ndarray:
+    """The central moments ``m_j``, ``j = j0 .. j0 + n - 1``, one row per
+    ``(df, c, power)`` request.
+
+    With ``a = df/2 + power``, ``m_j`` is ``gammainc(a + j, c/2)``, over
+    ``2(a + j)`` when ``power = -1`` and over ``4(a + j)(a + j + 1)`` when
+    ``power = -2``: the denominator of :func:`_central_terms`, factor by
+    factor.  Requests with one cut whose ``a`` differ by integers share one
+    ``gammainc`` vector over ``a + j`` and one quotient per power, and each
+    row is a slice of its power's quotient.  At ``c = inf`` the numerator
+    is exactly 1 and no ``gammainc`` is evaluated.
+    """
+    groups: dict[tuple[float, float], list] = {}
+    for row, (df, c, power) in enumerate(requests):
+        shape = df / 2.0 + power
+        groups.setdefault((c, shape % 1.0), []).append((row, shape, int(power)))
+    rows = [None] * len(requests)
+    for (c, _), members in groups.items():
+        shapes = [shape for _, shape, _ in members]
+        base = min(shapes)
+        args = np.arange(base + j0, base + j0 + n + int(max(shapes) - base))
+        numer = np.ones(len(args)) if c == math.inf else special.gammainc(args, c / 2.0)
+        quotients = {0: numer}
+        for row, shape, power in members:
+            if power not in quotients:
+                twice = 2.0 * args
+                quotients[power] = numer / (twice if power == -1 else (twice + 2.0) * twice)
+            start = int(shape - base)
+            rows[row] = quotients[power][start:start + n]
+    return np.array(rows)
+
+
+def _window(lam: float, radius: float, delta: float) -> tuple[int, int]:
+    """The mixture indices ``[jlo, jhi]`` within ``radius`` of the Poisson mean."""
+    jlo = max(0, int(math.floor(lam - radius)))
+    jhi = int(math.ceil(lam + radius))
+    if jhi - jlo + 1 > _MAX_SERIES_TERMS:
+        raise NonConvergence(
+            f"series window exceeded {_MAX_SERIES_TERMS} terms at delta={delta}"
+        )
+    return jlo, jhi
+
+
+def _tail_bound(lam: float, jlo: int, jhi: int, first, after):
+    """Bound on the mixture mass outside ``[jlo, jhi]``: m_j decreases in j,
+    so the mass below is bounded by ``first = m_0`` and the mass above by
+    ``after = m_{jhi+1}``."""
+    err_above = special.pdtrc(jhi, lam) * after
+    return special.pdtr(jlo - 1, lam) * first + err_above if jlo > 0 else err_above
+
+
+def _poisson_weights(js: np.ndarray, lam: float) -> np.ndarray:
+    """The Poisson(lam) pmf at ``js[:-1]``, as scipy.stats.poisson computes
+    it: ``xlogy(j, lam)`` is ``j * log(lam)`` for ``lam > 0``, one libm
+    ``log`` for the whole window, and ``js`` runs one past the window, so
+    ``js[1:]`` is ``j + 1``."""
+    return np.exp(js[:-1] * math.log(lam) - special.gammaln(js[1:]) - lam)
+
+
+def _grown_series(terms, lam: float, radius: float, delta: float, tol: float) -> float:
+    """The series of one moment whose tail bound failed at ``radius``: the
+    radius doubles until the bound is below ``tol``."""
+    while True:
+        radius *= 2.0
+        jlo, jhi = _window(lam, radius, delta)
+        if _tail_bound(lam, jlo, jhi, terms(0.0), terms(float(jhi + 1))) <= tol:
+            break
+    js = np.arange(jlo, jhi + 2, dtype=float)
+    return float(np.sum(_poisson_weights(js, lam) * terms(js[:-1])))
+
+
+def nc_chi2_moment(
+    kind: str,
+    df,
+    delta: float,
+    *,
+    tol: float = 1e-10,
+    c=None,
+    power=0,
+) -> float | np.ndarray:
+    """Moments of a noncentral chi-square with ``df`` dof and noncentrality ``delta``.
+
+    Kinds
+    -----
+    - ``"inverse_first"``: E[X^-1] (requires df > 2)
+    - ``"inverse_second"``: E[X^-2] (requires df > 4)
+    - ``"trunc_below"``: E[X^power 1{X < c}] for power in {0, -1, -2}
+      (requires c > 0 and df > 2|power|); ``c = inf`` gives the full
+      moment, so power -1 there is ``"inverse_first"``, bit for bit
+
+    ``df`` (integral), ``c`` and ``power`` may be array-likes that
+    broadcast against each other.  Such a batch call returns an array of
+    moments of the one noncentrality, and each entry equals its own scalar
+    call bit for bit.  A scalar call returns a float.
+
+    Each value is the Poisson(delta/2) mixture of central chi-square
+    moments with ``df + 2j`` dof.  Terms are summed over a window around
+    the Poisson bulk; because the per-term moments decrease in j, the mass
+    outside the window bounds the truncation error, and the window grows
+    until that bound is below ``tol`` (absolute).  A call builds one window
+    for all its entries, with one weight vector and one pair of tail
+    probabilities, and evaluates one ``gammainc`` vector per cut ``c``:
+    entries whose ``df/2 + power`` differ by integers read shifted slices
+    of it, and ``c = inf`` needs none.  Each entry keeps its own tail bound,
+    and one that fails on the shared window grows a window of its own.
+
+    Raises
+    ------
+    DivergentMoment
+        If ``df`` is too small for a requested moment to exist.
+    ValueError
+        On an invalid argument or an empty batch.  Every entry is checked
+        before any series work, and raises what its scalar call raises.
+    NonConvergence
+        If the series needs more than 100000 terms.
+    """
+    if kind == MOMENT_INVERSE_FIRST:
+        c, power = math.inf, -1
+    elif kind == MOMENT_INVERSE_SECOND:
+        c, power = math.inf, -2
+    scalar = _is_scalar(df) and _is_scalar(c) and _is_scalar(power)
+    if scalar:
+        requests = [(df, c, power)]
+    else:
+        shape = np.broadcast(df, c, power).shape
+        requests = list(zip(*(_flat_list(x, shape) for x in (df, c, power))))
+        if not requests:
+            raise ValueError("empty batch of moments")
+    for entry_df, entry_c, entry_power in requests:
+        _check_moment(kind, entry_df, delta, tol, entry_c, entry_power)
+
+    def terms(row):
+        df_, c_, p = requests[row]
+        return _central_terms(MOMENT_TRUNC_BELOW, float(df_), int(p), c_)
+
     lam = delta / 2.0
     if lam == 0.0:
-        return float(terms(0.0))
-
-    radius = 10.0 * math.sqrt(lam) + 20.0
-    while True:
-        jlo = max(0, int(math.floor(lam - radius)))
-        jhi = int(math.ceil(lam + radius))
-        if jhi - jlo + 1 > _MAX_SERIES_TERMS:
-            raise NonConvergence(
-                f"series window exceeded {_MAX_SERIES_TERMS} terms at delta={delta}"
-            )
-        # m_j decreases in j, so mass below the window is bounded by m_0 and
-        # mass above by m_{jhi+1}.
-        err_below = special.pdtr(jlo - 1, lam) * terms(0.0) if jlo > 0 else 0.0
-        err_above = special.pdtrc(jhi, lam) * terms(float(jhi + 1))
-        if err_below + err_above <= tol:
-            break
-        radius *= 2.0
-    js = np.arange(jlo, jhi + 1, dtype=float)
-    # the Poisson(lam) pmf, as scipy.stats.poisson computes it
-    weights = np.exp(special.xlogy(js, lam) - special.gammaln(js + 1) - lam)
-    return float(np.sum(weights * terms(js)))
+        values = [terms(row)(0.0) for row in range(len(requests))]
+    else:
+        radius = 10.0 * math.sqrt(lam) + 20.0
+        jlo, jhi = _window(lam, radius, delta)
+        # the window's terms and m_{jhi+1}, the upper tail bound's; a lone
+        # request has nothing to share
+        js = np.arange(jlo, jhi + 2, dtype=float)
+        rows = _central_rows(requests, jlo, len(js)) if len(requests) > 1 else terms(0)(js)[None]
+        values = np.add.reduce(_poisson_weights(js, lam) * rows[:, :-1], axis=1)
+        first = np.array([terms(row)(0.0) for row in range(len(requests))]) if jlo > 0 else None
+        bound = _tail_bound(lam, jlo, jhi, first, rows[:, -1])
+        if not np.maximum.reduce(bound) <= tol:
+            for row in np.flatnonzero(~(bound <= tol)).tolist():
+                values[row] = _grown_series(terms(row), lam, radius, delta, tol)
+    return float(values[0]) if scalar else np.asarray(values).reshape(shape)
 
 
 def nc_chi2_expectation(
@@ -203,16 +324,18 @@ def _square(h):
 
 
 def _rule_expectations(
-    rule: ShrinkageFunction, df: int, delta: float, which: tuple[bool, ...], tol: float
+    rule: ShrinkageFunction, delta: float, requests: tuple[tuple[int, bool], ...], tol: float
 ) -> tuple[float, ...]:
-    """``E[h(X)]`` (False) or ``E[h(X)^2]`` (True) for each entry of ``which``.
+    """``E[h(X)]`` (False) or ``E[h(X)^2]`` (True) for each ``(df, squared)``
+    request, X noncentral chi-square with ``df`` dof and noncentrality ``delta``.
 
     With pieces, ``h = a + b/x`` on ``[lo, hi)`` makes ``E[h]`` the sum of
     ``a (T0(hi) - T0(lo)) + b (T1(hi) - T1(lo))`` and ``E[h^2]`` that of
     ``a^2 dT0 + 2ab dT1 + b^2 dT2``, where ``Tp(c) = E[X^p 1{X < c}]`` is a
-    ``trunc_below`` kernel, ``Tp(inf)`` the full moment and ``Tp(0) = 0``.
-    Each distinct ``(cut, power)`` moment is evaluated once across
-    ``which``.  Without pieces, each entry is one quadrature.
+    ``trunc_below`` kernel, ``Tp(inf)`` the full moment, ``T0(inf) = 1``
+    and ``Tp(0) = 0``.  The distinct moments of all requests come from one
+    batch call of :func:`nc_chi2_moment`.  Without pieces, each request is
+    one quadrature.
     """
     if rule.pieces is None:
         return tuple(
@@ -220,30 +343,33 @@ def _rule_expectations(
                 _square(rule.evaluate) if squared else rule.evaluate,
                 df, delta, tol=tol, breakpoints=rule.breakpoints,
             )
-            for squared in which
+            for df, squared in requests
         )
-    moments: dict[tuple[float, int], float] = {}
-
-    def below(cut: float, power: int) -> float:
-        if (cut, power) not in moments:
-            if cut != math.inf:
-                value = nc_chi2_moment(MOMENT_TRUNC_BELOW, df, delta, tol=tol, c=cut, power=power)
-            elif power == 0:
-                value = 1.0
-            else:
-                kind = MOMENT_INVERSE_FIRST if power == -1 else MOMENT_INVERSE_SECOND
-                value = nc_chi2_moment(kind, df, delta, tol=tol)
-            moments[cut, power] = value
-        return moments[cut, power]
-
-    out = []
-    for squared in which:
-        total = 0.0
+    # (coef, Tp(hi), Tp(lo)) of each request, each moment keyed (df, cut, power)
+    moments: dict[tuple[int, float, int], float | None] = {}
+    sums = []
+    for df, squared in requests:
+        terms = []
         for lo, hi, a, b in rule.pieces:
             coefs = ((0, a * a), (-1, 2.0 * a * b), (-2, b * b)) if squared else ((0, a), (-1, b))
             for power, coef in coefs:
                 if coef != 0.0:
-                    total += coef * (below(hi, power) - (below(lo, power) if lo > 0.0 else 0.0))
+                    hi_key, lo_key = (df, hi, power), (df, lo, power)
+                    terms.append((coef, hi_key, lo_key))
+                    moments[hi_key] = 1.0 if hi == math.inf and power == 0 else None
+                    moments[lo_key] = 0.0 if lo <= 0.0 else None
+        sums.append(terms)
+    wanted = [key for key, value in moments.items() if value is None]
+    if wanted:
+        dfs, cuts, powers = zip(*wanted)
+        batch = nc_chi2_moment(MOMENT_TRUNC_BELOW, dfs, delta, tol=tol, c=cuts, power=powers)
+        moments.update(zip(wanted, batch.tolist()))
+
+    out = []
+    for terms in sums:
+        total = 0.0
+        for coef, hi, lo in terms:
+            total += coef * (moments[hi] - moments[lo])
         out.append(total)
     return tuple(out)
 
@@ -260,14 +386,14 @@ def rule_expectation(
     chi-square with ``df`` dof and noncentrality ``delta``.
 
     A rule with :attr:`ShrinkageFunction.pieces` is evaluated exactly from
-    the moment kernels of :func:`nc_chi2_moment` at tolerance ``tol``; each
+    one batch of :func:`nc_chi2_moment` at tolerance ``tol``; each
     power ``p`` its pieces use needs ``df > 2|p|`` (``DivergentMoment``
     otherwise), even on a piece bounded away from 0.  A rule without
     pieces goes to :func:`nc_chi2_expectation` with its ``breakpoints``,
     which must list every jump of the rule: an undeclared jump is missed
     silently.
     """
-    return _rule_expectations(rule, df, delta, (squared,), tol)[0]
+    return _rule_expectations(rule, delta, ((df, squared),), tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -449,15 +575,17 @@ def adr_class(
     """Risk of the class member with rule ``h``, evaluated term by term.
 
     The expectations ``E[h(.)]`` and ``E[h^2(.)]`` against the noncentral
-    chi-square laws with ``k + 2`` and ``k + 4`` dof come from
+    chi-square laws with ``k + 2`` and ``k + 4`` dof are those of
     :func:`rule_expectation`: from the moment kernels when ``h`` has
-    pieces (the James-Stein, positive-part and pretest rules), and by
-    adaptive quadrature otherwise, so any integrable rule is supported.
+    pieces (the James-Stein, positive-part and pretest rules), all four
+    from one :func:`nc_chi2_moment` call, and by adaptive quadrature
+    otherwise, so any integrable rule is supported.
     """
     k, delta = scaffold.k, scaffold.delta
     tw11, _, m1wm1, m1al12wm1, cross_trace = _risk_pieces(scaffold, weight)
-    e2, s2 = _rule_expectations(h, k + 2, delta, (False, True), tol)
-    e4, s4 = _rule_expectations(h, k + 4, delta, (False, True), tol)
+    e2, s2, e4, s4 = _rule_expectations(
+        h, delta, ((k + 2, False), (k + 2, True), (k + 4, False), (k + 4, True)), tol
+    )
     terms = (
         ("restricted_base", adr_restricted(scaffold, weight)),
         ("mean_quadratic", -2.0 * e2 * m1wm1),
@@ -473,17 +601,11 @@ def adr_class(
     return AdrBreakdown(total=total, terms=terms)
 
 
-def adr_james_stein(
-    scaffold: AsymptoticScaffold, weight: WeightSpec, *, tol: float = 1e-12
-) -> float:
-    """Risk of the rule ``1 - (k-2)/psi``, via closed-form moment kernels."""
-    k, delta = scaffold.k, scaffold.delta
-    if k <= 2:
-        raise KTooSmall(f"James-Stein risk needs k > 2, got {k}")
-    tw11, tw12, m1wm1, m1al12wm1, _ = _risk_pieces(scaffold, weight)
-    e2 = nc_chi2_moment(MOMENT_INVERSE_FIRST, k + 2, delta, tol=tol)
-    f2 = nc_chi2_moment(MOMENT_INVERSE_SECOND, k + 2, delta, tol=tol)
-    f4 = nc_chi2_moment(MOMENT_INVERSE_SECOND, k + 4, delta, tol=tol)
+def _james_stein_risk(scaffold, weight, pieces, e2: float, f2: float, f4: float) -> float:
+    """The James-Stein risk from ``_risk_pieces`` and ``E[1/X]`` at ``k + 2``
+    dof (``e2``) and ``E[1/X^2]`` at ``k + 2`` and ``k + 4`` (``f2``, ``f4``)."""
+    k = scaffold.k
+    tw11, tw12, m1wm1, m1al12wm1, _ = pieces
     return (
         adr_unrestricted(scaffold, weight)
         - 2.0 * (k - 2.0) * e2 * (tw11 + tw12)
@@ -493,28 +615,53 @@ def adr_james_stein(
     )
 
 
+def adr_james_stein(
+    scaffold: AsymptoticScaffold, weight: WeightSpec, *, tol: float = 1e-12
+) -> float:
+    """Risk of the rule ``1 - (k-2)/psi``, via closed-form moment kernels:
+    its three inverse moments come from one :func:`nc_chi2_moment` call."""
+    k, delta = scaffold.k, scaffold.delta
+    if k <= 2:
+        raise KTooSmall(f"James-Stein risk needs k > 2, got {k}")
+    e2, f2, f4 = nc_chi2_moment(
+        MOMENT_TRUNC_BELOW, (k + 2, k + 2, k + 4), delta, tol=tol, c=math.inf, power=(-1, -2, -2)
+    ).tolist()
+    return _james_stein_risk(scaffold, weight, _risk_pieces(scaffold, weight), e2, f2, f4)
+
+
 def adr_positive_part(
     scaffold: AsymptoticScaffold, weight: WeightSpec, *, tol: float = 1e-12
 ) -> float:
     """Risk of the positive-part rule: the James-Stein risk plus the
-    truncation corrections, all through ``trunc_below`` kernels at c = k - 2."""
+    truncation corrections, through ``trunc_below`` kernels at c = k - 2.
+
+    The three inverse moments of the James-Stein risk and the six
+    truncated moments (powers 0, -1, -2 at ``k + 2`` and ``k + 4`` dof)
+    come from one :func:`nc_chi2_moment` call, so they share one Poisson
+    window, and the six share one ``gammainc`` vector.
+    """
     k, delta = scaffold.k, scaffold.delta
     if k <= 2:
         raise KTooSmall(f"positive-part risk needs k > 2, got {k}")
-    tw11, tw12, m1wm1, m1al12wm1, _ = _risk_pieces(scaffold, weight)
+    pieces = _risk_pieces(scaffold, weight)
+    tw11, tw12, m1wm1, m1al12wm1, _ = pieces
     c = float(k - 2)
-
-    t2, t4 = (
-        [nc_chi2_moment(MOMENT_TRUNC_BELOW, df, delta, tol=tol, c=c, power=p) for p in (0, -1, -2)]
-        for df in (k + 2, k + 4)
-    )
+    moments = nc_chi2_moment(
+        MOMENT_TRUNC_BELOW,
+        (k + 2, k + 2, k + 4) + (k + 2,) * 3 + (k + 4,) * 3,
+        delta,
+        tol=tol,
+        c=(math.inf,) * 3 + (c,) * 6,
+        power=(-1, -2, -2) + (0, -1, -2) * 2,
+    ).tolist()
+    t2, t4 = moments[3:6], moments[6:]
     # E[(1 - c/X) 1{X<c}] and E[(1 - c/X)^2 1{X<c}] at dof k+2 and k+4.
     e1 = t2[0] - c * t2[1]
     e2 = t4[0] - c * t4[1]
     e3 = t2[0] - 2.0 * c * t2[1] + c * c * t2[2]
     e4 = t4[0] - 2.0 * c * t4[1] + c * c * t4[2]
     return (
-        adr_james_stein(scaffold, weight, tol=tol)
+        _james_stein_risk(scaffold, weight, pieces, *moments[:3])
         + 2.0 * e1 * m1wm1
         + 2.0 * e1 * m1al12wm1
         - 2.0 * e1 * tw12

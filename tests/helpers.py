@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -14,7 +15,9 @@ from steinbreak import (
     SearchConfig,
     build_design,
     find_breaks_unrestricted,
+    nc_chi2_moment,
 )
+from steinbreak import risk
 from steinbreak.model import _null_form
 from steinbreak.segmentation import MAX_REFINE_CYCLES
 
@@ -253,3 +256,93 @@ def nullspace_kernel_ssr(cum, bounds, restriction):
         ssr[i] = np.einsum("pi,pij,pj->", u, moments, u)
     ssr[np.isnan(ssr)] = np.inf
     return ssr
+
+
+def reference_truncated_moment(df, delta, cut, power, tol):
+    """``E[X^p 1{X < cut}]`` from one scalar kernel call, an inverse kind at
+    ``cut = inf``; ``E[1{X < inf}] = 1``."""
+    if cut != math.inf:
+        return nc_chi2_moment("trunc_below", df, delta, tol=tol, c=cut, power=power)
+    if power == 0:
+        return 1.0
+    kind = "inverse_first" if power == -1 else "inverse_second"
+    return nc_chi2_moment(kind, df, delta, tol=tol)
+
+
+def reference_rule_expectation(rule, df, delta, squared, tol):
+    """``E[h(X)]`` or ``E[h(X)^2]`` of a rule with pieces, one scalar kernel
+    call per moment, summed piece by piece as ``risk.adr_class`` sums them."""
+    total = 0.0
+    for lo, hi, a, b in rule.pieces:
+        coefs = ((0, a * a), (-1, 2.0 * a * b), (-2, b * b)) if squared else ((0, a), (-1, b))
+        for power, coef in coefs:
+            if coef != 0.0:
+                below = reference_truncated_moment(df, delta, lo, power, tol) if lo > 0.0 else 0.0
+                total += coef * (reference_truncated_moment(df, delta, hi, power, tol) - below)
+    return total
+
+
+def reference_adr_class(rule, scaffold, weight, tol=1e-11):
+    """Total class risk of a rule with pieces, its expectations from
+    :func:`reference_rule_expectation`."""
+    k, delta = scaffold.k, scaffold.delta
+    tw11, _, m1wm1, m1al12wm1, cross_trace = risk._risk_pieces(scaffold, weight)
+    e2, s2, e4, s4 = (
+        reference_rule_expectation(rule, k + j, delta, squared, tol)
+        for j in (2, 4)
+        for squared in (False, True)
+    )
+    total = 0.0
+    for value in (
+        risk.adr_restricted(scaffold, weight),
+        -2.0 * e2 * m1wm1,
+        -2.0 * e2 * m1al12wm1,
+        2.0 * e2 * cross_trace,
+        2.0 * e4 * m1al12wm1,
+        s2 * tw11,
+        s4 * m1wm1,
+    ):
+        total += value
+    return total
+
+
+def reference_adr_james_stein(scaffold, weight, tol=1e-12):
+    """James-Stein risk from three scalar inverse-moment kernel calls."""
+    k, delta = scaffold.k, scaffold.delta
+    tw11, tw12, m1wm1, m1al12wm1, _ = risk._risk_pieces(scaffold, weight)
+    e2 = nc_chi2_moment("inverse_first", k + 2, delta, tol=tol)
+    f2 = nc_chi2_moment("inverse_second", k + 2, delta, tol=tol)
+    f4 = nc_chi2_moment("inverse_second", k + 4, delta, tol=tol)
+    return (
+        risk.adr_unrestricted(scaffold, weight)
+        - 2.0 * (k - 2.0) * e2 * (tw11 + tw12)
+        + (k * k - 4.0) * f4 * m1wm1
+        + (k - 2.0) ** 2 * f2 * tw11
+        + 4.0 * (k - 2.0) * f4 * m1al12wm1
+    )
+
+
+def reference_adr_positive_part(scaffold, weight, tol=1e-12):
+    """Positive-part risk as :func:`reference_adr_james_stein` plus its
+    truncation corrections, from six scalar ``trunc_below`` calls at
+    ``c = k - 2``: twelve kernel calls in all."""
+    k, delta = scaffold.k, scaffold.delta
+    tw11, tw12, m1wm1, m1al12wm1, _ = risk._risk_pieces(scaffold, weight)
+    c = float(k - 2)
+    t2, t4 = (
+        [nc_chi2_moment("trunc_below", df, delta, tol=tol, c=c, power=p) for p in (0, -1, -2)]
+        for df in (k + 2, k + 4)
+    )
+    e1 = t2[0] - c * t2[1]
+    e2 = t4[0] - c * t4[1]
+    e3 = t2[0] - 2.0 * c * t2[1] + c * c * t2[2]
+    e4 = t4[0] - 2.0 * c * t4[1] + c * c * t4[2]
+    return (
+        reference_adr_james_stein(scaffold, weight, tol=tol)
+        + 2.0 * e1 * m1wm1
+        + 2.0 * e1 * m1al12wm1
+        - 2.0 * e1 * tw12
+        - 2.0 * e2 * m1al12wm1
+        - e3 * tw11
+        - e4 * m1wm1
+    )

@@ -234,6 +234,8 @@ BAD_CONFIGS = {
     "sigma2-grid": ("simulate", {"case": 1, "t": 40, "reps": 2, "sigma2_grid": [1.0, -1.0]}),
     "delta-start": ("risk", {"delta_start": -1.0}),
     "delta-points": ("risk", {"delta_points": -1}),
+    "delta-points-zero": ("risk", {"delta_points": 0}),
+    "sigma2-grid-empty": ("simulate", {"case": 1, "t": 40, "reps": 2, "sigma2_grid": []}),
     "seed": ("simulate", {"case": 1, "seed": -1}),
     "n-samples": ("verify", {"n_samples": MIN_SAMPLES - 1}),
     "scaffold-k-type": ("risk", {"scaffold": {"kind": "random-dominant", "k": "x"}}),

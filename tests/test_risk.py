@@ -6,10 +6,17 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats as sps
 
-from helpers import orthonormal_rows
+from helpers import (
+    orthonormal_rows,
+    reference_adr_class,
+    reference_adr_james_stein,
+    reference_adr_positive_part,
+    reference_rule_expectation,
+)
 from steinbreak import (
     DivergentMoment,
     KTooSmall,
+    NonConvergence,
     Restriction,
     ShrinkageFunction,
     adr_class,
@@ -101,18 +108,26 @@ def poisson_window_reference(kind, df, delta, *, tol=1e-10, c=None, power=0):
     return float(np.sum(sps.poisson.pmf(js, lam) * terms(js)))
 
 
+GRID_DFS = (3, 5, 6, 7, 8, 10, 14)
+# the last three put jlo > 0, so the lower tail bound runs
+GRID_DELTAS = (0.0, 1e-9, 0.37, 4.0, 20.0, 63.2, 250.0, 1000.0, 9876.5)
+
+
+def moment_cases(df):
+    """The (kind, keyword arguments) of every moment checked at ``df``."""
+    cases = [("inverse_first", {}), ("inverse_second", {})]
+    return cases + [
+        ("trunc_below", {"c": float(c), "power": p})
+        for c in (0.5, 2.0, df - 2.0, 30.0)
+        for p in (0, -1, -2)
+    ]
+
+
 def test_moment_kernel_matches_poisson_reference_bitwise():
-    # the large noncentralities put jlo > 0, so the lower tail bound runs
     count = 0
-    for df in (3, 5, 6, 7, 8, 10, 14):
-        cases = [("inverse_first", {}), ("inverse_second", {})]
-        cases += [
-            ("trunc_below", {"c": float(c), "power": p})
-            for c in (0.5, 2.0, df - 2.0, 30.0)
-            for p in (0, -1, -2)
-        ]
-        for kind, kwargs in cases:
-            for delta in (0.0, 1e-9, 0.37, 4.0, 20.0, 63.2, 250.0, 1000.0, 9876.5):
+    for df in GRID_DFS:
+        for kind, kwargs in moment_cases(df):
+            for delta in GRID_DELTAS:
                 try:
                     value = nc_chi2_moment(kind, df, delta, **kwargs)
                 except DivergentMoment:
@@ -121,6 +136,117 @@ def test_moment_kernel_matches_poisson_reference_bitwise():
                 assert value == reference, (kind, df, delta, kwargs)
                 count += 1
     assert count == 837
+
+
+def test_moment_batch_matches_scalar_calls_bitwise():
+    # the grid above as one batch per noncentrality, the inverse kinds as
+    # trunc_below entries at c = inf
+    grid = []
+    for df in GRID_DFS:
+        for kind, kwargs in moment_cases(df):
+            if kind == "trunc_below":
+                c, power = kwargs["c"], kwargs["power"]
+            else:
+                c, power = math.inf, -1 if kind == "inverse_first" else -2
+            if df > 2 * abs(power):
+                grid.append((df, c, power, kind, kwargs))
+    assert len(grid) * len(GRID_DELTAS) == 837
+    dfs, cs, powers, _, _ = zip(*grid)
+    for delta in GRID_DELTAS:
+        batch = nc_chi2_moment("trunc_below", dfs, delta, c=cs, power=powers)
+        assert batch.shape == (len(grid),)
+        for value, (df, _, _, kind, kwargs) in zip(batch.tolist(), grid):
+            assert value == nc_chi2_moment(kind, df, delta, **kwargs), (kind, df, delta, kwargs)
+
+
+def test_moment_batch_broadcasts():
+    dfs = np.array([[5], [8], [11]])
+    cs = (1.5, 7.0, math.inf)
+    for delta in (0.0, 3.0, 700.0):
+        batch = nc_chi2_moment("trunc_below", dfs, delta, c=cs, power=-1)
+        assert batch.shape == (3, 3)
+        for i, df in enumerate((5, 8, 11)):
+            for j, c in enumerate(cs):
+                assert batch[i, j] == nc_chi2_moment("trunc_below", df, delta, c=c, power=-1)
+        inverse = nc_chi2_moment("inverse_second", [6, 9], delta)
+        assert inverse.tolist() == [nc_chi2_moment("inverse_second", df, delta) for df in (6, 9)]
+    assert type(nc_chi2_moment("inverse_first", np.int64(6), 3.0)) is float
+
+
+def test_moment_batch_entry_grows_its_own_window(monkeypatch):
+    # at a tiny tol the inverse moment's upper tail bound fails on the
+    # shared window while the truncated moment's, far smaller, holds
+    grown = []
+
+    def spy(terms, lam, radius, delta, tol):
+        grown.append(radius)
+        return series(terms, lam, radius, delta, tol)
+
+    series = risk._grown_series
+    monkeypatch.setattr(risk, "_grown_series", spy)
+    dfs, cs, powers = (6, 6), (math.inf, 0.5), (-2, 0)
+    for exponent in range(20, 300, 5):
+        tol = 10.0**-exponent
+        grown.clear()
+        batch = nc_chi2_moment("trunc_below", dfs, 4.0, tol=tol, c=cs, power=powers)
+        if grown:
+            break
+    assert len(grown) == 1
+    scalar = [
+        nc_chi2_moment("trunc_below", df, 4.0, tol=tol, c=c, power=p)
+        for df, c, p in zip(dfs, cs, powers)
+    ]
+    assert len(grown) == 2  # only the inverse moment grows in its scalar call too
+    assert batch.tolist() == scalar
+
+
+def test_moment_batch_rejects_each_bad_entry_like_its_scalar_call(monkeypatch):
+    def no_series(*args):
+        raise AssertionError("series work before every entry was checked")
+
+    monkeypatch.setattr(risk, "_window", no_series)
+    bad = [
+        ((8, 4), (2.0, 2.0), (0, -2), DivergentMoment),
+        ((8, 0), (2.0, 2.0), (0, 0), DivergentMoment),
+        ((8, 8), (2.0, -1.0), (0, 0), ValueError),
+        ((8, 8), (2.0, math.nan), (0, 0), ValueError),
+        ((8, 8), (2.0, 0.0), (0, 0), ValueError),
+        ((8, 8), (2.0, 2.0), (0, -3), ValueError),
+        ((8, 7.5), (2.0, 2.0), (0, 0), ValueError),
+    ]
+    for dfs, cs, powers, error in bad:
+        with pytest.raises(error) as batch_error:
+            nc_chi2_moment("trunc_below", dfs, 1.0, c=cs, power=powers)
+        with pytest.raises(error) as scalar_error:
+            nc_chi2_moment("trunc_below", dfs[1], 1.0, c=cs[1], power=powers[1])
+        assert str(batch_error.value) == str(scalar_error.value)
+    with pytest.raises(DivergentMoment):
+        nc_chi2_moment("inverse_second", (6, 4), 1.0)
+    with pytest.raises(ValueError):
+        nc_chi2_moment("trunc_below", (8, 8), 1.0, c=None, power=0)
+    for empty in ((), np.empty(0, dtype=int), np.empty((2, 0), dtype=int)):
+        with pytest.raises(ValueError):
+            nc_chi2_moment("trunc_below", empty, 1.0, c=2.0, power=0)
+
+
+def test_moment_batch_gives_up_where_its_scalar_calls_do():
+    # the window first exceeds 100000 terms between these noncentralities
+    dfs, cs, powers = (6, 8, 6), (math.inf, 9.0, 9.0), (-1, 0, -2)
+    outcomes = []
+    for delta in (4.99e7, 4.9966e7, 5.0e7, 1e9):
+        try:
+            scalar = [
+                nc_chi2_moment("trunc_below", df, delta, c=c, power=p)
+                for df, c, p in zip(dfs, cs, powers)
+            ]
+        except NonConvergence:
+            with pytest.raises(NonConvergence):
+                nc_chi2_moment("trunc_below", dfs, delta, c=cs, power=powers)
+            outcomes.append(False)
+        else:
+            assert nc_chi2_moment("trunc_below", dfs, delta, c=cs, power=powers).tolist() == scalar
+            outcomes.append(True)
+    assert outcomes == [True, False, False, False]
 
 
 def test_declared_jump_matches_noncentral_cdf():
@@ -346,6 +472,53 @@ def test_kernel_class_matches_closed_forms_on_benchmark_shapes():
                 assert adr_class(rule, at, w).total == pytest.approx(expected, rel=1e-13), (
                     rule.name, n, k, delta
                 )
+
+
+def test_closed_forms_match_scalar_kernel_reference_bitwise():
+    # 16 scaffolds of the risk benchmark's shapes (k = 3 among them), its
+    # 41-point grid and three noncentralities with jlo > 0
+    shapes = ((8, 4), (10, 5), (6, 3), (12, 6))
+    deltas = [*np.linspace(0.0, 20.0, 41), 250.0, 1000.0, 9876.5]
+    for i in range(16):
+        n, k = shapes[i % len(shapes)]
+        sc, w = random_dominant_scaffold(n, k, 80 + i)
+        rules = (make_james_stein(k), make_positive_part(k), make_pretest(k, 0.05))
+        for delta in deltas:
+            at = scaffold_at_delta(sc, float(delta))
+            assert adr_james_stein(at, w) == reference_adr_james_stein(at, w), (i, delta)
+            assert adr_positive_part(at, w) == reference_adr_positive_part(at, w), (i, delta)
+            for rule in rules:
+                expected = reference_adr_class(rule, at, w)
+                assert adr_class(rule, at, w).total == expected, (rule.name, i, delta)
+    for k in (3, 4):
+        for rule in rules_with_pieces(k):
+            for delta in (0.0, 4.0, 700.0):
+                for squared in (False, True):
+                    expected = reference_rule_expectation(rule, k + 2, delta, squared, 1e-11)
+                    assert rule_expectation(rule, k + 2, delta, squared=squared) == expected
+
+
+def test_each_risk_evaluation_makes_one_kernel_call(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    kernel = risk.nc_chi2_moment
+    monkeypatch.setattr(risk, "nc_chi2_moment", counting)
+    for n, k, seed in ((6, 3, 90), (8, 4, 91), (12, 6, 92)):
+        sc, w = random_dominant_scaffold(n, k, seed)
+        evaluations = [adr_james_stein, adr_positive_part] + [
+            lambda at, w, rule=rule: adr_class(rule, at, w)
+            for rule in (make_james_stein(k), make_positive_part(k), make_pretest(k, 0.05))
+        ]
+        for delta in (0.0, 5.0, 1000.0):
+            at = scaffold_at_delta(sc, delta)
+            for evaluate in evaluations:
+                calls.clear()
+                evaluate(at, w)
+                assert len(calls) == 1
 
 
 def test_class_breakdown_has_seven_terms():
