@@ -120,6 +120,12 @@ def _flat_list(x, shape: tuple[int, ...]) -> list:
     return np.broadcast_to(np.asarray(x), shape).ravel().tolist()
 
 
+def _request_terms(request):
+    """:func:`_central_terms` of one ``(df, c, power)`` request."""
+    df, c, power = request
+    return _central_terms(MOMENT_TRUNC_BELOW, float(df), int(power), c)
+
+
 def _central_rows(requests, j0: int, n: int) -> np.ndarray:
     """The central moments ``m_j``, ``j = j0 .. j0 + n - 1``, one row per
     ``(df, c, power)`` request.
@@ -251,26 +257,27 @@ def nc_chi2_moment(
     for entry_df, entry_c, entry_power in requests:
         _check_moment(kind, entry_df, delta, tol, entry_c, entry_power)
 
-    def terms(row):
-        df_, c_, p = requests[row]
-        return _central_terms(MOMENT_TRUNC_BELOW, float(df_), int(p), c_)
-
     lam = delta / 2.0
     if lam == 0.0:
-        values = [terms(row)(0.0) for row in range(len(requests))]
+        values = [_request_terms(request)(0.0) for request in requests]
     else:
         radius = 10.0 * math.sqrt(lam) + 20.0
         jlo, jhi = _window(lam, radius, delta)
         # the window's terms and m_{jhi+1}, the upper tail bound's; a lone
         # request has nothing to share
         js = np.arange(jlo, jhi + 2, dtype=float)
-        rows = _central_rows(requests, jlo, len(js)) if len(requests) > 1 else terms(0)(js)[None]
+        if len(requests) > 1:
+            rows = _central_rows(requests, jlo, len(js))
+        else:
+            rows = _request_terms(requests[0])(js)[None]
         values = np.add.reduce(_poisson_weights(js, lam) * rows[:, :-1], axis=1)
-        first = np.array([terms(row)(0.0) for row in range(len(requests))]) if jlo > 0 else None
+        first = None
+        if jlo > 0:
+            first = np.array([_request_terms(request)(0.0) for request in requests])
         bound = _tail_bound(lam, jlo, jhi, first, rows[:, -1])
-        if not np.maximum.reduce(bound) <= tol:
-            for row in np.flatnonzero(~(bound <= tol)).tolist():
-                values[row] = _grown_series(terms(row), lam, radius, delta, tol)
+        for row, entry_bound in enumerate(bound.tolist()):
+            if not entry_bound <= tol:
+                values[row] = _grown_series(_request_terms(requests[row]), lam, radius, delta, tol)
     return float(values[0]) if scalar else np.asarray(values).reshape(shape)
 
 
