@@ -55,30 +55,6 @@ _MAX_SERIES_TERMS = 100_000
 # Noncentral chi-square moment kernels
 
 
-def _central_terms(kind: str, df: float, power: int, c: float | None):
-    """Per-mixture-index central moments m_j, for a scalar j or an array of j.
-
-    Each m_j is the moment of a central chi-square with ``nu = df + 2j``
-    degrees of freedom, ``E[X^p 1{X < c}] = P(chi2_{nu+2p} < c) /
-    ((nu-2)...(nu+2p))``; the inverse kinds take ``c = inf``, where
-    ``gammainc`` is exactly 1.  All kinds are positive and decreasing in j,
-    which is what the tail bound relies on.
-    """
-    if kind == MOMENT_INVERSE_FIRST:
-        power, c = -1, math.inf
-    elif kind == MOMENT_INVERSE_SECOND:
-        power, c = -2, math.inf
-    half_c = c / 2.0
-
-    def terms(js):
-        denom = 1.0
-        for i in range(1, 1 - power):
-            denom = denom * (df + 2.0 * js - 2.0 * i)
-        return special.gammainc(df / 2.0 + js + power, half_c) / denom
-
-    return terms
-
-
 def _check_moment(kind: str, df, delta: float, tol: float, c, power) -> None:
     """Raise the error of one moment request, if it has one."""
     if df <= 0:
@@ -120,39 +96,52 @@ def _flat_list(x, shape: tuple[int, ...]) -> list:
     return np.broadcast_to(np.asarray(x), shape).ravel().tolist()
 
 
-def _request_terms(request):
-    """:func:`_central_terms` of one ``(df, c, power)`` request."""
+def _central_quotient(numer, shape, power: int):
+    """``m_j`` from its numerator ``gammainc(shape, c/2)``, for a scalar or
+    an array of ``shape = df/2 + power + j``: over ``2 shape = nu - 2`` when
+    ``power = -1`` and over ``4 shape (shape + 1) = (nu - 4)(nu - 2)`` when
+    ``power = -2``, with ``nu = df + 2j``."""
+    if power == 0:
+        return numer
+    twice = 2.0 * shape
+    return numer / (twice if power == -1 else (twice + 2.0) * twice)
+
+
+def _central_moment(request, j: int = 0) -> float:
+    """The one central moment ``m_j`` of a ``(df, c, power)`` request."""
     df, c, power = request
-    return _central_terms(MOMENT_TRUNC_BELOW, float(df), int(power), c)
+    shape = df / 2.0 + power + j
+    numer = 1.0 if c == math.inf else special.gammainc(shape, c / 2.0)
+    return _central_quotient(numer, shape, power)
 
 
 def _central_rows(requests, j0: int, n: int) -> np.ndarray:
     """The central moments ``m_j``, ``j = j0 .. j0 + n - 1``, one row per
     ``(df, c, power)`` request.
 
-    With ``a = df/2 + power``, ``m_j`` is ``gammainc(a + j, c/2)``, over
-    ``2(a + j)`` when ``power = -1`` and over ``4(a + j)(a + j + 1)`` when
-    ``power = -2``: the denominator of :func:`_central_terms`, factor by
-    factor.  Requests with one cut whose ``a`` differ by integers share one
-    ``gammainc`` vector over ``a + j`` and one quotient per power, and each
-    row is a slice of its power's quotient.  At ``c = inf`` the numerator
-    is exactly 1 and no ``gammainc`` is evaluated.
+    Each ``m_j`` is the moment of a central chi-square with ``nu = df + 2j``
+    dof, ``E[X^p 1{X < c}] = P(chi2_{nu+2p} < c) / ((nu-2)...(nu+2p))``.
+    With ``a = df/2 + power`` that is ``gammainc(a + j, c/2)`` over the
+    denominator of :func:`_central_quotient`.  All are positive and
+    decreasing in j, which is what the tail bound relies on.  Requests with
+    one cut whose ``a`` differ by integers share one ``gammainc`` vector
+    over ``a + j`` and one quotient per power, and each row is a slice of
+    its power's quotient.  At ``c = inf`` the numerator is exactly 1 and no
+    ``gammainc`` is evaluated.
     """
     groups: dict[tuple[float, float], list] = {}
     for row, (df, c, power) in enumerate(requests):
         shape = df / 2.0 + power
-        groups.setdefault((c, shape % 1.0), []).append((row, shape, int(power)))
+        groups.setdefault((c, shape % 1.0), []).append((shape, power, row))
     rows = [None] * len(requests)
     for (c, _), members in groups.items():
-        shapes = [shape for _, shape, _ in members]
-        base = min(shapes)
-        args = np.arange(base + j0, base + j0 + n + int(max(shapes) - base))
+        base = min(members)[0]
+        args = np.arange(base + j0, max(members)[0] + j0 + n)
         numer = np.ones(len(args)) if c == math.inf else special.gammainc(args, c / 2.0)
-        quotients = {0: numer}
-        for row, shape, power in members:
+        quotients = {}
+        for shape, power, row in members:
             if power not in quotients:
-                twice = 2.0 * args
-                quotients[power] = numer / (twice if power == -1 else (twice + 2.0) * twice)
+                quotients[power] = _central_quotient(numer, args, power)
             start = int(shape - base)
             rows[row] = quotients[power][start:start + n]
     return np.array(rows)
@@ -185,16 +174,17 @@ def _poisson_weights(js: np.ndarray, lam: float) -> np.ndarray:
     return np.exp(js[:-1] * math.log(lam) - special.gammaln(js[1:]) - lam)
 
 
-def _grown_series(terms, lam: float, radius: float, delta: float, tol: float) -> float:
-    """The series of one moment whose tail bound failed at ``radius``: the
-    radius doubles until the bound is below ``tol``."""
+def _grown_series(request, lam: float, radius: float, delta: float, tol: float) -> float:
+    """The series of one ``(df, c, power)`` request whose tail bound failed
+    at ``radius``: the radius doubles until the bound is below ``tol``."""
+    first = _central_moment(request)
     while True:
         radius *= 2.0
         jlo, jhi = _window(lam, radius, delta)
-        if _tail_bound(lam, jlo, jhi, terms(0.0), terms(float(jhi + 1))) <= tol:
+        if _tail_bound(lam, jlo, jhi, first, _central_moment(request, jhi + 1)) <= tol:
             break
     js = np.arange(jlo, jhi + 2, dtype=float)
-    return float(np.sum(_poisson_weights(js, lam) * terms(js[:-1])))
+    return float(np.sum(_poisson_weights(js, lam) * _central_rows([request], jlo, len(js) - 1)[0]))
 
 
 def nc_chi2_moment(
@@ -259,25 +249,21 @@ def nc_chi2_moment(
 
     lam = delta / 2.0
     if lam == 0.0:
-        values = [_request_terms(request)(0.0) for request in requests]
+        values = list(map(_central_moment, requests))
     else:
         radius = 10.0 * math.sqrt(lam) + 20.0
         jlo, jhi = _window(lam, radius, delta)
-        # the window's terms and m_{jhi+1}, the upper tail bound's; a lone
-        # request has nothing to share
+        # the window's terms and m_{jhi+1}, the upper tail bound's
         js = np.arange(jlo, jhi + 2, dtype=float)
-        if len(requests) > 1:
-            rows = _central_rows(requests, jlo, len(js))
-        else:
-            rows = _request_terms(requests[0])(js)[None]
+        rows = _central_rows(requests, jlo, len(js))
         values = np.add.reduce(_poisson_weights(js, lam) * rows[:, :-1], axis=1)
         first = None
         if jlo > 0:
-            first = np.array([_request_terms(request)(0.0) for request in requests])
+            first = np.array(list(map(_central_moment, requests)))
         bound = _tail_bound(lam, jlo, jhi, first, rows[:, -1])
         for row, entry_bound in enumerate(bound.tolist()):
             if not entry_bound <= tol:
-                values[row] = _grown_series(_request_terms(requests[row]), lam, radius, delta, tol)
+                values[row] = _grown_series(requests[row], lam, radius, delta, tol)
     return float(values[0]) if scalar else np.asarray(values).reshape(shape)
 
 
@@ -341,8 +327,8 @@ def _rule_expectations(
     ``a^2 dT0 + 2ab dT1 + b^2 dT2``, where ``Tp(c) = E[X^p 1{X < c}]`` is a
     ``trunc_below`` kernel, ``Tp(inf)`` the full moment, ``T0(inf) = 1``
     and ``Tp(0) = 0``.  The distinct moments of all requests come from one
-    batch call of :func:`nc_chi2_moment`.  Without pieces, each request is
-    one quadrature.
+    call of :func:`nc_chi2_moment`, a scalar call when there is only one.
+    Without pieces, each request is one quadrature.
     """
     if rule.pieces is None:
         return tuple(
@@ -367,7 +353,10 @@ def _rule_expectations(
                     moments[lo_key] = 0.0 if lo <= 0.0 else None
         sums.append(terms)
     wanted = [key for key, value in moments.items() if value is None]
-    if wanted:
+    if len(wanted) == 1:
+        (df, cut, power), = wanted
+        moments[wanted[0]] = nc_chi2_moment(MOMENT_TRUNC_BELOW, df, delta, tol=tol, c=cut, power=power)
+    elif wanted:
         dfs, cuts, powers = zip(*wanted)
         batch = nc_chi2_moment(MOMENT_TRUNC_BELOW, dfs, delta, tol=tol, c=cuts, power=powers)
         moments.update(zip(wanted, batch.tolist()))
@@ -393,7 +382,7 @@ def rule_expectation(
     chi-square with ``df`` dof and noncentrality ``delta``.
 
     A rule with :attr:`ShrinkageFunction.pieces` is evaluated exactly from
-    one batch of :func:`nc_chi2_moment` at tolerance ``tol``; each
+    one :func:`nc_chi2_moment` call at tolerance ``tol``; each
     power ``p`` its pieces use needs ``df > 2|p|`` (``DivergentMoment``
     otherwise), even on a piece bounded away from 0.  A rule without
     pieces goes to :func:`nc_chi2_expectation` with its ``breakpoints``,

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import numpy as np
 from scipy import linalg as sla
+from scipy import special
 from scipy.linalg import lapack
 
 from steinbreak import (
@@ -256,6 +257,31 @@ def nullspace_kernel_ssr(cum, bounds, restriction):
         ssr[i] = np.einsum("pi,pij,pj->", u, moments, u)
     ssr[np.isnan(ssr)] = np.inf
     return ssr
+
+
+def central_terms(kind, df, power, c):
+    """Per-mixture-index central moments m_j of a noncentral chi-square
+    moment, for a scalar j or an array of j, one factor of the denominator
+    at a time.
+
+    Each m_j is the moment of a central chi-square with ``nu = df + 2j``
+    degrees of freedom, ``E[X^p 1{X < c}] = P(chi2_{nu+2p} < c) /
+    ((nu-2)...(nu+2p))``; the inverse kinds take ``c = inf``, where
+    ``gammainc`` is exactly 1.
+    """
+    if kind == "inverse_first":
+        power, c = -1, math.inf
+    elif kind == "inverse_second":
+        power, c = -2, math.inf
+    half_c = c / 2.0
+
+    def terms(js):
+        denom = 1.0
+        for i in range(1, 1 - power):
+            denom = denom * (df + 2.0 * js - 2.0 * i)
+        return special.gammainc(df / 2.0 + js + power, half_c) / denom
+
+    return terms
 
 
 def reference_truncated_moment(df, delta, cut, power, tol):

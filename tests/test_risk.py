@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from scipy import stats as sps
 
 from helpers import (
+    central_terms,
     orthonormal_rows,
     reference_adr_class,
     reference_adr_james_stein,
@@ -91,7 +92,7 @@ def poisson_window_reference(kind, df, delta, *, tol=1e-10, c=None, power=0):
     """``nc_chi2_moment`` with its Poisson terms from ``scipy.stats.poisson``:
     the ``cdf``/``sf`` tail bounds and ``pmf`` weights the kernel replaced
     by the ufuncs behind them."""
-    terms = risk._central_terms(kind, float(df), power, c)
+    terms = central_terms(kind, float(df), power, c)
     lam = delta / 2.0
     if lam == 0.0:
         return float(terms(np.array([0.0]))[0])
@@ -178,9 +179,9 @@ def test_moment_batch_entry_grows_its_own_window(monkeypatch):
     # shared window while the truncated moment's, far smaller, holds
     grown = []
 
-    def spy(terms, lam, radius, delta, tol):
+    def spy(request, lam, radius, delta, tol):
         grown.append(radius)
-        return series(terms, lam, radius, delta, tol)
+        return series(request, lam, radius, delta, tol)
 
     series = risk._grown_series
     monkeypatch.setattr(risk, "_grown_series", spy)
@@ -519,6 +520,10 @@ def test_each_risk_evaluation_makes_one_kernel_call(monkeypatch):
                 calls.clear()
                 evaluate(at, w)
                 assert len(calls) == 1
+    # a lone moment is a scalar call, not a batch of one
+    calls.clear()
+    rule_expectation(make_james_stein(4), 6, 5.0)
+    assert [args[1] for args in calls] == [6]
 
 
 def test_class_breakdown_has_seven_terms():
