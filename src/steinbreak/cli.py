@@ -672,6 +672,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: ``parse_args`` reads the parser and never changes it.
+_PARSER = _build_parser()
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     raw: dict = {}
     if args.config is not None:
@@ -690,7 +694,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = _config_from_args(args)
         tables, code = _COMMANDS[args.subcommand](cfg)

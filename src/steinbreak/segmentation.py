@@ -10,10 +10,12 @@ digits on ill-conditioned segments.
 
 The unrestricted criterion separates across segments, so a Bellman
 recursion over a table of single-segment SSRs finds the global optimum in
-``O(m T^2)``.  A cross-segment restriction destroys that separability; the
-restricted search therefore offers exhaustive enumeration (global, guarded
-by a partition-count budget) and cyclic coordinate refinement of one break
-at a time (fast, flagged non-global).  Both score their candidates in
+``O(m T^2)``; the table holds only the segments that a feasible partition
+can contain, ``O(T)`` of them for one break.  A cross-segment restriction
+destroys that separability; the restricted search therefore offers
+exhaustive enumeration (global, guarded by a partition-count budget) and
+cyclic coordinate refinement of one break at a time (fast, flagged
+non-global).  Both score their candidates in
 batches: a coordinate move of every start still refining, the whole coarse
 start lattice, or a fixed-size chunk of the enumeration is one call to
 :meth:`SegmentMoments.restricted_ssr`.  It splits the restriction into
@@ -118,8 +120,8 @@ class SegmentationResult:
         return self.method_used != METHOD_REFINE
 
 
-# Bytes of segment Gram factors one set of regressors keeps (O(T^2 q^2));
-# past it, every SSR table factors its Grams again, block by block.
+# Bytes of segment Gram factors one set of regressors keeps (O(T^2 q^2),
+# O(T q^2) for one break); past it, every SSR table factors its Grams again, block by block.
 _FACTOR_CACHE_BYTES = 4 << 20
 # Segments per block of an SSR table build; bounds its temporaries.
 _TABLE_BLOCK = 2048
@@ -129,24 +131,45 @@ _TABLE_BLOCK = 2048
 _PIVOT_FLOOR = 1e-13
 
 
-def _segment_blocks(t_total: int, min_len: int):
-    """Segments ``[s, e)`` with ``e - s >= min_len`` in row-major order, as
-    ``(starts, ends)`` blocks of whole start rows, about ``_TABLE_BLOCK``
-    segments each."""
-    n_starts = t_total - min_len + 1
-    i0 = 0
-    while i0 < n_starts:
-        i1, size = i0, 0
-        while i1 < n_starts and (i1 == i0 or size + n_starts - i1 <= _TABLE_BLOCK):
-            size += n_starts - i1
-            i1 += 1
-        rows = np.arange(i0, i1)
-        counts = n_starts - rows
-        first = np.cumsum(counts) - counts
-        starts = np.repeat(rows, counts)
-        ends = np.arange(size) - np.repeat(first - rows - min_len, counts)
-        yield starts, ends
-        i0 = i1
+def _reachable_rows(t_total: int, min_len: int, m: int):
+    """Start rows of the segments that some feasible ``m``-break partition
+    contains, as ``(starts, n_inner, to_end)`` arrays over ``s = 0 .. T -
+    min_len``.
+
+    ``[s, e)`` can be segment ``p`` (from 0) exactly when ``s = 0 <=> p =
+    0``, ``e = T <=> p = m``, ``s >= p min_len``, ``T - e >= (m - p)
+    min_len`` and ``e - s >= min_len``.  For ``p < m`` the latest such
+    ``p`` allows the most ends, so row ``s`` holds the ``n_inner`` ends
+    ``s + min_len, s + min_len + 1, ...``, then ``T`` when ``to_end``.
+    """
+    starts = np.arange(max(t_total - min_len + 1, 0))
+    p = np.minimum(starts // min_len, m - 1)
+    inner = (p >= 0) & ((starts == 0) == (p == 0))
+    n_inner = np.where(inner, np.maximum(t_total - (m - p + 1) * min_len - starts + 1, 0), 0)
+    to_end = (starts >= m * min_len) & ((starts == 0) == (m == 0))
+    return starts, n_inner, to_end
+
+
+def _segment_blocks(t_total: int, min_len: int, m: int):
+    """The segments ``[s, e)`` of :func:`_reachable_rows` in row-major
+    order, as ``(starts, ends)`` blocks of whole start rows, about
+    ``_TABLE_BLOCK`` segments each: ``2 (T - 2 min_len + 1)`` segments in
+    all at ``m = 1``."""
+    starts, n_inner, to_end = _reachable_rows(t_total, min_len, m)
+    counts = n_inner + to_end
+    kept = counts > 0
+    starts, n_inner, counts = starts[kept], n_inner[kept], counts[kept]
+    if not len(starts):
+        return
+    first = np.cumsum(counts) - counts
+    cuts = np.flatnonzero(np.diff(first // _TABLE_BLOCK)) + 1
+    for rows in np.split(np.arange(len(starts)), cuts):
+        n = counts[rows]
+        offset = np.arange(n.sum()) - np.repeat(first[rows] - first[rows[0]], n)
+        block_starts = np.repeat(starts[rows], n)
+        ends = block_starts + min_len + offset
+        ends[offset == np.repeat(n_inner[rows], n)] = t_total
+        yield block_starts, ends
 
 
 def _packed(i: int, j: int) -> int:
@@ -184,19 +207,25 @@ def _cholesky_rows(grams: np.ndarray, q: int) -> np.ndarray:
 
 def _lu_ssr(mom: np.ndarray, q: int) -> np.ndarray:
     """SSR ``y'y - y'Z beta`` of each augmented Gram in ``mom`` by an LU
-    solve of ``Z'Z beta = Z'y``; ``+inf`` on an exact zero pivot."""
+    solve of ``Z'Z beta = Z'y``; ``+inf`` on an exact zero pivot.
+
+    Each Gram is solved on its own and every SSR is read by one ``einsum``,
+    also when the batch holds a singular Gram, so an entry's bits do not
+    depend on the other entries of its batch."""
     grams, zys, yys = mom[:, :q, :q], mom[:, :q, q], mom[:, q, q]
+    singular = np.zeros(len(mom), dtype=bool)
     try:
-        betas = np.linalg.solve(grams, zys[..., None])[..., 0]
-        return yys - np.einsum("nq,nq->n", zys, betas)
+        betas = np.linalg.solve(grams, zys[..., None])
     except np.linalg.LinAlgError:
-        ssr = np.empty(len(mom))
+        betas = np.zeros((*zys.shape, 1))
         for idx in range(len(mom)):
             try:
-                ssr[idx] = yys[idx] - zys[idx] @ np.linalg.solve(grams[idx], zys[idx])
+                betas[idx] = np.linalg.solve(grams[idx:idx + 1], zys[idx:idx + 1, :, None])[0]
             except np.linalg.LinAlgError:
-                ssr[idx] = np.inf
-        return ssr
+                singular[idx] = True
+    ssr = yys - np.einsum("nq,nq->n", zys, betas[..., 0])
+    ssr[singular] = np.inf
+    return ssr
 
 
 def _schur_ssr(w: np.ndarray, f: int) -> np.ndarray:
@@ -283,6 +312,11 @@ def _component_layout(restriction: Restriction, q: int) -> _ComponentLayout:
     )
 
 
+def _prefix_sums(rows: np.ndarray) -> np.ndarray:
+    """Cumulative sums over axis 0, with a leading zero row."""
+    return np.concatenate([np.zeros((1, *rows.shape[1:])), np.cumsum(rows, axis=0)])
+
+
 class SegmentMoments:
     """Search state of one dataset, shared by both searches: prefix sums of
     ``w w'`` with ``w = (z, y)``, single-segment SSR tables, the unrestricted
@@ -293,22 +327,30 @@ class SegmentMoments:
     score it returns is ``+inf`` for a partition with a segment inside an
     excluded one.
 
-    The Cholesky factors of the segment Grams ``Z'Z`` depend on the
-    regressors only.  They are kept per minimum length while they fit in
-    ``_FACTOR_CACHE_BYTES``, and :meth:`with_response` hands them to the
-    state of another response on the same regressors, so that a residual
-    bootstrap factors every segment Gram once.
+    An ``m``-break search reads only the segments that some feasible
+    partition contains (:func:`_reachable_rows`), so tables and factors are
+    built for those alone and keyed by ``(min_len, m)``: ``O(T)`` segments
+    at ``m = 1``.  The regressor-only state is the ``Z'Z`` prefix sums, the
+    Cholesky factors of the segment Grams (kept while they fit in
+    ``_FACTOR_CACHE_BYTES``) and the layout of the last restriction scored.
+    :meth:`with_response` hands it to the state of another response on the
+    same regressors, so that a residual bootstrap factors every segment
+    Gram once.
     """
 
     def __init__(self, data: RegressionData):
         w = np.column_stack([data.z, data.y])
-        outer = w[:, :, None] * w[:, None, :]
-        self._cum = np.concatenate([np.zeros((1, *outer.shape[1:])), np.cumsum(outer, axis=0)])
+        self._setup(data, _prefix_sums(w[:, :, None] * w[:, None, :]))
+        self._factors: dict[tuple[int, int], list[tuple]] = {}
+        self._layout: tuple | None = None
+
+    def _setup(self, data: RegressionData, cum: np.ndarray) -> None:
+        """The state of one response, on its prefix sums ``cum``."""
+        self._cum = cum
         self._z = data.z
         self.n_obs = data.n_obs
         self.n_regressors = data.n_regressors
-        self._factors: dict[int, list[tuple]] = {}
-        self._tables: dict[int, np.ndarray] = {}
+        self._tables: dict[tuple[int, int], np.ndarray] = {}
         self._optima: dict[tuple[int, int], tuple[int, ...]] = {}
         self._excluded: list[tuple[int, int]] = []
         self._prefix: tuple | None = None
@@ -316,12 +358,19 @@ class SegmentMoments:
     def with_response(self, y: np.ndarray) -> SegmentMoments:
         """A fresh search state for response ``y`` on the same regressors.
 
-        It shares this state's segment Gram factors and has its own prefix
-        sums, tables, optima and exclusions, so its tables are bit for bit
-        those of ``SegmentMoments(RegressionData(y=y, z=z))``.
+        It shares this state's regressor-only state and has its own
+        response prefix sums, tables, optima and exclusions.  Prefix sums
+        add entry by entry, so its prefix sums, tables and scores are bit
+        for bit those of ``SegmentMoments(RegressionData(y=y, z=z))``.
         """
-        state = SegmentMoments(RegressionData(y=y, z=self._z))
+        data, q = RegressionData(y=y, z=self._z), self.n_regressors
+        cum = np.empty_like(self._cum)
+        cum[:, :q, :q] = self._cum[:, :q, :q]
+        cum[:, :, q] = cum[:, q, :] = _prefix_sums(np.column_stack([data.z, data.y]) * data.y[:, None])
+        state = SegmentMoments.__new__(SegmentMoments)
+        state._setup(data, cum)
         state._factors = self._factors
+        state._layout = self._layout
         return state
 
     def exclude(self, segments) -> None:
@@ -376,12 +425,16 @@ class SegmentMoments:
         prefix sums ``B_p'C_t B_p`` of the augmented Grams ``C_t`` give them
         by one difference: ``prefix[a, b, i * (T + 1) + t]`` is entry
         ``(a, b)`` of ``B'C_t B`` for slot ``i``.  Only its lower triangle
-        is read.
+        is read.  The layout depends on the regressor count only, so it is
+        kept for the last restriction and shared with every
+        :meth:`with_response` state.
         """
         if self._prefix is not None and self._prefix[0] is restriction:
             return self._prefix[1]
         q, t_total = self.n_regressors, self.n_obs
-        layout = _component_layout(restriction, q)
+        if self._layout is None or self._layout[0] is not restriction:
+            self._layout = (restriction, _component_layout(restriction, q))
+        layout = self._layout[1]
         n_slots, _, width = layout.basis.shape
         # C_t B for every slot in one product, then B' (C_t B) slot by slot
         half = (self._cum.reshape(-1, q + 1) @ np.hstack(layout.basis)).reshape(
@@ -393,31 +446,35 @@ class SegmentMoments:
         self._prefix = (restriction, (layout, prefix))
         return layout, prefix
 
-    def ssr_table(self, min_len: int) -> np.ndarray:
-        """Table ``tab[i, j]`` = OLS SSR of observations ``i..j`` inclusive.
+    def ssr_table(self, min_len: int, m: int) -> np.ndarray:
+        """Table ``tab[i, j]`` = OLS SSR of observations ``i..j`` inclusive,
+        for the segments that some feasible ``m``-break partition contains.
 
         Each entry is ``y'y - ||L^-1 Z'y||^2`` with ``L`` the Cholesky
         factor of the segment's Gram ``Z'Z``; the factors come from
         :meth:`_factor_blocks`, and only the ``Z'y`` and ``y'y`` prefix
         sums are read per table.  Every operation is elementwise over a
         block of segments, so an entry does not depend on the block it is
-        computed in.  A segment with a Cholesky pivot at or below
-        ``_PIVOT_FLOOR`` of its Gram diagonal is solved by LU instead.
+        computed in, nor on the other segments of the table.  A segment
+        with a Cholesky pivot at or below ``_PIVOT_FLOOR`` of its Gram
+        diagonal is solved by LU instead.
 
-        Entries for segments shorter than ``min_len``, whose Gram has an
-        exact LU zero pivot, or inside an excluded segment are ``+inf``.  A
+        Entries for segments that no feasible ``m``-break partition with
+        segments of at least ``min_len`` contains (:func:`_reachable_rows`),
+        whose Gram has an exact LU zero pivot, or inside an excluded segment
+        are ``+inf``; no search with this ``m`` reads the first kind.  A
         segment whose rows are rank deficient but whose Gram is singular
         only up to round-off gets a finite entry, possibly below its true
         SSR, until a fit rejects it and the search excludes it.
         """
-        min_len = max(int(min_len), 1)
-        if min_len in self._tables:
-            return self._tables[min_len]
+        key = (max(int(min_len), 1), int(m))
+        if key in self._tables:
+            return self._tables[key]
         t_total, q = self.n_obs, self.n_regressors
         tab = np.full((t_total, t_total), np.inf)
         # rows: Z'y prefix sums, then y'y
         response = np.ascontiguousarray(self._cum[:, :, q].T)
-        for starts, ends, fac, fallback in self._factor_blocks(min_len):
+        for starts, ends, fac, fallback in self._factor_blocks(*key):
             w = np.take(response, ends, axis=1)
             w -= np.take(response, starts, axis=1)
             for j in range(q):
@@ -434,12 +491,12 @@ class SegmentMoments:
             tab.ravel()[starts * t_total + ends - 1] = np.maximum(w[q], 0.0)
         for s, e in self._excluded:
             tab[s:e, s:e] = np.inf
-        self._tables[min_len] = tab
+        self._tables[key] = tab
         return tab
 
-    def _factor_blocks(self, min_len: int):
-        """Blocks ``(starts, ends, fac, fallback)`` of the segments
-        ``[s, e)`` with ``e - s >= min_len``, in row-major order.
+    def _factor_blocks(self, min_len: int, m: int):
+        """Blocks ``(starts, ends, fac, fallback)`` of the segments of
+        :func:`_segment_blocks`, in row-major order.
 
         ``fac`` holds each segment's Cholesky factor as
         :func:`_cholesky_rows` leaves it, and ``fallback`` indexes the
@@ -448,18 +505,19 @@ class SegmentMoments:
         within ``_FACTOR_CACHE_BYTES``; otherwise each table factors them
         again.
         """
-        if min_len in self._factors:
-            yield from self._factors[min_len]
+        key = (min_len, m)
+        if key in self._factors:
+            yield from self._factors[key]
             return
         q = self.n_regressors
-        n_starts = max(self.n_obs - min_len + 1, 0)
-        n_segments = n_starts * (n_starts + 1) // 2
+        _, n_inner, to_end = _reachable_rows(self.n_obs, min_len, m)
+        n_segments = int(n_inner.sum() + to_end.sum())
         held = sum(a.nbytes for blocks in self._factors.values() for blk in blocks for a in blk)
         lower = [(i, j) for i in range(q) for j in range(i + 1)]
         keep = held + n_segments * (len(lower) + 2) * 8 <= _FACTOR_CACHE_BYTES
         cum = np.ascontiguousarray(self._cum[:, [i for i, _ in lower], [j for _, j in lower]].T)
         blocks = []
-        for starts, ends in _segment_blocks(self.n_obs, min_len):
+        for starts, ends in _segment_blocks(self.n_obs, min_len, m):
             fac = np.take(cum, ends, axis=1)
             fac -= np.take(cum, starts, axis=1)
             block = (starts, ends, fac, _cholesky_rows(fac, q))
@@ -467,7 +525,7 @@ class SegmentMoments:
                 blocks.append(block)
             yield block
         if keep:
-            self._factors[min_len] = blocks
+            self._factors[key] = blocks
 
     def dp_optimum(self, min_len: int, m: int) -> tuple[int, ...]:
         """Lexicographically first break vector minimizing the table total,
@@ -475,7 +533,7 @@ class SegmentMoments:
         segment."""
         key = (min_len, m)
         if key not in self._optima:
-            _, breaks = _suffix_dp(self.ssr_table(min_len), m, min_len)
+            _, breaks = _suffix_dp(self.ssr_table(min_len, m), m, min_len)
             self._optima[key] = tuple(breaks)
         return self._optima[key]
 
@@ -536,7 +594,11 @@ def _suffix_dp(tab: np.ndarray, m: int, min_len: int) -> tuple[np.ndarray, list[
     Each level ``c`` is computed for a chunk of rows ``j`` at once.  Row
     ``j`` then also scans next boundaries below ``j + min_len``, whose table
     entries are ``+inf`` (too short), so every ``best[j, c]`` is the minimum
-    of the same sums as in a row-by-row recursion.
+    of the same sums as in a row-by-row recursion.  ``best[0, m]`` and the
+    readout depend only on ``best[j, c]`` with ``j`` a start of segment
+    ``m - c`` of some feasible partition, which read only the segments of
+    :func:`_reachable_rows`; any other ``best[j, c]`` may read an entry the
+    table leaves ``+inf``.
     """
     t_total = tab.shape[0]
     best = np.full((t_total + 1, m + 1), np.inf)
@@ -693,7 +755,7 @@ def _search(data, restriction, config, stats) -> SegmentationResult:
     t_total, q, m = data.n_obs, data.n_regressors, config.m
     min_len = config.feasible_min_length(t_total, q)
     if restriction is None:
-        score = lambda breaks: _fold_total(stats.ssr_table(min_len), breaks, t_total)
+        score = lambda breaks: _fold_total(stats.ssr_table(min_len, m), breaks, t_total)
         fit = lambda partition: ssr_unrestricted(data, partition)
     else:
         restriction.check_dims((m + 1) * q)

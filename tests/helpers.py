@@ -213,6 +213,37 @@ def lu_ssr_table(data, min_len):
     return tab
 
 
+def reachable_mask(t_total, min_len, m):
+    """``mask[s, e - 1]`` is True when ``[s, e)`` can be segment ``p`` of a
+    feasible ``m``-break partition for some ``p``: ``s = 0 <=> p = 0``,
+    ``e = T <=> p = m``, ``s >= p min_len``, ``T - e >= (m - p) min_len``
+    and ``e - s >= min_len``."""
+    s, e = np.arange(t_total)[:, None], np.arange(1, t_total + 1)[None, :]
+    mask = np.zeros((t_total, t_total), dtype=bool)
+    for p in range(m + 1):
+        mask |= (
+            ((s == 0) == (p == 0))
+            & ((e == t_total) == (p == m))
+            & (s >= p * min_len)
+            & (t_total - e >= (m - p) * min_len)
+            & (e - s >= min_len)
+        )
+    return mask
+
+
+def suffix_dp_readout(tab, best, m, min_len):
+    """Lexicographically first break vector attaining ``best[0, m]``."""
+    t_total = tab.shape[0]
+    breaks, j = [], 0
+    for c in range(m, 0, -1):
+        for b in range(j + min_len, t_total - c * min_len + 1):
+            if tab[j, b - 1] + best[b, c - 1] == best[j, c]:
+                breaks.append(b)
+                j = b
+                break
+    return tuple(breaks)
+
+
 def suffix_dp_reference(tab, m, min_len):
     """``best[j, c]`` of the suffix recursion, one row ``j`` at a time."""
     t_total = tab.shape[0]

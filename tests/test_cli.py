@@ -192,6 +192,46 @@ def test_fit_no_breaks(tmp_path):
     assert rows == {"ue", "re"}
 
 
+def test_parser_keeps_no_state_between_runs(tmp_path):
+    # main parses with one parser built at import; a flag given to one run
+    # does not reach the next, which takes the config's omega
+    write_trend_series(tmp_path / "series.csv", brk=60)
+    cfg = fit_config(tmp_path, omega="hc0")
+    assert main(["fit", "--config", str(cfg), "--omega", "hac"]) == EXIT_OK
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["config"]["omega"] == "hac"
+    assert main(["fit", "--config", str(cfg)]) == EXIT_OK
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["config"]["omega"] == "hc0"
+    stat = {r["key"]: r["value"] for r in read_rows(tmp_path / "out" / "fit_stats.csv")}
+    assert stat["omega_method"] == "hc0"
+
+
+NO_BREAK = (117, {"m": 0, "estimators": ["ue", "re"]}, [])
+# (m + 1) floor(min_seg_frac T) == T leaves one partition: 30 | 30 | 30
+EXACT_FIT = (90, {"m": 2, "min_seg_frac": 1 / 3 + 1e-9}, ["30", "60"])
+
+
+@pytest.mark.parametrize(
+    "subcommand, n_obs, extra, breaks",
+    [("bootstrap", *NO_BREAK), ("fit", *EXACT_FIT), ("bootstrap", *EXACT_FIT)],
+)
+def test_fit_and_bootstrap_with_one_feasible_partition(tmp_path, subcommand, n_obs, extra, breaks):
+    # a single segment, or a single partition; test_fit_no_breaks covers fit
+    # with no break
+    write_trend_series(tmp_path / "series.csv", n_obs=n_obs, brk=n_obs // 2)
+    cfg = fit_config(tmp_path, bootstrap_b=5, **extra)
+    assert main([subcommand, "--config", str(cfg)]) == EXIT_OK
+    if subcommand == "fit":
+        rows = read_rows(tmp_path / "out" / "breaks.csv")
+        assert [r["time"] for r in rows if r["search"] == "ue"] == breaks
+        assert [r["time"] for r in rows if r["search"] == "re"] == breaks
+    else:
+        row = read_rows(tmp_path / "out" / "table1.csv")[0]
+        assert row["changepoints_ue"] == row["changepoints_re"] == "|".join(breaks)
+        assert row["n_fail"] == "0"
+
+
 def test_fit_low_rank_restriction_exits_numeric(tmp_path):
     # k = 1 <= 2 makes the Stein rules unavailable: exit code 3
     rng = np.random.default_rng(1)
@@ -385,8 +425,9 @@ def test_bootstrap_deterministic(tmp_path):
 
 
 def test_bootstrap_factors_segment_grams_once(tmp_path, monkeypatch):
-    # the replicates keep z, so the one block of segment Grams (T = 60,
-    # 15% segments: 1378 segments) is factored for the base fit only
+    # the replicates keep z, so the one block of segment Grams is factored
+    # for the base fit only; at m = 1 (T = 60, 15% segments of at least 9)
+    # only [0, b) and [b, T) are built: 2 (60 - 18 + 1) = 86 segments
     from steinbreak import segmentation
 
     write_trend_series(tmp_path / "series.csv", n_obs=60, brk=30, noise=0.05)
@@ -400,7 +441,7 @@ def test_bootstrap_factors_segment_grams_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(segmentation, "_cholesky_rows", counted)
     assert main(["bootstrap", "--config", str(cfg)]) == EXIT_OK
-    assert calls == [1378]
+    assert calls == [86]
     assert read_rows(tmp_path / "out" / "table1.csv")[0]["n_fail"] == "0"
 
 

@@ -9,12 +9,14 @@ from helpers import (
     kkt_restricted_ssr,
     lu_ssr_table,
     moment_prefix_sums,
+    reachable_mask,
     nullspace_kernel_ssr,
     nullspace_restricted_fit,
     random_instance,
     random_restriction,
     segment_sparse_restriction,
     sequential_refine,
+    suffix_dp_readout,
     suffix_dp_reference,
 )
 from steinbreak import (
@@ -25,6 +27,7 @@ from steinbreak import (
     Restriction,
     SearchConfig,
     SegmentRankDeficient,
+    block_restriction,
     count_partitions,
     find_breaks_restricted,
     find_breaks_unrestricted,
@@ -36,6 +39,7 @@ from steinbreak import (
 from steinbreak import segmentation
 from steinbreak.segmentation import (
     MAX_REFINE_CYCLES,
+    METHOD_DP,
     METHOD_EXHAUSTIVE,
     METHOD_REFINE,
     SegmentMoments,
@@ -513,7 +517,7 @@ def test_unrestricted_exclusions_carry_to_restricted_scores():
         rhs=np.zeros(2),
     )
     stats = SegmentMoments(data)
-    _, first = segmentation._suffix_dp(stats.ssr_table(min_len).copy(), 2, min_len)
+    _, first = segmentation._suffix_dp(stats.ssr_table(min_len, 2).copy(), 2, min_len)
     with pytest.raises(SegmentRankDeficient) as info:
         fit_unrestricted(data, Partition(tuple(first)))
     segments = info.value.segments
@@ -521,9 +525,15 @@ def test_unrestricted_exclusions_carry_to_restricted_scores():
     rows = np.array([(0, e, e + 40, 100) if s == 0 else (0, s, e, 100) for s, e in segments])
     assert np.isfinite(SegmentMoments(data).restricted_ssr(rows, restr)).all()
     find_breaks_unrestricted(data, cfg, stats=stats)
-    tab = stats.ssr_table(min_len)
+    tab = stats.ssr_table(min_len, 2)
+    excluded = np.zeros(tab.shape, dtype=bool)
+    for s, e in stats._excluded:
+        excluded[s:e, s:e] = True
     for s, e in segments:
-        assert np.isinf(tab[s:e, s:e]).all()
+        assert excluded[s:e, s:e].all()
+    kept = reachable_mask(data.n_obs, min_len, 2) & ~excluded
+    assert np.isinf(tab[~kept]).all()
+    assert np.array_equal(tab[kept], SegmentMoments(data).ssr_table(min_len, 2)[kept])
     assert np.isinf(stats.restricted_ssr(rows, restr)).all()
 
 
@@ -652,24 +662,29 @@ def trend_series(n_obs, brk, seed):
 
 def test_with_response_tables_match_a_fresh_state(monkeypatch):
     # shared factors, refactored blocks and any block size give the same
-    # table bits as a fresh state on the same (z, y)
-    cases = [(trend_series(124, 62, 0), 18), (constant_block_instance(3), 2)]
-    cases += [random_instance(700 + seed, q_choices=(1, 2, 3))[:1] + (3,) for seed in range(5)]
-    for data, min_len in cases:
+    # table bits as a fresh state on the same (z, y), finite on every
+    # segment a search with this m can read and +inf on every other
+    cases = [(trend_series(124, 62, 0), 18, 1), (constant_block_instance(3), 2, 2)]
+    for seed in range(5):
+        data, m = random_instance(700 + seed, q_choices=(1, 2, 3))
+        cases.append((data, 3, m))
+    for data, min_len, m in cases:
         rng = np.random.default_rng(min_len)
+        reachable = reachable_mask(data.n_obs, min_len, m)
         base = SegmentMoments(data)
-        base.ssr_table(min_len)
+        base.ssr_table(min_len, m)
         for _ in range(3):
             y = data.y + rng.normal(size=data.n_obs)
             shared = base.with_response(y)
             assert shared._factors is base._factors
-            fresh = SegmentMoments(RegressionData(y=y, z=data.z)).ssr_table(min_len)
-            assert np.array_equal(shared.ssr_table(min_len), fresh)
+            fresh = SegmentMoments(RegressionData(y=y, z=data.z)).ssr_table(min_len, m)
+            assert np.isinf(fresh[~reachable]).all()
+            assert np.array_equal(shared.ssr_table(min_len, m), fresh)
             with monkeypatch.context() as patch:
                 patch.setattr(segmentation, "_FACTOR_CACHE_BYTES", 0)
                 patch.setattr(segmentation, "_TABLE_BLOCK", 7)
                 refactored = SegmentMoments(RegressionData(y=y, z=data.z))
-                assert np.array_equal(refactored.ssr_table(min_len), fresh)
+                assert np.array_equal(refactored.ssr_table(min_len, m), fresh)
                 assert refactored._factors == {}
 
 
@@ -680,7 +695,8 @@ def test_with_response_keeps_its_own_search_state():
     cfg = SearchConfig(m=2, min_seg_frac=0.02)
     min_len = cfg.min_segment_length(data.n_obs, data.n_regressors)
     base = SegmentMoments(data)
-    base_tab = base.ssr_table(min_len).copy()
+    base_tab = base.ssr_table(min_len, 2).copy()
+    assert np.isinf(base_tab[~reachable_mask(data.n_obs, min_len, 2)]).all()
     first = base.with_response(data.y)
     sibling = base.with_response(data.y)
     found = find_breaks_unrestricted(data, cfg, stats=first)
@@ -688,72 +704,90 @@ def test_with_response_keeps_its_own_search_state():
     assert (base._excluded, sibling._excluded) == ([], [])
     assert base._optima == {} and sibling._optima == {} and sibling._tables == {}
     assert first.dp_optimum(min_len, 2) == found.partition.breaks
-    sibling_tab = sibling.ssr_table(min_len)
-    assert sibling_tab is not first.ssr_table(min_len)
+    sibling_tab = sibling.ssr_table(min_len, 2)
+    assert sibling_tab is not first.ssr_table(min_len, 2)
     assert np.array_equal(sibling_tab, base_tab)
-    assert np.array_equal(base.ssr_table(min_len), base_tab)
+    assert np.array_equal(base.ssr_table(min_len, 2), base_tab)
     for s, e in first._excluded:
-        assert np.isinf(first.ssr_table(min_len)[s:e, s:e]).all()
+        assert np.isinf(first.ssr_table(min_len, 2)[s:e, s:e]).all()
         assert np.isfinite(sibling_tab[s:e, s:e]).any()
     assert sibling.dp_optimum(min_len, 2) != found.partition.breaks
 
 
 @pytest.mark.parametrize("const", [0.3, 1.0])
 def test_table_inf_pattern_matches_lu_reference(const):
-    # near-singular Grams of the constant block go to the LU solve, so
-    # exactly the segments with an exact LU zero pivot are +inf
+    # near-singular Grams of the constant block go to the LU solve, so of
+    # the segments a search with m breaks reads, exactly those with an
+    # exact LU zero pivot are +inf; every other entry is +inf
     for seed in range(10):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=100)
         x[:30] = const
         y = 1.0 + 0.5 * x + rng.normal(size=100)
         data = RegressionData(y=y, z=np.column_stack([np.ones(100), x]))
-        tab = SegmentMoments(data).ssr_table(2)
-        assert np.array_equal(np.isinf(tab), np.isinf(lu_ssr_table(data, 2))), seed
+        reference = np.isinf(lu_ssr_table(data, 2))
+        for m in (1, 2, 3):
+            reachable = reachable_mask(100, 2, m)
+            tab = SegmentMoments(data).ssr_table(2, m)
+            assert np.array_equal(np.isinf(tab[reachable]), reference[reachable]), (seed, m)
+            assert np.isinf(tab[~reachable]).all(), (seed, m)
 
 
 def test_trend_table_matches_per_segment_lstsq():
     # moment differences lose digits on the trend basis (about 1.1e-5 here,
-    # by Cholesky or by LU); the table stays within 2e-5 of lstsq, with a
-    # floor for tiny SSRs
+    # by Cholesky or by LU); every entry a search with m breaks reads stays
+    # within 2e-5 of lstsq, with a floor for tiny SSRs, and every other
+    # entry is +inf
     data = trend_series(117, 60, 7)
     min_len = 17
-    tab = SegmentMoments(data).ssr_table(min_len)
     floor = 1e-10 * float(data.y @ data.y)
+    ref = np.full((data.n_obs, data.n_obs), np.nan)
     for s in range(data.n_obs):
         for e in range(s + min_len, data.n_obs + 1):
             _, res, *_ = np.linalg.lstsq(data.z[s:e], data.y[s:e], rcond=None)
-            ref = float(res[0])
-            assert abs(tab[s, e - 1] - ref) <= 2e-5 * max(ref, floor), (s, e)
+            ref[s, e - 1] = float(res[0])
+    for m in (1, 2, 3):
+        reachable = reachable_mask(data.n_obs, min_len, m)
+        tab = SegmentMoments(data).ssr_table(min_len, m)
+        assert np.isinf(tab[~reachable]).all(), m
+        for s, e1 in np.argwhere(reachable):
+            assert abs(tab[s, e1] - ref[s, e1]) <= 2e-5 * max(ref[s, e1], floor), (m, s, e1 + 1)
 
 
 def test_one_off_table_memory_stays_bounded():
-    # at T = 2000 the table is 32 MB and all segment factors would take
-    # about 170 MB, so they are not kept and each block is factored in turn
+    # at T = 2000 the table is 32 MB; m = 5 reaches 1.39e6 segments, whose
+    # factors would take about 130 MB, so they are not kept and each block
+    # is factored in turn
     rng = np.random.default_rng(18)
     data = RegressionData(y=rng.normal(size=2000), z=rng.normal(size=(2000, 4)))
     stats = SegmentMoments(data)
     tracemalloc.start()
     try:
-        tab = stats.ssr_table(100)
+        tab = stats.ssr_table(100, 5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 36e6, f"peak {peak / 1e6:.1f} MB"
     assert stats._factors == {}
+    reachable = reachable_mask(2000, 100, 5)
+    assert reachable.sum() > 1.39e6
+    assert np.isfinite(tab[reachable]).all() and np.isinf(tab[~reachable]).all()
     assert np.isfinite(tab[0, 99]) and np.isinf(tab[0, 98])
 
 
 def test_vectorised_dp_matches_row_by_row_recursion(monkeypatch):
     # every best[j, c] is bit for bit the row-by-row minimum, also when a
-    # level is split into chunks of rows
+    # level is split into chunks of rows; the table is finite on every
+    # segment the search reads and +inf on every other
     rng = np.random.default_rng(19)
     for seed in range(30):
         data, m = random_instance(800 + seed, t_range=(12, 40), m_choices=(1, 2, 3))
         min_len = max(2, data.n_regressors)
         if (m + 1) * min_len > data.n_obs:
             continue
-        tab = SegmentMoments(data).ssr_table(min_len).copy()
+        tab = SegmentMoments(data).ssr_table(min_len, m).copy()
+        reachable = reachable_mask(data.n_obs, min_len, m)
+        assert np.isfinite(tab[reachable]).all() and np.isinf(tab[~reachable]).all(), seed
         tab[rng.random(tab.shape) < 0.05] = np.inf
         tab[np.isfinite(tab)] = np.round(tab[np.isfinite(tab)], 1)  # ties
         expected = suffix_dp_reference(tab, m, min_len)
@@ -765,3 +799,110 @@ def test_vectorised_dp_matches_row_by_row_recursion(monkeypatch):
                 assert not np.isfinite(expected[0, m])
                 continue
             assert np.array_equal(best, expected), (seed, chunk)
+
+
+def test_reachable_segments_match_enumeration(monkeypatch):
+    # the segments built for an m-break search are exactly those of some
+    # feasible partition, in row-major order and in blocks of whole start
+    # rows, also when (m + 1) min_len == T leaves a single partition
+    monkeypatch.setattr(segmentation, "_TABLE_BLOCK", 7)
+    grid = [(t, ml, m) for t in range(2, 25) for ml in range(1, 6) for m in range(5) if (m + 1) * ml <= t]
+    assert sum((m + 1) * ml == t for t, ml, m in grid) > 20
+    for t_total, min_len, m in grid:
+        expected = set()
+        for breaks in itertools.combinations(range(1, t_total), m):
+            bounds = (0, *breaks, t_total)
+            if all(b - a >= min_len for a, b in zip(bounds, bounds[1:])):
+                expected.update(zip(bounds, bounds[1:]))
+        blocks = list(segmentation._segment_blocks(t_total, min_len, m))
+        built = [seg for starts, ends in blocks for seg in zip(starts.tolist(), ends.tolist())]
+        assert built == sorted(expected), (t_total, min_len, m)
+        assert all(prev[0][-1] < nxt[0][0] for prev, nxt in zip(blocks, blocks[1:]))
+        mask = np.zeros((t_total, t_total), dtype=bool)
+        mask[tuple(np.array([(s, e - 1) for s, e in expected]).T)] = True
+        assert np.array_equal(reachable_mask(t_total, min_len, m), mask), (t_total, min_len, m)
+
+
+def test_searches_match_a_full_table_reference():
+    # the DP and exhaustive search pick the breaks, and fit the SSR, of the
+    # row-by-row suffix recursion over a full LU table with the same
+    # exclusions, on random instances with exactly collinear blocks
+    checked = 0
+    for seed in range(240):
+        data, m = random_instance(1200 + seed, t_range=(12, 45), m_choices=(0, 1, 2, 3, 4), q_choices=(1, 2, 3))
+        cfg = SearchConfig(m=m, min_seg_frac=0.1)
+        min_len = cfg.min_segment_length(data.n_obs, data.n_regressors)
+        if (m + 1) * min_len > data.n_obs:
+            continue
+        if seed % 3 == 0:
+            z = np.array(data.z)
+            block = slice(0, data.n_obs // 3)
+            z[block, -1] = 0.3 * z[block, 0] if data.n_regressors > 1 else 0.0
+            data = RegressionData(y=data.y, z=z)
+        tab = lu_ssr_table(data, min_len)
+        expected = SegmentRankDeficient
+        while np.isfinite(best := suffix_dp_reference(tab, m, min_len))[0, m]:
+            partition = Partition(suffix_dp_readout(tab, best, m, min_len))
+            try:
+                expected = (partition.breaks, fit_unrestricted(data, partition).ssr)
+                break
+            except SegmentRankDeficient as exc:
+                for s, e in exc.segments:
+                    tab[s:e, s:e] = np.inf
+        for method in (METHOD_DP, METHOD_EXHAUSTIVE):
+            search = SearchConfig(m=m, min_seg_frac=0.1, method=method)
+            if expected is SegmentRankDeficient:
+                with pytest.raises(SegmentRankDeficient):
+                    find_breaks_unrestricted(data, search)
+                continue
+            res = find_breaks_unrestricted(data, search)
+            assert (res.partition.breaks, res.ssr) == expected, (seed, method)
+        checked += 1
+    assert checked >= 200
+
+
+def test_one_break_search_factors_linear_in_t(monkeypatch):
+    # an m = 1 search builds only the segments [0, b) and [b, T):
+    # 2 (T - 2 min_len + 1) of them, and the whole sample alone at m = 0
+    calls = []
+    original = segmentation._cholesky_rows
+
+    def counted(grams, q):
+        calls.append(grams.shape[1])
+        return original(grams, q)
+
+    monkeypatch.setattr(segmentation, "_cholesky_rows", counted)
+    rng = np.random.default_rng(20)
+    for t_total, frac, m in ((60, 0.15, 1), (400, 0.05, 1), (1500, 0.1, 1), (400, 0.05, 0)):
+        data = RegressionData(y=rng.normal(size=t_total), z=rng.normal(size=(t_total, 3)))
+        cfg = SearchConfig(m=m, min_seg_frac=frac)
+        min_len = cfg.min_segment_length(t_total, 3)
+        calls.clear()
+        find_breaks_unrestricted(data, cfg)
+        assert sum(calls) == (2 * (t_total - 2 * min_len + 1) if m else 1), (t_total, m)
+    assert len(calls) == 1
+
+
+def test_with_response_hands_over_the_regressor_state():
+    # the Z'Z prefix sums and the restriction's layout are handed over; the
+    # prefix sums and the restricted scores are a fresh state's, bit for bit
+    rng = np.random.default_rng(21)
+    linear_trend = block_restriction(1, 4, [("zero", 1, (3, 4)), ("zero", 2, (3, 4))])
+    cases = [(trend_series(124, 62, 0), linear_trend, 1)]
+    for seed in range(4):
+        data, _ = random_instance(900 + seed, t_range=(30, 50), q_choices=(2, 3))
+        cases.append((data, segment_sparse_restriction(rng, 2, data.n_regressors), 2))
+    for data, restr, m in cases:
+        t_total = data.n_obs
+        min_len = SearchConfig(m=m).min_segment_length(t_total, data.n_regressors)
+        breaks = next(segmentation._partition_chunks(t_total, m, min_len))
+        bounds = segmentation._with_ends(breaks, t_total)
+        base = SegmentMoments(data)
+        base.restricted_ssr(bounds, restr)
+        for _ in range(2):
+            y = data.y + rng.normal(size=t_total)
+            shared = base.with_response(y)
+            fresh = SegmentMoments(RegressionData(y=y, z=data.z))
+            assert shared._layout is base._layout
+            assert np.array_equal(shared._cum, fresh._cum)
+            assert np.array_equal(shared.restricted_ssr(bounds, restr), fresh.restricted_ssr(bounds, restr))
