@@ -312,11 +312,6 @@ def _component_layout(restriction: Restriction, q: int) -> _ComponentLayout:
     )
 
 
-def _prefix_sums(rows: np.ndarray) -> np.ndarray:
-    """Cumulative sums over axis 0, with a leading zero row."""
-    return np.concatenate([np.zeros((1, *rows.shape[1:])), np.cumsum(rows, axis=0)])
-
-
 class SegmentMoments:
     """Search state of one dataset, shared by both searches: prefix sums of
     ``w w'`` with ``w = (z, y)``, single-segment SSR tables, the unrestricted
@@ -330,26 +325,21 @@ class SegmentMoments:
     An ``m``-break search reads only the segments that some feasible
     partition contains (:func:`_reachable_rows`), so tables and factors are
     built for those alone and keyed by ``(min_len, m)``: ``O(T)`` segments
-    at ``m = 1``.  The regressor-only state is the ``Z'Z`` prefix sums, the
-    Cholesky factors of the segment Grams (kept while they fit in
-    ``_FACTOR_CACHE_BYTES``) and the layout of the last restriction scored.
-    :meth:`with_response` hands it to the state of another response on the
-    same regressors, so that a residual bootstrap factors every segment
-    Gram once.
+    at ``m = 1``.  The Cholesky factors of the segment Grams ``Z'Z`` depend
+    on the regressors only.  They are kept while they fit in
+    ``_FACTOR_CACHE_BYTES``, and :meth:`with_response` hands them to the
+    state of another response on the same regressors, so that a residual
+    bootstrap factors every segment Gram once.
     """
 
     def __init__(self, data: RegressionData):
         w = np.column_stack([data.z, data.y])
-        self._setup(data, _prefix_sums(w[:, :, None] * w[:, None, :]))
-        self._factors: dict[tuple[int, int], list[tuple]] = {}
-        self._layout: tuple | None = None
-
-    def _setup(self, data: RegressionData, cum: np.ndarray) -> None:
-        """The state of one response, on its prefix sums ``cum``."""
-        self._cum = cum
+        outer = w[:, :, None] * w[:, None, :]
+        self._cum = np.concatenate([np.zeros((1, *outer.shape[1:])), np.cumsum(outer, axis=0)])
         self._z = data.z
         self.n_obs = data.n_obs
         self.n_regressors = data.n_regressors
+        self._factors: dict[tuple[int, int], list[tuple]] = {}
         self._tables: dict[tuple[int, int], np.ndarray] = {}
         self._optima: dict[tuple[int, int], tuple[int, ...]] = {}
         self._excluded: list[tuple[int, int]] = []
@@ -358,19 +348,12 @@ class SegmentMoments:
     def with_response(self, y: np.ndarray) -> SegmentMoments:
         """A fresh search state for response ``y`` on the same regressors.
 
-        It shares this state's regressor-only state and has its own
-        response prefix sums, tables, optima and exclusions.  Prefix sums
-        add entry by entry, so its prefix sums, tables and scores are bit
-        for bit those of ``SegmentMoments(RegressionData(y=y, z=z))``.
+        It shares this state's segment Gram factors and has its own prefix
+        sums, tables, optima and exclusions, so its tables are bit for bit
+        those of ``SegmentMoments(RegressionData(y=y, z=z))``.
         """
-        data, q = RegressionData(y=y, z=self._z), self.n_regressors
-        cum = np.empty_like(self._cum)
-        cum[:, :q, :q] = self._cum[:, :q, :q]
-        cum[:, :, q] = cum[:, q, :] = _prefix_sums(np.column_stack([data.z, data.y]) * data.y[:, None])
-        state = SegmentMoments.__new__(SegmentMoments)
-        state._setup(data, cum)
+        state = SegmentMoments(RegressionData(y=y, z=self._z))
         state._factors = self._factors
-        state._layout = self._layout
         return state
 
     def exclude(self, segments) -> None:
@@ -425,16 +408,12 @@ class SegmentMoments:
         prefix sums ``B_p'C_t B_p`` of the augmented Grams ``C_t`` give them
         by one difference: ``prefix[a, b, i * (T + 1) + t]`` is entry
         ``(a, b)`` of ``B'C_t B`` for slot ``i``.  Only its lower triangle
-        is read.  The layout depends on the regressor count only, so it is
-        kept for the last restriction and shared with every
-        :meth:`with_response` state.
+        is read.
         """
         if self._prefix is not None and self._prefix[0] is restriction:
             return self._prefix[1]
         q, t_total = self.n_regressors, self.n_obs
-        if self._layout is None or self._layout[0] is not restriction:
-            self._layout = (restriction, _component_layout(restriction, q))
-        layout = self._layout[1]
+        layout = _component_layout(restriction, q)
         n_slots, _, width = layout.basis.shape
         # C_t B for every slot in one product, then B' (C_t B) slot by slot
         half = (self._cum.reshape(-1, q + 1) @ np.hstack(layout.basis)).reshape(
