@@ -350,7 +350,12 @@ def _load_fit_data(cfg: RunConfig) -> tuple[RegressionData, Restriction]:
         raise ConfigError("CSV has no regressor columns and no basis was requested")
     data = RegressionData(y=y, z=z)
     _check_segments_fit(v["m"], v["min_seg_frac"], data.n_obs, data.n_regressors)
-    return data, restriction_from_spec(v["restriction"], v["m"], data.n_regressors)
+    restriction = restriction_from_spec(v["restriction"], v["m"], data.n_regressors)
+    # a requested Stein rule that k rules out raises KTooSmall before any search
+    for name in v["estimators"]:
+        if name in SHRINKAGE_RULES:
+            SHRINKAGE_RULES[name](restriction.k)
+    return data, restriction
 
 
 def _fit_pipeline(

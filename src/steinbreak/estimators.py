@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import linalg as sla
 from scipy import stats as sps
 
 from .errors import (
@@ -34,7 +35,7 @@ from .errors import (
     SegmentRankDeficient,
     SingularConstraintGram,
 )
-from .linalg import RANK_RTOL, pd_solve, sym
+from .linalg import RANK_RTOL, pd_factor, pd_solve, sym
 from .model import Partition, RegressionData, Restriction, SegmentedDesign, build_design
 
 # Constraint satisfaction tolerance for restricted fits:
@@ -74,9 +75,10 @@ class PluginMatrices:
 
 
 def _sandwich(gamma: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Gamma^-1 Omega Gamma^-1, symmetrized."""
-    half = pd_solve(gamma, omega, name="gamma_hat")
-    return sym(pd_solve(gamma, half.T, name="gamma_hat"))
+    """Gamma^-1 Omega Gamma^-1, symmetrized; Gamma is factored once."""
+    factor = pd_factor(gamma, name="gamma_hat")
+    half = sla.cho_solve(factor, omega, check_finite=False)
+    return sym(sla.cho_solve(factor, half.T, check_finite=False))
 
 
 @dataclass(frozen=True)

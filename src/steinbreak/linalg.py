@@ -28,14 +28,16 @@ def sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def pd_solve(a: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Solve a @ x = b for symmetric positive definite ``a``.
+def pd_factor(a: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, bool]:
+    """Cholesky factor of symmetric positive definite ``a``, as
+    ``scipy.linalg.cho_factor`` returns it for ``cho_solve``.
 
     Warns when the 1-norm condition number ``||a||_1 ||a^-1||_1`` exceeds
     ``COND_WARN``.  That number is LAPACK ``dpocon``'s estimate from the
-    Cholesky factor used for the solve; the estimate of ``||a^-1||_1`` is a
-    lower bound that is almost always within a factor of a few.  Raises
-    ``SingularFactorization`` when ``a`` is not numerically PD.
+    factor; the estimate of ``||a^-1||_1`` is a lower bound that is almost
+    always within a factor of a few.  The warning names the caller of the
+    function that factors.  Raises ``SingularFactorization`` when ``a`` is
+    not numerically PD.
     """
     a = sym(np.asarray(a, dtype=float))
     try:
@@ -48,9 +50,16 @@ def pd_solve(a: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:
             f"{name} has condition number above {COND_WARN:.0e}; "
             "results may be inaccurate",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return sla.cho_solve((c, low), np.asarray(b, dtype=float), check_finite=False)
+    return c, low
+
+
+def pd_solve(a: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Solve a @ x = b for symmetric positive definite ``a`` by its
+    :func:`pd_factor`, which warns on an ill-conditioned ``a`` and raises
+    ``SingularFactorization`` on one that is not PD."""
+    return sla.cho_solve(pd_factor(a, name), np.asarray(b, dtype=float), check_finite=False)
 
 
 def pd_inverse(a: np.ndarray, name: str = "matrix") -> np.ndarray:

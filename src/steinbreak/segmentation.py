@@ -16,14 +16,15 @@ destroys that separability; the restricted search therefore offers
 exhaustive enumeration (global, guarded by a partition-count budget) and
 cyclic coordinate refinement of one break at a time (fast, flagged
 non-global).  Both score their candidates in
-batches: a coordinate move of every start still refining, the whole coarse
-start lattice, or a fixed-size chunk of the enumeration is one call to
+batches: the refinement starts with the coarse start lattice, one step of
+coordinate moves, or a fixed-size chunk of the enumeration is one call to
 :meth:`SegmentMoments.restricted_ssr`.  It splits the restriction into
 segment components (:meth:`Restriction.segment_components`; Perron & Qu,
 2006) and adds one score per component, each the Schur complement of that
-component's summed moments in its own null coordinates.  Refinement moves
-its starts in lock step, and a partition's score does not depend on its
-batch, so every start makes the moves of a descent on its own.
+component's summed moments in its own null coordinates.  A partition's
+score does not depend on its batch, so refinement scores each candidate
+set of one break, the other breaks held, once per search, and every start
+makes the moves of a descent on its own.
 
 Ties between partitions with identical SSR are broken lexicographically on
 the break vector, in every search method, so results are deterministic.
@@ -769,58 +770,95 @@ def _refine(t_total, m, min_len, objective, init) -> tuple[tuple[int, ...], int]
     coarse-lattice starts; returns the best end point and the total cycles.
 
     ``objective`` maps a ``(rows, m)`` array of break vectors to scores,
-    and a row's score must not depend on its batch.  The starts advance in
-    lock step: for each cycle and coordinate, one ``objective`` call scores
-    the candidates of every start still moving.  A start stops after a
-    cycle without a move or after ``MAX_REFINE_CYCLES`` cycles, so each
-    start makes the moves, and counts the cycles, of a descent on its own.
+    and a row's score must not depend on its batch.  One call scores
+    ``init`` with the lattice, and the best lattice partitions keep their
+    lattice scores.  Then, for each cycle and break ``p``, the starts still
+    moving take one step, and the step's one call scores each candidate set
+    it meets for the first time: the feasible positions of break ``p`` with
+    the other breaks held, keyed by ``(p, other breaks)``.  The first
+    position of the least score over that range and the score are kept,
+    and a start moves there exactly when the score is strictly below its
+    own.  So a start whose neighbours have not moved since its last scan of
+    ``p``, or that sits at the partition of another start, adds no row: a
+    scan of the range would choose the same move.  Each start makes the
+    moves of a descent on its own and stops after a cycle without a move or
+    after ``MAX_REFINE_CYCLES`` cycles; the cycles of all starts are summed.
     """
-    starts = [init]
+    lattice = _coarse_lattice(t_total, m, min_len, init) if m >= 2 else []
+    rows = [tuple(init), *lattice]
+    scores = objective(np.array(rows, dtype=np.intp).reshape(len(rows), m))
     # Single-coordinate moves cannot cross SSR valleys when several breaks
-    # must shift together, so for m >= 2 a few coarse-lattice starts are
+    # must shift together, so for m >= 2 the best few lattice partitions are
     # refined as well (the best end point wins; result stays non-global).
-    if m >= 2:
-        starts.extend(_coarse_starts(t_total, m, min_len, objective, init))
-    bounds = np.array(starts, dtype=np.intp).reshape(len(starts), m)
-    current = objective(bounds)
-    cycles = np.zeros(len(starts), dtype=int)
-    active = np.arange(len(starts))
+    picked = [0, *(1 + np.argsort(scores[1:], kind="stable")[:_COARSE_STARTS])]
+    bounds = [rows[i] for i in picked]
+    current = [scores[i] for i in picked]
+    cycles = [0] * len(bounds)
+    # (p, other breaks) -> (first position of break p with the least score
+    # over its feasible range, that score)
+    best_move: dict[tuple, tuple[int, float]] = {}
+    active = list(range(len(bounds)))
     for cycle in range(1, MAX_REFINE_CYCLES + 1):
-        if not len(active):
+        if not active:
             break
-        cycles[active] = cycle
-        moved = np.zeros(len(starts), dtype=bool)
+        moved = set()
+        for s in active:
+            cycles[s] = cycle
         for p in range(m):
-            # every feasible position of break p but the current one, start
-            # by start; a feasible partition keeps it inside [lo, hi]
-            lo = (bounds[active, p - 1] if p > 0 else 0) + min_len
-            hi = (bounds[active, p + 1] if p + 1 < m else t_total) - min_len
-            counts = np.broadcast_to(hi - lo, active.shape)  # scalars when m = 1
-            if not counts.any():
-                continue
-            owner = np.repeat(np.arange(len(active)), counts)
-            first = np.cumsum(counts) - counts
-            cand = np.arange(len(owner)) - (first - lo)[owner]
-            cand += cand >= bounds[active, p][owner]
-            trials = bounds[active[owner]]
-            trials[:, p] = cand
-            vals = objective(trials)
-            for s, i0, n in zip(active, first, counts):
-                if n:
-                    i = i0 + int(np.argmin(vals[i0:i0 + n]))
-                    if vals[i] < current[s]:
-                        bounds[s, p], current[s] = cand[i], vals[i]
-                        moved[s] = True
-        active = active[moved[active]]
+            keys = [(p, bounds[s][:p] + bounds[s][p + 1:]) for s in active]
+            fresh = {}
+            for s, key in zip(active, keys):
+                if key not in best_move and key not in fresh:
+                    fresh[key] = (bounds[s], current[s])
+            if fresh:
+                best_move.update(_best_moves(fresh, p, t_total, min_len, objective))
+            for s, key in zip(active, keys):
+                b, val = best_move[key]
+                if val < current[s]:
+                    bounds[s] = bounds[s][:p] + (b,) + bounds[s][p + 1:]
+                    current[s] = val
+                    moved.add(s)
+        active = [s for s in active if s in moved]
     best: tuple[int, ...] | None = None
     best_val = np.inf
     for row, val in zip(bounds, current):
-        row = tuple(int(b) for b in row)
         if np.isfinite(val) and (val < best_val or (val == best_val and row < best)):
             best, best_val = row, val
     if best is None:
         raise SegmentRankDeficient("no refinement start produced an estimable fit")
-    return best, int(cycles.sum())
+    return best, sum(cycles)
+
+
+def _best_moves(fresh, p, t_total, min_len, objective) -> dict:
+    """The move of break ``p`` for each ``(p, other breaks)`` key of
+    ``fresh``: the first position of least score over its feasible range,
+    and that score.
+
+    ``fresh`` maps each key to a partition there and its score, so that
+    partition is not scored again.  One ``objective`` call scores every
+    other position of every key.
+    """
+    rows = np.array([row for row, _ in fresh.values()], dtype=np.intp)
+    lo = (rows[:, p - 1] if p > 0 else 0) + min_len
+    hi = (rows[:, p + 1] if p + 1 < rows.shape[1] else t_total) - min_len
+    counts = np.broadcast_to(hi - lo, len(rows))  # lo, hi scalars when m = 1
+    first = np.cumsum(counts) - counts
+    if counts.any():
+        owner = np.repeat(np.arange(len(rows)), counts)
+        cand = np.arange(len(owner)) - (first - lo)[owner]
+        cand += cand >= rows[owner, p]
+        trials = rows[owner]
+        trials[:, p] = cand
+        vals = objective(trials)
+    moves = {}
+    for (key, (row, score)), i0, n in zip(fresh.items(), first, counts):
+        move = (row[p], score)
+        if n:
+            i = i0 + int(np.argmin(vals[i0:i0 + n]))
+            if vals[i] < score or (vals[i] == score and cand[i] < row[p]):
+                move = (int(cand[i]), vals[i])
+        moves[key] = move
+    return moves
 
 
 # Refinement seeds: the best _COARSE_STARTS partitions on a lattice with
@@ -829,22 +867,14 @@ _COARSE_STARTS = 4
 _COARSE_LATTICE = 8
 
 
-def _coarse_starts(t_total, m, min_len, objective, skip):
-    """Best few partitions on a coarse break lattice, as refinement seeds.
-
-    The lattice partitions are scored as one batch; ties keep their
-    lexicographic order.
-    """
+def _coarse_lattice(t_total, m, min_len, skip) -> list[tuple[int, ...]]:
+    """The feasible partitions other than ``skip`` on a coarse break
+    lattice, in lexicographic order: the candidate refinement seeds."""
     stride = max(min_len, t_total // _COARSE_LATTICE)
     lattice = range(stride, t_total - min_len + 1, stride)
-    combos = [
+    return [
         combo for combo in combinations(lattice, m)
         if combo != skip
         and all(b - a >= min_len for a, b in zip((0, *combo), combo))
         and t_total - combo[-1] >= min_len
     ]
-    if not combos:
-        return []
-    scores = objective(np.array(combos, dtype=np.intp))
-    order = np.argsort(scores, kind="stable")[:_COARSE_STARTS]
-    return [combos[i] for i in order]

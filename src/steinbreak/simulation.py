@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SteinbreakError
-from .estimators import estimate_class
+from .estimators import SHRINKAGE_RULES, estimate_class
 from .model import Partition, RegressionData, Restriction, _readonly, block_restriction
 from .segmentation import (
     METHOD_REFINE,
@@ -215,8 +215,13 @@ def run_monte_carlo(design: SimDesign) -> SimResult:
 
     Replication failures (singular fits and the like) are counted and
     skipped, never silently dropped; the result is flagged when failures
-    exceed 1% at any noise level.
+    exceed 1% at any noise level.  Every replication builds the Stein
+    pair, so a restriction with ``k <= 2`` raises ``KTooSmall`` before any
+    search.
     """
+    for name in ESTIMATOR_NAMES:
+        if name in SHRINKAGE_RULES:
+            SHRINKAGE_RULES[name](design.restriction.k)
     result = SimResult(
         label=design.label,
         n_obs=design.n_obs,

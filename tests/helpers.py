@@ -20,7 +20,8 @@ from steinbreak import (
 )
 from steinbreak import risk
 from steinbreak.model import _null_form
-from steinbreak.segmentation import MAX_REFINE_CYCLES
+from steinbreak.errors import SegmentRankDeficient
+from steinbreak.segmentation import _COARSE_LATTICE, _COARSE_STARTS, MAX_REFINE_CYCLES
 
 
 def random_instance(seed, t_range=(10, 30), m_choices=(0, 1, 2), q_choices=(1, 2)):
@@ -193,6 +194,90 @@ def sequential_refine(data, restriction, config):
         if val < best_val or (val == best_val and best is not None and bounds < best):
             best, best_val = bounds, val
     return best, total
+
+
+# The restricted search's coordinate refinement before it scored each
+# (partition, break) move once: every start still moving scans each of its
+# breaks every cycle.  Kept as the bitwise reference for ``_refine``, with
+# the same signature, so a search can run on either.
+def lockstep_refine(t_total, m, min_len, objective, init) -> tuple[tuple[int, ...], int]:
+    """Cyclic coordinate descent from ``init`` and, for ``m >= 2``, from
+    coarse-lattice starts; returns the best end point and the total cycles.
+
+    ``objective`` maps a ``(rows, m)`` array of break vectors to scores,
+    and a row's score must not depend on its batch.  The starts advance in
+    lock step: for each cycle and coordinate, one ``objective`` call scores
+    the candidates of every start still moving.  A start stops after a
+    cycle without a move or after ``MAX_REFINE_CYCLES`` cycles, so each
+    start makes the moves, and counts the cycles, of a descent on its own.
+    """
+    starts = [init]
+    # Single-coordinate moves cannot cross SSR valleys when several breaks
+    # must shift together, so for m >= 2 a few coarse-lattice starts are
+    # refined as well (the best end point wins; result stays non-global).
+    if m >= 2:
+        starts.extend(lockstep_coarse_starts(t_total, m, min_len, objective, init))
+    bounds = np.array(starts, dtype=np.intp).reshape(len(starts), m)
+    current = objective(bounds)
+    cycles = np.zeros(len(starts), dtype=int)
+    active = np.arange(len(starts))
+    for cycle in range(1, MAX_REFINE_CYCLES + 1):
+        if not len(active):
+            break
+        cycles[active] = cycle
+        moved = np.zeros(len(starts), dtype=bool)
+        for p in range(m):
+            # every feasible position of break p but the current one, start
+            # by start; a feasible partition keeps it inside [lo, hi]
+            lo = (bounds[active, p - 1] if p > 0 else 0) + min_len
+            hi = (bounds[active, p + 1] if p + 1 < m else t_total) - min_len
+            counts = np.broadcast_to(hi - lo, active.shape)  # scalars when m = 1
+            if not counts.any():
+                continue
+            owner = np.repeat(np.arange(len(active)), counts)
+            first = np.cumsum(counts) - counts
+            cand = np.arange(len(owner)) - (first - lo)[owner]
+            cand += cand >= bounds[active, p][owner]
+            trials = bounds[active[owner]]
+            trials[:, p] = cand
+            vals = objective(trials)
+            for s, i0, n in zip(active, first, counts):
+                if n:
+                    i = i0 + int(np.argmin(vals[i0:i0 + n]))
+                    if vals[i] < current[s]:
+                        bounds[s, p], current[s] = cand[i], vals[i]
+                        moved[s] = True
+        active = active[moved[active]]
+    best: tuple[int, ...] | None = None
+    best_val = np.inf
+    for row, val in zip(bounds, current):
+        row = tuple(int(b) for b in row)
+        if np.isfinite(val) and (val < best_val or (val == best_val and row < best)):
+            best, best_val = row, val
+    if best is None:
+        raise SegmentRankDeficient("no refinement start produced an estimable fit")
+    return best, int(cycles.sum())
+
+
+def lockstep_coarse_starts(t_total, m, min_len, objective, skip):
+    """Best few partitions on a coarse break lattice, as refinement seeds.
+
+    The lattice partitions are scored as one batch; ties keep their
+    lexicographic order.
+    """
+    stride = max(min_len, t_total // _COARSE_LATTICE)
+    lattice = range(stride, t_total - min_len + 1, stride)
+    combos = [
+        combo for combo in combinations(lattice, m)
+        if combo != skip
+        and all(b - a >= min_len for a, b in zip((0, *combo), combo))
+        and t_total - combo[-1] >= min_len
+    ]
+    if not combos:
+        return []
+    scores = objective(np.array(combos, dtype=np.intp))
+    order = np.argsort(scores, kind="stable")[:_COARSE_STARTS]
+    return [combos[i] for i in order]
 
 
 def lu_ssr_table(data, min_len):

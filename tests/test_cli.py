@@ -232,8 +232,29 @@ def test_fit_and_bootstrap_with_one_feasible_partition(tmp_path, subcommand, n_o
         assert row["n_fail"] == "0"
 
 
-def test_fit_low_rank_restriction_exits_numeric(tmp_path):
-    # k = 1 <= 2 makes the Stein rules unavailable: exit code 3
+def spy_searches(monkeypatch):
+    """A list that records every break search the CLI and the study start."""
+    from steinbreak import simulation
+
+    calls = []
+    for module in (cli, simulation):
+        for name in ("find_breaks_unrestricted", "find_breaks_restricted"):
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def stderr_error(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+
+
+def test_fit_low_rank_restriction_exits_numeric(tmp_path, monkeypatch, capsys):
+    # k = 1 <= 2 makes the Stein rules unavailable: exit code 3, before any search
     rng = np.random.default_rng(1)
     path = tmp_path / "series.csv"
     with open(path, "w", newline="") as fh:
@@ -249,8 +270,36 @@ def test_fit_low_rank_restriction_exits_numeric(tmp_path):
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
+    searches = spy_searches(monkeypatch)
     assert main(["fit", "--config", str(cfg_path)]) == EXIT_NUMERIC
     assert not (tmp_path / "out").exists()
+    assert stderr_error(capsys) == "KTooSmall"
+    assert searches == []
+
+
+def test_k_two_fails_before_any_search(tmp_path, monkeypatch, capsys):
+    # linear-trend at m = 0 zeroes two coefficients: k = 2 rules out the
+    # default Stein pair in fit and bootstrap alike, and without it the
+    # same config runs
+    write_trend_series(tmp_path / "series.csv")
+    base = {
+        "csv": str(tmp_path / "series.csv"),
+        "basis": "power-trend",
+        "m": 0,
+        "restriction": {"pattern": "linear-trend"},
+    }
+    searches = spy_searches(monkeypatch)
+    for sub, extra in (("fit", {}), ("bootstrap", {"bootstrap_b": 5})):
+        cfg_path = tmp_path / f"{sub}.json"
+        cfg_path.write_text(json.dumps({**base, **extra, "out": str(tmp_path / sub)}))
+        assert main([sub, "--config", str(cfg_path)]) == EXIT_NUMERIC, sub
+        assert stderr_error(capsys) == "KTooSmall", sub
+        assert searches == [], sub
+        assert not (tmp_path / sub).exists()
+    cfg_path = tmp_path / "ue_re.json"
+    cfg_path.write_text(json.dumps({**base, "estimators": ["ue", "re"], "out": str(tmp_path / "ue_re")}))
+    assert main(["fit", "--config", str(cfg_path)]) == EXIT_OK
+    assert len(searches) == 2
 
 
 def test_config_error_exit_code(tmp_path):
@@ -478,7 +527,7 @@ def test_simulate_artifacts_and_rerun_identical(tmp_path):
     assert {r["estimator"] for r in rows} == {"ue", "re", "js", "pp"}
 
 
-def test_simulate_custom_design_low_rank_fails_numerically(tmp_path):
+def test_simulate_custom_design_low_rank_fails_numerically(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(
         json.dumps(
@@ -496,9 +545,12 @@ def test_simulate_custom_design_low_rank_fails_numerically(tmp_path):
         )
     )
     # zero-segment with q = 1 gives k = 1 <= 2: the study always runs the
-    # Stein pair, so every replication fails and the run exits numerically
-    # rather than silently skipping them
+    # Stein pair, so the run exits numerically with the cause, before any
+    # replication searches
+    searches = spy_searches(monkeypatch)
     assert main(["simulate", "--config", str(cfg), "--seed", "2"]) == EXIT_NUMERIC
+    assert stderr_error(capsys) == "KTooSmall"
+    assert searches == []
 
 
 def test_simulate_custom_design_runs(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -403,6 +404,29 @@ def test_wald_distance_zero_iff_restriction_satisfied():
     plug2 = build_plugin_matrices(design, residuals_of(data2, ue2), restr)
     assert wald_distance(ue2, re2, plug2, 40) > 0.0
 
+
+
+def test_sandwich_factors_gamma_once():
+    # one Cholesky factor serves both solves: an ill-conditioned gamma warns
+    # once, and the sandwich equals two plain solves bit for bit
+    from steinbreak.linalg import pd_solve, sym
+
+    gamma = np.array([[1.0, 1.0 - 1e-12], [1.0 - 1e-12, 1.0]])
+    omega = np.array([[2.0, 0.3], [0.3, 1.0]])
+    plugin = PluginMatrices(gamma_hat=gamma, omega_hat=omega, a_hat=np.eye(2), omega_method="hc0")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sandwich = plugin.sandwich
+    assert [w.category for w in caught] == [RuntimeWarning]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert np.array_equal(sandwich, sym(pd_solve(gamma, pd_solve(gamma, omega).T)))
+    rng = np.random.default_rng(4)
+    b = rng.normal(size=(6, 6))
+    gamma = b @ b.T + np.eye(6)
+    omega = np.cov(rng.normal(size=(6, 40)))
+    plugin = PluginMatrices(gamma_hat=gamma, omega_hat=omega, a_hat=np.eye(6), omega_method="hc0")
+    assert np.array_equal(plugin.sandwich, sym(pd_solve(gamma, pd_solve(gamma, omega).T)))
 
 def test_plugin_projection_idempotency():
     rng = np.random.default_rng(9)

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from helpers import (
     kkt_restricted_ssr,
+    lockstep_refine,
     lu_ssr_table,
     moment_prefix_sums,
     reachable_mask,
@@ -648,6 +649,127 @@ def test_batched_refinement_matches_sequential_reference():
             res = find_breaks_restricted(data, design.restriction, cfg)
             breaks, cycles = sequential_refine(data, design.restriction, cfg)
             assert (res.partition.breaks, res.iterations) == (breaks, cycles), (design.label, i)
+
+
+def refine_both_ways(monkeypatch, data, restriction, config, shared=False):
+    """``(breaks, ssr bits, iterations)`` of a refining search, run by
+    ``_refine`` and by the lock-step reference, each on fresh moments (after
+    the unrestricted search on them when ``shared``)."""
+    out = []
+    for refine in (segmentation._refine, lockstep_refine):
+        with monkeypatch.context() as mp:
+            mp.setattr(segmentation, "_refine", refine)
+            stats = SegmentMoments(data)
+            if shared:
+                find_breaks_unrestricted(data, SearchConfig(m=config.m, min_seg_frac=config.min_seg_frac), stats=stats)
+            res = find_breaks_restricted(data, restriction, config, stats=stats)
+            out.append((res.partition.breaks, res.ssr.hex(), res.iterations))
+    return out
+
+
+def test_refinement_matches_the_lockstep_reference(monkeypatch):
+    # scoring each (partition, break) move once makes the lock-step loop's
+    # decisions: the same breaks, SSR bits and cycle counts on random
+    # instances (m 1-4, q 1-3, dense and segment-sparse R, three minimum
+    # segment fractions) and on designs whose exclusions rerun the search
+    for seed in range(520):
+        rng = np.random.default_rng(np.random.SeedSequence((19, seed)))
+        frac = (0.02, 0.05, 0.15)[seed % 3]
+        data, m = random_instance(seed, t_range=(20, 70), m_choices=(1, 2, 3, 4), q_choices=(1, 2, 3))
+        t_total, q = data.n_obs, data.n_regressors
+        while m > 1 and (m + 1) * max(int(frac * t_total), q) > t_total:
+            m -= 1
+        if seed % 2:
+            restr = segment_sparse_restriction(rng, m, q)
+        else:
+            restr = random_restriction(rng, (m + 1) * q, int(rng.integers(1, (m + 1) * q)))
+        cfg = SearchConfig(m=m, min_seg_frac=frac, method=METHOD_REFINE)
+        new, ref = refine_both_ways(monkeypatch, data, restr, cfg)
+        assert new == ref, seed
+    tied = Restriction(
+        matrix=np.array([[0.0, 1.0, 0.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, 0.0, -1.0]]),
+        rhs=np.zeros(2),
+    )
+    cfg = SearchConfig(m=2, min_seg_frac=0.02, method=METHOD_REFINE)
+    for seed in range(40):
+        data = constant_block_instance(seed)
+        for shared in (False, True):
+            new, ref = refine_both_ways(monkeypatch, data, tied, cfg, shared)
+            assert new == ref, (seed, shared)
+
+
+@pytest.mark.parametrize("n_obs", [60, 100, 300])
+def test_canned_refinement_matches_the_lockstep_reference(monkeypatch, n_obs):
+    from steinbreak.simulation import build_case1, build_case2, simulate_dataset
+
+    for builder in (build_case1, build_case2):
+        design = builder(n_obs, n_reps=1)
+        cfg = SearchConfig(m=design.m, min_seg_frac=design.min_seg_frac, method=METHOD_REFINE)
+        for i in range(12):
+            rng = np.random.default_rng(np.random.SeedSequence((23, n_obs, i)))
+            data = simulate_dataset(design, design.sigma2_grid[i % 3], rng)
+            new, ref = refine_both_ways(monkeypatch, data, design.restriction, cfg, shared=True)
+            assert new == ref, (design.label, i)
+
+
+def candidate_keys(rows, min_len):
+    """The ``(p, other breaks)`` candidate sets that one refinement step's
+    rows ``(0, T_1, ..., T_m, T)`` make up: the one break ``p`` at which the
+    rows, grouped by their other breaks, are each group's feasible range of
+    ``T_p`` but one position.  Asserts that exactly one ``p`` fits."""
+    fits = []
+    for p in range(1, rows.shape[1] - 1):
+        groups = {}
+        for row in rows.tolist():
+            groups.setdefault((*row[:p], *row[p + 1:]), []).append(row[p])
+        if all(
+            sorted(ps) == sorted(set(ps))
+            and len(ps) == others[p] - others[p - 1] - 2 * min_len
+            and others[p - 1] + min_len <= min(ps) <= max(ps) <= others[p] - min_len
+            for others, ps in groups.items()
+        ):
+            fits.append({(p, others) for others in groups})
+    assert len(fits) == 1
+    return fits[0]
+
+
+def test_refinement_scores_each_candidate_set_once(monkeypatch):
+    # case 2 at T = 100: after the call that scores the starts, no step
+    # scores one partition twice, no (break, other breaks) candidate set is
+    # scored in two steps (so a start whose neighbours have not moved is not
+    # rescored), and a search scores at most 60% of the reference's rows
+    from steinbreak.simulation import build_case2, simulate_dataset
+
+    design = build_case2(100, n_reps=1)
+    cfg = SearchConfig(m=design.m, min_seg_frac=design.min_seg_frac, method=METHOD_REFINE)
+    min_len = cfg.min_segment_length(design.n_obs, design.q)
+    calls = []
+    original = SegmentMoments.restricted_ssr
+
+    def spy(self, bounds, restriction):
+        calls.append(bounds.copy())
+        return original(self, bounds, restriction)
+
+    monkeypatch.setattr(SegmentMoments, "restricted_ssr", spy)
+    rows = {"reference": 0, "new": 0}
+    for i in range(12):
+        rng = np.random.default_rng(np.random.SeedSequence((29, i)))
+        data = simulate_dataset(design, design.sigma2_grid[i % 3], rng)
+        for name, refine in (("reference", lockstep_refine), ("new", segmentation._refine)):
+            with monkeypatch.context() as mp:
+                mp.setattr(segmentation, "_refine", refine)
+                stats = SegmentMoments(data)
+                find_breaks_unrestricted(data, SearchConfig(m=design.m, min_seg_frac=design.min_seg_frac), stats=stats)
+                calls.clear()
+                find_breaks_restricted(data, design.restriction, cfg, stats=stats)
+            rows[name] += sum(len(c) for c in calls)
+        seen = set()
+        for step in calls[1:]:
+            assert len({tuple(r) for r in step.tolist()}) == len(step), i
+            keys = candidate_keys(step, min_len)
+            assert not keys & seen, i
+            seen |= keys
+    assert rows["new"] <= 0.6 * rows["reference"], rows
 
 
 def trend_series(n_obs, brk, seed):
