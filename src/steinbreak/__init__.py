@@ -40,7 +40,6 @@ from .estimators import (
     make_positive_part,
     make_pretest,
     newey_west_bandwidth,
-    residuals_of,
     shrinkage_estimate,
     wald_distance,
 )

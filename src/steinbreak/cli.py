@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, InfeasibleConfig, KTooSmall, SteinbreakError
-from .estimators import SHRINKAGE_RULES, estimate_class, residuals_of
+from .estimators import SHRINKAGE_RULES, estimate_class
 from .model import RegressionData, Restriction, block_restriction, read_series_csv
 from .risk import (
     adr_james_stein,
@@ -266,10 +266,15 @@ def write_manifest(out_dir: Path, cfg: RunConfig) -> None:
 def power_trend_basis(n_obs: int) -> np.ndarray:
     """Regressors (1, u, u^1.5, u^2) with u = t/T.
 
-    Scaling time to (0, 1] keeps the segment Gram matrices well conditioned
-    at century-length samples; it only rescales the trend coefficients and
-    leaves break dates and the zero-restriction on the curvature terms
-    unchanged.
+    Scaling time to (0, 1] puts the four columns on one scale, so a
+    segment's rows are better conditioned than on raw ``t``: at T = 117 the
+    last 19 rows have condition number 4.3e5 against 2.3e8.  It only
+    rescales the trend coefficients and leaves break dates and the
+    zero-restriction on the curvature terms unchanged.  It does not make a
+    short late segment well conditioned, because ``u`` varies little there
+    and the columns stay nearly collinear: at breaks (60, 98) the three
+    segments' rows have condition numbers 832, 2.5e4 and 4.3e5, and
+    ``Zbar'Zbar / T``, which squares them, 2.2e11.
     """
     u = np.arange(1, n_obs + 1) / n_obs
     return np.column_stack([np.ones(n_obs), u, u**1.5, u**2])
@@ -439,7 +444,7 @@ def cmd_bootstrap(cfg: RunConfig) -> tuple[dict, int]:
     # the replicates keep z, so they share its segment Gram factors
     base_stats = SegmentMoments(data)
     base = _fit_pipeline(cfg, data, restriction, base_stats)
-    resid = residuals_of(data, base["estimates"]["ue"])
+    resid = base["estimates"]["ue"].residuals
     fitted = data.y - resid
     centered = resid - resid.mean()
     n_b = cfg.values["bootstrap_b"]

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import linalg as sla
 from scipy import stats as sps
 
 from .errors import (
@@ -35,7 +34,7 @@ from .errors import (
     SegmentRankDeficient,
     SingularConstraintGram,
 )
-from .linalg import RANK_RTOL, pd_factor, pd_solve, sym
+from .linalg import RANK_RTOL, pd_factor, sandwich, sym, wald_metric
 from .model import Partition, RegressionData, Restriction, SegmentedDesign, build_design
 
 # Constraint satisfaction tolerance for restricted fits:
@@ -47,16 +46,18 @@ CONSTRAINT_TOL = 1e-8
 class CoefEstimate:
     """A stacked coefficient vector together with its provenance.
 
-    ``ssr`` is the residual sum of squares of the fit; it is None for
-    shrinkage estimates, which are formed from two existing fits without
-    access to the data.  ``label`` names the shrinkage rule of a shrinkage
-    estimate.
+    ``ssr`` is the residual sum of squares of the fit and ``residuals`` its
+    residual vector ``y - Zbar delta``, formed segment by segment for the
+    SSR; both are None for shrinkage estimates, which are formed from two
+    existing fits without access to the data.  ``label`` names the
+    shrinkage rule of a shrinkage estimate.
     """
 
     delta: np.ndarray
     partition: Partition
     ssr: float | None
     label: str = ""
+    residuals: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -70,15 +71,8 @@ class PluginMatrices:
 
     @property
     def sandwich(self) -> np.ndarray:
-        """Gamma_hat^-1 Omega_hat Gamma_hat^-1."""
-        return _sandwich(self.gamma_hat, self.omega_hat)
-
-
-def _sandwich(gamma: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Gamma^-1 Omega Gamma^-1, symmetrized; Gamma is factored once."""
-    factor = pd_factor(gamma, name="gamma_hat")
-    half = sla.cho_solve(factor, omega, check_finite=False)
-    return sym(sla.cho_solve(factor, half.T, check_finite=False))
+        """Gamma_hat^-1 Omega_hat Gamma_hat^-1, the sandwich ``a_hat`` is built from."""
+        return sandwich(pd_factor(self.gamma_hat, name="gamma_hat"), self.omega_hat)
 
 
 @dataclass(frozen=True)
@@ -150,6 +144,7 @@ def fit_unrestricted(data: RegressionData, partition: Partition) -> CoefEstimate
     segments = partition.segments(data.n_obs)
     q = data.n_regressors
     delta = np.empty(len(segments) * q)
+    resid = np.empty(data.n_obs)
     ranks = []
     ssr = 0.0
     for p, (s, e) in enumerate(segments):
@@ -157,10 +152,10 @@ def fit_unrestricted(data: RegressionData, partition: Partition) -> CoefEstimate
         beta, _, rank, _ = np.linalg.lstsq(zseg, yseg, rcond=None)
         ranks.append(rank)
         delta[p * q:(p + 1) * q] = beta
-        resid = yseg - zseg @ beta
-        ssr += float(resid @ resid)
+        resid[s:e] = yseg - zseg @ beta
+        ssr += float(resid[s:e] @ resid[s:e])
     _check_segment_ranks(segments, ranks, q)
-    return CoefEstimate(delta=delta, partition=partition, ssr=ssr)
+    return CoefEstimate(delta=delta, partition=partition, ssr=ssr, residuals=resid)
 
 
 def _restricted_ls(grams: np.ndarray, zys: np.ndarray, restriction: Restriction) -> np.ndarray:
@@ -199,7 +194,7 @@ def fit_restricted(
 
     Runs the restricted solve (:func:`_restricted_ls`, one per restriction
     component) on each segment's data rows, ``Z_p'Z_p`` and ``Z_p'y_p``, and
-    reports the SSR from explicit residuals.
+    reports the SSR from explicit residuals, which it keeps.
 
     Raises
     ------
@@ -230,11 +225,12 @@ def fit_restricted(
             f"constraint violated by the constrained solve (gap {gap:.3e}); "
             "the constraint Gram is too ill-conditioned"
         )
+    resid = np.empty(data.n_obs)
     ssr = 0.0
     for p, (s, e) in enumerate(segments):
-        resid = data.y[s:e] - data.z[s:e] @ delta[p * q:(p + 1) * q]
-        ssr += float(resid @ resid)
-    return CoefEstimate(delta=delta, partition=partition, ssr=ssr)
+        resid[s:e] = data.y[s:e] - data.z[s:e] @ delta[p * q:(p + 1) * q]
+        ssr += float(resid[s:e] @ resid[s:e])
+    return CoefEstimate(delta=delta, partition=partition, ssr=ssr, residuals=resid)
 
 
 def estimate_gamma(design: SegmentedDesign) -> np.ndarray:
@@ -308,34 +304,32 @@ def build_plugin_matrices(
     restriction.check_dims(design.n_coefs)
     gamma = estimate_gamma(design)
     omega = estimate_omega(design, residuals, method=method, bandwidth=bandwidth)
-    sandwich = _sandwich(gamma, omega)
-    rmat = restriction.matrix
-    core = sym(rmat @ sandwich @ rmat.T)
-    a_hat = sym(rmat.T @ pd_solve(core, rmat, name="R sandwich R'"))
+    a_hat = wald_metric(sandwich(pd_factor(gamma, name="gamma_hat"), omega), restriction.matrix)
     label = "hc0" if method == "hc0" else f"hac({newey_west_bandwidth(design.n_obs) if bandwidth is None else int(bandwidth)})"
     return PluginMatrices(gamma_hat=gamma, omega_hat=omega, a_hat=a_hat, omega_method=label)
+
+
+def _check_same_partition(ue: CoefEstimate, re: CoefEstimate) -> None:
+    if ue.partition != re.partition:
+        raise MismatchedPartitions(
+            f"unrestricted fit at {ue.partition.breaks}, restricted at {re.partition.breaks}"
+        )
 
 
 def wald_distance(
     ue: CoefEstimate, re: CoefEstimate, plugin: PluginMatrices, n_obs: int
 ) -> float:
     """psi = T (d_re - d_ue)' A_hat (d_re - d_ue); zero iff the fits coincide."""
-    if ue.partition != re.partition:
-        raise MismatchedPartitions(
-            f"unrestricted fit at {ue.partition.breaks}, restricted at {re.partition.breaks}"
-        )
+    _check_same_partition(ue, re)
     diff = re.delta - ue.delta
     return max(float(n_obs * diff @ plugin.a_hat @ diff), 0.0)
 
 
 def shrinkage_estimate(
-    ue: CoefEstimate,
-    re: CoefEstimate,
-    plugin: PluginMatrices,
-    h: ShrinkageFunction,
-    n_obs: int,
+    ue: CoefEstimate, re: CoefEstimate, psi: float, h: ShrinkageFunction
 ) -> CoefEstimate:
-    """Combine a restricted and an unrestricted fit through the rule ``h``.
+    """Combine a restricted and an unrestricted fit through the rule ``h``
+    at their Wald distance ``psi`` (:func:`wald_distance`).
 
     Returns ``d_re + h(psi) (d_ue - d_re)``.  When ``psi == 0`` the two fits
     coincide and the restricted fit is returned without evaluating ``h``
@@ -346,7 +340,7 @@ def shrinkage_estimate(
     MismatchedPartitions
         If the two fits were computed on different partitions.
     """
-    psi = wald_distance(ue, re, plugin, n_obs)
+    _check_same_partition(ue, re)
     if psi == 0.0:
         delta = re.delta.copy()
     else:
@@ -400,7 +394,8 @@ def estimate_class(
     members ``d_re + h(psi) (d_ue - d_re)`` combine UE and RE fits at
     ``shrink_partition``, reusing the fits above when it is one of their
     partitions and fitting there otherwise.  The plug-in matrices come from
-    one design at ``shrink_partition`` with the UE residuals there.
+    one design at ``shrink_partition`` with the residuals of the UE fit
+    there, and every member shares the one ``psi``.
     ``shrinkage`` names members of :data:`SHRINKAGE_RULES`; only those are
     built, so an empty tuple works for any ``k``.
 
@@ -411,22 +406,12 @@ def estimate_class(
     re = fit_restricted(data, re_partition, restriction)
     ue_s = ue if shrink_partition == ue_partition else fit_unrestricted(data, shrink_partition)
     re_s = re if shrink_partition == re_partition else fit_restricted(data, shrink_partition, restriction)
-    design = build_design(data, shrink_partition)
     plugin = build_plugin_matrices(
-        design, data.y - design.zbar @ ue_s.delta, restriction, method=omega, bandwidth=bandwidth
+        build_design(data, shrink_partition), ue_s.residuals, restriction,
+        method=omega, bandwidth=bandwidth,
     )
+    psi = wald_distance(ue_s, re_s, plugin, data.n_obs)
     estimates = {"ue": ue, "re": re}
     for name in shrinkage:
-        rule = SHRINKAGE_RULES[name](restriction.k)
-        estimates[name] = shrinkage_estimate(ue_s, re_s, plugin, rule, data.n_obs)
-    return {
-        "estimates": estimates,
-        "plugin": plugin,
-        "psi": wald_distance(ue_s, re_s, plugin, data.n_obs),
-    }
-
-
-def residuals_of(data: RegressionData, estimate: CoefEstimate) -> np.ndarray:
-    """Residual vector ``y - Zbar delta`` of an estimate on its own partition."""
-    design = build_design(data, estimate.partition)
-    return data.y - design.zbar @ estimate.delta
+        estimates[name] = shrinkage_estimate(ue_s, re_s, psi, SHRINKAGE_RULES[name](restriction.k))
+    return {"estimates": estimates, "plugin": plugin, "psi": psi}

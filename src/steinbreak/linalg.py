@@ -1,9 +1,10 @@
 """Symmetric-matrix helpers used by the estimator and risk modules.
 
-All routines assume (and lightly enforce) symmetric input.  Inverses of
+All routines assume (and lightly enforce) symmetric input.  Solves with
 positive definite matrices go through Cholesky with a condition-number
 warning rather than a hard failure, since the statistical formulas stay
-meaningful for ill-conditioned but invertible plug-ins.
+meaningful for ill-conditioned but invertible plug-ins; no inverse is
+formed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import SingularFactorization
 RANK_RTOL = 1e-10
 # Eigenvalue clipping threshold for matrix square roots and rank factors.
 PINV_RTOL = 1e-12
-# Condition number above which pd_solve warns.
+# Condition number above which pd_factor warns.
 COND_WARN = 1e12
 
 
@@ -62,9 +63,17 @@ def pd_solve(a: np.ndarray, b: np.ndarray, name: str = "matrix") -> np.ndarray:
     return sla.cho_solve(pd_factor(a, name), np.asarray(b, dtype=float), check_finite=False)
 
 
-def pd_inverse(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix via Cholesky."""
-    return sym(pd_solve(a, np.eye(a.shape[0]), name=name))
+def sandwich(factor: tuple[np.ndarray, bool], omega: np.ndarray) -> np.ndarray:
+    """``Gamma^-1 Omega Gamma^-1``, symmetrized, from the :func:`pd_factor`
+    of ``Gamma`` by two solves; ``Gamma^-1`` is never formed."""
+    half = sla.cho_solve(factor, omega, check_finite=False)
+    return sym(sla.cho_solve(factor, half.T, check_finite=False))
+
+
+def wald_metric(s: np.ndarray, rmat: np.ndarray) -> np.ndarray:
+    """The Wald metric ``R'(R S R')^-1 R`` of a covariance ``S``, symmetrized;
+    ``R S R'`` goes through :func:`pd_solve`."""
+    return sym(rmat.T @ pd_solve(sym(rmat @ s @ rmat.T), rmat, name="R S R'"))
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:

@@ -37,11 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
+from scipy import linalg as sla
 from scipy import stats as sps
 
 from .errors import DivergentMoment, KTooSmall, NonConvergence
 from .estimators import ShrinkageFunction
-from .linalg import hypothesis_errors, pd_inverse, pd_solve, psd_sqrt, sym
+from .linalg import hypothesis_errors, pd_factor, pd_solve, psd_sqrt, sandwich, sym, wald_metric
 from .model import Restriction, _readonly
 
 MOMENT_INVERSE_FIRST = "inverse_first"
@@ -434,7 +435,8 @@ def make_scaffold(
     restriction: Restriction,
     mu: np.ndarray,
 ) -> AsymptoticScaffold:
-    """Build the full scaffold from ``Gamma``, ``Omega``, the restriction and ``mu``."""
+    """Build the full scaffold from ``Gamma``, ``Omega``, the restriction and
+    ``mu``; one factor of ``Gamma`` gives ``J0`` and the plug-ins' sandwich."""
     gamma = sym(np.asarray(gamma, dtype=float))
     omega = sym(np.asarray(omega, dtype=float))
     n = gamma.shape[0]
@@ -443,17 +445,17 @@ def make_scaffold(
     if mu.shape[0] != restriction.k:
         raise ValueError(f"mu must have length k = {restriction.k}")
     rmat = restriction.matrix
-    ginv = pd_inverse(gamma, name="gamma")
-    rg = rmat @ ginv
-    j0 = pd_solve(sym(rg @ rmat.T), rg, name="R gamma^-1 R'").T
+    factor = pd_factor(gamma, name="gamma")
+    ginv_rt = sla.cho_solve(factor, rmat.T, check_finite=False)
+    j0 = pd_solve(sym(rmat @ ginv_rt), ginv_rt.T, name="R gamma^-1 R'").T
     mu1 = -j0 @ mu
-    s11 = sym(ginv @ omega @ ginv)
+    s11 = sandwich(factor, omega)
     proj = np.eye(n) - rmat.T @ j0.T
     s12 = s11 @ proj
     s22 = sym(proj.T @ s11 @ proj)
     l11 = sym(j0 @ rmat @ s11 @ rmat.T @ j0.T)
     l12 = j0 @ rmat @ s12
-    a = sym(rmat.T @ pd_solve(sym(rmat @ s11 @ rmat.T), rmat, name="R S11 R'"))
+    a = wald_metric(s11, rmat)
     delta = max(float(mu1 @ a @ mu1), 0.0)
     return AsymptoticScaffold(
         gamma=_readonly(gamma),

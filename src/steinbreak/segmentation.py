@@ -462,12 +462,8 @@ class SegmentMoments:
                     w[j] -= fac[_packed(j, k)] * w[k]
                 w[j] *= fac[_packed(j, j)]
                 w[q] -= w[j] * w[j]
-            # one LU batch per start row: an exact zero pivot sends only its
-            # own row's batch to row-by-row solves
-            fallback_starts = starts[fallback]
-            for s in np.unique(fallback_starts):
-                rows = fallback[fallback_starts == s]
-                w[q, rows] = _lu_ssr(self._cum[ends[rows]] - self._cum[s], q)
+            if len(fallback):
+                w[q, fallback] = _lu_ssr(self._cum[ends[fallback]] - self._cum[starts[fallback]], q)
             tab.ravel()[starts * t_total + ends - 1] = np.maximum(w[q], 0.0)
         for s, e in self._excluded:
             tab[s:e, s:e] = np.inf
@@ -868,13 +864,12 @@ _COARSE_LATTICE = 8
 
 
 def _coarse_lattice(t_total, m, min_len, skip) -> list[tuple[int, ...]]:
-    """The feasible partitions other than ``skip`` on a coarse break
-    lattice, in lexicographic order: the candidate refinement seeds."""
+    """The partitions other than ``skip`` on a coarse break lattice, in
+    lexicographic order: the candidate refinement seeds.
+
+    Every one is feasible: the stride is at least ``min_len`` and the last
+    point at most ``T - min_len``, so every segment has ``min_len`` rows.
+    """
     stride = max(min_len, t_total // _COARSE_LATTICE)
     lattice = range(stride, t_total - min_len + 1, stride)
-    return [
-        combo for combo in combinations(lattice, m)
-        if combo != skip
-        and all(b - a >= min_len for a, b in zip((0, *combo), combo))
-        and t_total - combo[-1] >= min_len
-    ]
+    return [combo for combo in combinations(lattice, m) if combo != skip]

@@ -280,6 +280,23 @@ def lockstep_coarse_starts(t_total, m, min_len, objective, skip):
     return [combos[i] for i in order]
 
 
+def explicit_inverse_scaffold(gamma, omega, rmat):
+    """``(J0, Sigma11, A)`` of an asymptotic scaffold from the explicit
+    inverse ``Gamma^-1``: ``J0 = Gamma^-1 R'(R Gamma^-1 R')^-1``,
+    ``Sigma11 = Gamma^-1 Omega Gamma^-1`` and ``A = R'(R Sigma11 R')^-1 R``,
+    as ``make_scaffold`` formed them before it solved with one factor of
+    ``Gamma``."""
+    gamma, omega = 0.5 * (gamma + gamma.T), 0.5 * (omega + omega.T)
+    ginv = sla.cho_solve(sla.cho_factor(gamma), np.eye(len(gamma)))
+    ginv = 0.5 * (ginv + ginv.T)
+    rg = rmat @ ginv
+    j0 = np.linalg.solve(rg @ rmat.T, rg).T
+    s11 = ginv @ omega @ ginv
+    s11 = 0.5 * (s11 + s11.T)
+    a = rmat.T @ np.linalg.solve(rmat @ s11 @ rmat.T, rmat)
+    return j0, s11, 0.5 * (a + a.T)
+
+
 def lu_ssr_table(data, min_len):
     """Single-segment SSR table solved segment by segment: an LU solve of
     each segment's normal equations from prefix-sum moments, ``+inf`` on an

@@ -494,6 +494,31 @@ def test_bootstrap_factors_segment_grams_once(tmp_path, monkeypatch):
     assert read_rows(tmp_path / "out" / "table1.csv")[0]["n_fail"] == "0"
 
 
+def test_bootstrap_builds_one_design_per_pipeline_run(tmp_path, monkeypatch):
+    # the plug-ins need the design; the resampling reads the base UE fit's
+    # own residuals, so no second design is built for the base fit
+    from steinbreak import estimators
+
+    write_trend_series(tmp_path / "series.csv", n_obs=60, brk=30, noise=0.05)
+    cfg = fit_config(tmp_path, bootstrap_b=4, min_seg_frac=0.15)
+    designs, runs = [], []
+    build_design, fit_pipeline = estimators.build_design, cli._fit_pipeline
+
+    def counted_design(data, partition):
+        designs.append(partition.breaks)
+        return build_design(data, partition)
+
+    def counted_pipeline(*args, **kwargs):
+        runs.append(len(designs))
+        return fit_pipeline(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "build_design", counted_design)
+    monkeypatch.setattr(cli, "_fit_pipeline", counted_pipeline)
+    assert main(["bootstrap", "--config", str(cfg)]) == EXIT_OK
+    assert read_rows(tmp_path / "out" / "table1.csv")[0]["n_fail"] == "0"
+    assert runs == [0, 1, 2, 3, 4] and len(designs) == 5
+
+
 def test_bootstrap_builds_one_restriction(tmp_path, monkeypatch):
     from steinbreak import cli
 

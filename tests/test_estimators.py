@@ -30,7 +30,6 @@ from steinbreak import (
     make_positive_part,
     make_pretest,
     newey_west_bandwidth,
-    residuals_of,
     shrinkage_estimate,
     simulate_dataset,
     wald_distance,
@@ -147,6 +146,24 @@ def test_fit_restricted_per_component_matches_kkt_reference():
     assert 0 in min_width and any(nonzero_rhs) and not all(nonzero_rhs)
 
 
+def test_fits_carry_their_residuals():
+    # y - Zbar delta of each fit on its own partition, formed segment by
+    # segment; the SSR is their sum of squares
+    rng = np.random.default_rng(16)
+    for _ in range(60):
+        m, q = int(rng.integers(0, 4)), int(rng.integers(1, 4))
+        t_total = 8 * (m + 1) * q
+        data = RegressionData(y=rng.normal(size=t_total), z=rng.normal(1.0, 1.0, size=(t_total, q)))
+        part = Partition(tuple(sorted(rng.choice(np.arange(2 * q, t_total - 2 * q + 1, 2 * q), size=m, replace=False))))
+        restr = segment_sparse_restriction(rng, m, q) if m else random_restriction(rng, q, 1)
+        zbar = build_design(data, part).zbar
+        for fit in (fit_unrestricted(data, part), fit_restricted(data, part, restr)):
+            dense = data.y - zbar @ fit.delta
+            assert fit.residuals.shape == (t_total,)
+            assert np.max(np.abs(fit.residuals - dense)) <= 1e-12 * np.max(np.abs(dense))
+            assert abs(fit.ssr - fit.residuals @ fit.residuals) <= 1e-12 * fit.ssr
+
+
 def test_estimate_gamma_constant_regressor():
     data = RegressionData(y=np.zeros(10), z=np.ones((10, 1)))
     design = build_design(data, Partition(()))
@@ -246,16 +263,18 @@ def test_shrinkage_constant_rules_recover_endpoints():
     plug = _unit_plugin(4)
     h_one = ShrinkageFunction(evaluate=lambda x: 1.0, name="one")
     h_zero = ShrinkageFunction(evaluate=lambda x: 0.0, name="zero")
-    assert_allclose(shrinkage_estimate(ue, re, plug, h_one, 10).delta, ue.delta)
-    assert_allclose(shrinkage_estimate(ue, re, plug, h_zero, 10).delta, re.delta)
+    psi = wald_distance(ue, re, plug, 10)
+    assert_allclose(shrinkage_estimate(ue, re, psi, h_one).delta, ue.delta)
+    assert_allclose(shrinkage_estimate(ue, re, psi, h_zero).delta, re.delta)
 
 
 def test_shrinkage_james_stein_midpoint():
     # k = 4, unit A-hat, T ||d||^2 = 4 -> psi = 4, h(4) = 1 - 2/4 = 0.5
     ue, re = _pair([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0])
     plug = _unit_plugin(4)
-    assert_allclose(wald_distance(ue, re, plug, 4), 4.0)
-    est = shrinkage_estimate(ue, re, plug, make_james_stein(4), 4)
+    psi = wald_distance(ue, re, plug, 4)
+    assert_allclose(psi, 4.0)
+    est = shrinkage_estimate(ue, re, psi, make_james_stein(4))
     assert_allclose(est.delta, 0.5 * (ue.delta + re.delta), rtol=1e-12)
     assert est.ssr is None and est.label == "james-stein"
 
@@ -264,8 +283,9 @@ def test_shrinkage_positive_part_clamps_to_restricted():
     # psi = 1 < k - 2 = 2 -> h+ = 0 -> restricted estimate
     ue, re = _pair([0.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0])
     plug = _unit_plugin(4)
-    assert_allclose(wald_distance(ue, re, plug, 4), 1.0)
-    est = shrinkage_estimate(ue, re, plug, make_positive_part(4), 4)
+    psi = wald_distance(ue, re, plug, 4)
+    assert_allclose(psi, 1.0)
+    est = shrinkage_estimate(ue, re, psi, make_positive_part(4))
     assert_allclose(est.delta, re.delta)
 
 
@@ -276,7 +296,8 @@ def test_shrinkage_psi_zero_skips_h():
     def explode(_):
         raise AssertionError("h must not be evaluated at psi = 0")
 
-    est = shrinkage_estimate(ue, re, plug, ShrinkageFunction(evaluate=explode, name="boom"), 10)
+    psi = wald_distance(ue, re, plug, 10)
+    est = shrinkage_estimate(ue, re, psi, ShrinkageFunction(evaluate=explode, name="boom"))
     assert_allclose(est.delta, re.delta)
 
 
@@ -284,14 +305,16 @@ def test_shrinkage_mismatched_partitions():
     ue, _ = _pair([1.0, 2.0], [0.0, 0.0])
     re = CoefEstimate(delta=np.zeros(2), partition=Partition((3,)), ssr=0.0)
     with pytest.raises(MismatchedPartitions):
-        shrinkage_estimate(ue, re, _unit_plugin(2), make_james_stein(3), 10)
+        shrinkage_estimate(ue, re, 1.0, make_james_stein(3))
+    with pytest.raises(MismatchedPartitions):
+        wald_distance(ue, re, _unit_plugin(2), 10)
 
 
 def test_shrinkage_collinearity():
     rng = np.random.default_rng(7)
     ue, re = _pair(rng.normal(size=5), rng.normal(size=5))
     plug = _unit_plugin(5)
-    est = shrinkage_estimate(ue, re, plug, make_positive_part(5), 20)
+    est = shrinkage_estimate(ue, re, wald_distance(ue, re, plug, 20), make_positive_part(5))
     d1 = est.delta - re.delta
     d2 = ue.delta - re.delta
     cross = np.outer(d1, d2) - np.outer(d2, d1)
@@ -395,13 +418,13 @@ def test_wald_distance_zero_iff_restriction_satisfied():
     ue = fit_unrestricted(data, part)
     re = fit_restricted(data, part, restr)
     design = build_design(data, part)
-    plug = build_plugin_matrices(design, residuals_of(data, ue) + 1.0, restr)
+    plug = build_plugin_matrices(design, ue.residuals + 1.0, restr)
     assert wald_distance(ue, re, plug, 40) <= 1e-16
     # perturb the response so the restriction fails: psi > 0
     data2 = RegressionData(y=y + rng.normal(0, 0.5, 40), z=z)
     ue2 = fit_unrestricted(data2, part)
     re2 = fit_restricted(data2, part, restr)
-    plug2 = build_plugin_matrices(design, residuals_of(data2, ue2), restr)
+    plug2 = build_plugin_matrices(design, ue2.residuals, restr)
     assert wald_distance(ue2, re2, plug2, 40) > 0.0
 
 
@@ -438,7 +461,7 @@ def test_plugin_projection_idempotency():
     design = build_design(data, part)
     restr = random_restriction(rng, 4, 3)
     for method in ("hc0", "hac"):
-        plug = build_plugin_matrices(design, residuals_of(data, ue), restr, method=method)
+        plug = build_plugin_matrices(design, ue.residuals, restr, method=method)
         sandwich = plug.sandwich
         lhs = plug.a_hat @ sandwich @ plug.a_hat
         rel = np.max(np.abs(lhs - plug.a_hat)) / np.max(np.abs(plug.a_hat))
@@ -507,7 +530,7 @@ def test_estimate_class_matches_hand_wired_fits(monkeypatch):
             ue_s = fit_unrestricted(data, shrink_part)
             re_s = fit_restricted(data, shrink_part, restr)
             design = build_design(data, shrink_part)
-            plug = build_plugin_matrices(design, residuals_of(data, ue_s), restr, method=omega)
+            plug = build_plugin_matrices(design, ue_s.residuals, restr, method=omega)
             est = got["estimates"]
             assert list(est) == ["ue", "re", "js", "pp"]
             assert np.array_equal(est["ue"].delta, fit_unrestricted(data, ue_part).delta)
@@ -515,8 +538,51 @@ def test_estimate_class_matches_hand_wired_fits(monkeypatch):
             assert np.array_equal(got["plugin"].a_hat, plug.a_hat)
             assert got["psi"] == wald_distance(ue_s, re_s, plug, 60)
             for name, rule in (("js", make_james_stein(4)), ("pp", make_positive_part(4))):
-                expected = shrinkage_estimate(ue_s, re_s, plug, rule, 60)
+                expected = shrinkage_estimate(ue_s, re_s, got["psi"], rule)
                 assert np.array_equal(est[name].delta, expected.delta)
+
+
+def test_estimate_class_computes_psi_once(monkeypatch):
+    # one Wald distance steers every Stein member, and the plug-ins take the
+    # UE fit's own residuals; shrinkage members carry no residuals
+    rng = np.random.default_rng(12)
+    data = RegressionData(y=rng.normal(size=60), z=rng.normal(1.0, 1.0, size=(60, 3)))
+    restr = random_restriction(rng, 6, 4)
+    part = Partition((30,))
+    calls, residuals = [], []
+    wald, plugins = estimators.wald_distance, estimators.build_plugin_matrices
+
+    def counted(*args):
+        calls.append(args)
+        return wald(*args)
+
+    def spied(design, resid, *rest, **kwargs):
+        residuals.append(resid)
+        return plugins(design, resid, *rest, **kwargs)
+
+    monkeypatch.setattr(estimators, "wald_distance", counted)
+    monkeypatch.setattr(estimators, "build_plugin_matrices", spied)
+    got = estimate_class(data, restr, part, part, part)
+    assert len(calls) == 1 and len(residuals) == 1
+    assert residuals[0] is got["estimates"]["ue"].residuals
+    assert got["psi"] == wald(*calls[0])
+    for name in ("js", "pp"):
+        est = got["estimates"][name]
+        assert est.residuals is None and est.ssr is None
+
+
+def test_a_hat_is_the_wald_metric_of_the_sandwich():
+    from steinbreak.linalg import pd_factor, sandwich, wald_metric
+
+    rng = np.random.default_rng(13)
+    for method in ("hc0", "hac"):
+        data = RegressionData(y=rng.normal(size=50), z=rng.normal(1.0, 1.0, size=(50, 2)))
+        part = Partition((24,))
+        restr = random_restriction(rng, 4, 2)
+        plug = build_plugin_matrices(build_design(data, part), fit_unrestricted(data, part).residuals, restr, method=method)
+        expected = sandwich(pd_factor(plug.gamma_hat), plug.omega_hat)
+        assert np.array_equal(plug.sandwich, expected)
+        assert np.array_equal(plug.a_hat, wald_metric(expected, restr.matrix))
 
 
 def test_estimate_class_builds_only_requested_members():

@@ -1,12 +1,17 @@
-"""Every top-level import of a package module is used in that module, and
-every top-level private name is read somewhere in the package.
+"""Every top-level import of a package module is used in that module,
+every top-level private name is read somewhere in the package, and no
+module calls a matrix inverse.
 
 No linter ships with the package, so these tests parse each module with
 ``ast``.  The first fails on a name that a top-level import binds but
 nothing in the module reads; ``__init__.py`` is left out, because it
 imports to re-export.  The second fails on a private function, class or
 constant (one leading underscore) that no module of the package reads, so
-a helper that a refactor leaves orphaned does not linger.
+a helper that a refactor leaves orphaned does not linger.  The third fails
+on any call of numpy's or scipy's ``inv``, ``pinv`` or ``pinvh``: the
+package solves with a factor (``Gamma^-1`` and ``(Z'Z)^-1`` are never
+formed), because an explicit inverse loses digits on the ill-conditioned
+trend designs.
 """
 
 import ast
@@ -94,3 +99,50 @@ def test_private_name_detector():
 def test_every_private_name_is_read():
     sources = {p.name: p.read_text(encoding="utf-8") for p in ALL_MODULES}
     assert unread_private_names(sources) == []
+
+
+INVERSES = {"inv", "pinv", "pinvh"}
+
+
+def inverse_calls(source: str) -> list[str]:
+    """Calls of an attribute named ``inv``, ``pinv`` or ``pinvh`` (such as
+    ``np.linalg.inv`` or ``sla.pinv``), and of those names imported from
+    numpy or scipy under any alias."""
+    tree = ast.parse(source)
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in ("numpy", "scipy")
+        for alias in node.names
+        if alias.name in INVERSES
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr in INVERSES) or (
+                isinstance(func, ast.Name) and func.id in aliases
+            ):
+                found.append((node.lineno, ast.unparse(func)))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_inverse_detector():
+    source = (
+        "import numpy as np\n"
+        "from scipy import linalg as sla\n"
+        "from scipy.linalg import inv as matinv\n"
+        "from numpy.linalg import pinv\n"
+        "a = np.linalg.inv(x)\n"
+        "b = sla.pinvh(x)\n"
+        "c = matinv(x) + pinv(x)\n"
+        "d = np.linalg.solve(x, y) + invert(x) + sla.cho_solve(f, y) + obj.inverse(x)\n"
+    )
+    assert inverse_calls(source) == [
+        "line 5: np.linalg.inv", "line 6: sla.pinvh", "line 7: matinv", "line 7: pinv",
+    ]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_matrix_inverse(path):
+    assert inverse_calls(path.read_text(encoding="utf-8")) == []

@@ -8,6 +8,7 @@ from scipy import stats as sps
 
 from helpers import (
     central_terms,
+    explicit_inverse_scaffold,
     orthonormal_rows,
     reference_adr_class,
     reference_adr_james_stein,
@@ -40,7 +41,7 @@ from steinbreak import (
     scaffold_at_delta,
 )
 from steinbreak import risk, stein_oracle
-from steinbreak.linalg import symmetric_rank
+from steinbreak.linalg import pd_factor, sandwich, symmetric_rank, wald_metric
 
 H_ONE = ShrinkageFunction(evaluate=lambda x: 1.0, name="one")
 H_ZERO = ShrinkageFunction(evaluate=lambda x: 0.0, name="zero")
@@ -700,3 +701,23 @@ def test_risks_invariant_under_restriction_basis_change():
             all_risks(sc, make_weight(sc.a, w_star)),
             rtol=1e-10,
         )
+
+
+def test_scaffold_matches_the_explicit_inverse_formulas():
+    # one factor of Gamma gives J0 and Sigma11, and A is the Wald metric of
+    # Sigma11, the plug-ins' sandwich and metric; the explicit-inverse
+    # formulas agree to 1e-12 relative
+    def rel(a, b):
+        return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+    rng = np.random.default_rng(72)
+    for seed in range(40):
+        n = int(rng.integers(2, 13))
+        sc = random_scaffold(n, int(rng.integers(1, n + 1)), 72 + seed, proportional_omega=seed % 2 == 0)
+        j0, s11, a = explicit_inverse_scaffold(sc.gamma, sc.omega, sc.restriction.matrix)
+        assert rel(sc.j0, j0) <= 1e-12, seed
+        assert rel(sc.sigma11, s11) <= 1e-12, seed
+        assert rel(sc.a, a) <= 1e-12, seed
+        expected = sandwich(pd_factor(sc.gamma), sc.omega)
+        assert np.array_equal(sc.sigma11, expected)
+        assert np.array_equal(sc.a, wald_metric(expected, sc.restriction.matrix))

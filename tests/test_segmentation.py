@@ -855,6 +855,53 @@ def test_table_inf_pattern_matches_lu_reference(const):
             assert np.isinf(tab[~reachable]).all(), (seed, m)
 
 
+def test_table_inf_pattern_with_singular_grams_on_several_start_rows():
+    # integer regressors keep the prefix sums exact, so the Grams of the
+    # segments inside the constant rows 40..54 are exactly singular, and
+    # those reaching into the 1e-9-collinear rows 55..69 nearly so; one
+    # block sends segments of many start rows to the LU solve at once, and
+    # each entry is that of its segment solved alone
+    rng = np.random.default_rng(3)
+    x = rng.integers(-3, 4, size=100).astype(float)
+    x[40:55] = 2.0
+    x[55:70] = 2.0 + 1e-9 * rng.normal(size=15)
+    data = RegressionData(y=rng.normal(size=100), z=np.column_stack([np.ones(100), x]))
+    reference = np.isinf(lu_ssr_table(data, 2))
+    for m in (2, 3):
+        stats = SegmentMoments(data)
+        tab = stats.ssr_table(2, m)
+        reachable = reachable_mask(100, 2, m)
+        assert np.array_equal(np.isinf(tab[reachable]), reference[reachable]), m
+        assert np.isinf(tab[~reachable]).all(), m
+        spans = []
+        for starts, ends, _, fallback in stats._factor_blocks(2, m):
+            got = tab[starts[fallback], ends[fallback] - 1]
+            alone = [
+                max(segmentation._lu_ssr(stats._cum[[e]] - stats._cum[s], 2)[0], 0.0)
+                for s, e in zip(starts[fallback], ends[fallback])
+            ]
+            assert np.array_equal(got, alone), m
+            spans.append((len(np.unique(starts[fallback][np.isinf(got)])), np.isfinite(got).sum()))
+        assert max(spans) >= (20, 100), spans
+
+
+def test_coarse_lattice_needs_no_feasibility_filter():
+    # a stride of at least min_len and a last point of at most T - min_len
+    # make every m-subset of the lattice feasible: the lattice equals the
+    # feasible subsets of every stride multiple below T, less the skip
+    for t_total in range(2, 120):
+        for min_len in range(1, 30):
+            stride = max(min_len, t_total // segmentation._COARSE_LATTICE)
+            for m in range(1, 6):
+                feasible = [
+                    combo for combo in itertools.combinations(range(stride, t_total, stride), m)
+                    if all(b - a >= min_len for a, b in zip((0, *combo), (*combo, t_total)))
+                ]
+                for skip in {feasible[len(feasible) // 2] if feasible else (), (1,) * m}:
+                    expected = [combo for combo in feasible if combo != skip]
+                    assert segmentation._coarse_lattice(t_total, m, min_len, skip) == expected
+
+
 def test_trend_table_matches_per_segment_lstsq():
     # moment differences lose digits on the trend basis (about 1.1e-5 here,
     # by Cholesky or by LU); every entry a search with m breaks reads stays
