@@ -46,7 +46,8 @@ class BudgetExceeded(SteinbreakError):
 
 
 class SingularConstraintGram(SteinbreakError):
-    """R (Z'Z)^-1 R' is numerically singular; the constraint cannot be imposed."""
+    """The constrained least-squares problem is singular, or its solve misses
+    the constraint; the constraint cannot be imposed."""
 
 
 class GammaSingular(SteinbreakError):

@@ -2,7 +2,9 @@
 
 Three families: per-segment OLS (``fit_unrestricted``), equality-constrained
 least squares (``fit_restricted``), and shrinkage combinations of the two
-steered by the Wald-type distance
+steered by the Wald-type distance.  Both fits solve on one thin QR of each
+segment's rows, with one rank verdict and no normal equations.  The
+distance is
 
     psi = T (delta_re - delta_ue)' A_hat (delta_re - delta_ue),
 
@@ -19,12 +21,12 @@ the whole class; the CLI and the simulation study both call it.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy import stats as sps
+from scipy.linalg import lapack
 
 from .errors import (
     DimensionMismatch,
@@ -40,6 +42,7 @@ from .model import Partition, RegressionData, Restriction, SegmentedDesign, buil
 # Constraint satisfaction tolerance for restricted fits:
 # ||R d - r||_inf <= CONSTRAINT_TOL * (1 + ||r||_inf).
 CONSTRAINT_TOL = 1e-8
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -122,57 +125,75 @@ class ShrinkageFunction:
         return cls(evaluate=evaluate, name=name, breakpoints=breakpoints, pieces=pieces)
 
 
-def _check_segment_ranks(segments: list[tuple[int, int]], ranks: list[int], q: int) -> None:
-    """Raise one ``SegmentRankDeficient`` listing every segment of rank below ``q``."""
-    failed = [(p, seg, r) for p, (seg, r) in enumerate(zip(segments, ranks)) if r < q]
+def _segment_factors(data: RegressionData, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """``R_p`` and ``Q_p'y_p`` of each segment's thin QR ``Z_p = Q_p R_p``,
+    stacked, after the one rank verdict of both fits.
+
+    One LAPACK ``dgeqrf`` of the rows ``[Z_p, y_p]`` gives both without
+    forming ``Q_p``, zero-padded to ``q`` when ``n_p < q``.  ``R_p`` has the
+    singular values of ``Z_p``, so one batched SVD of the factors applies
+    ``lstsq``'s rule ``sv > eps max(n_p, q) sv_max``; ``SegmentRankDeficient``
+    lists every segment that fails it.
+    """
+    segments = partition.segments(data.n_obs)
+    q = data.n_regressors
+    rows = np.column_stack([data.z, data.y])
+    rfac, qty = np.zeros((len(segments), q, q)), np.zeros((len(segments), q))
+    for p, (s, e) in enumerate(segments):
+        qr, n = lapack.dgeqrf(rows[s:e])[0], min(e - s, q)
+        rfac[p, :n], qty[p, :n] = qr[:n, :q], qr[:n, q]
+    rfac = np.triu(rfac)
+    sv = np.linalg.svd(rfac, compute_uv=False)
+    tol = _EPS * np.maximum([e - s for s, e in segments], q) * sv[:, 0]
+    ranks = np.sum(sv > tol[:, None], axis=1)
+    failed = [(p, seg, rank) for p, (seg, rank) in enumerate(zip(segments, ranks)) if rank < q]
     if failed:
         detail = "; ".join(
-            f"segment {p + 1} (times {s + 1}..{e}) has rank {r} < {q}" for p, (s, e), r in failed
+            f"segment {p + 1} (times {s + 1}..{e}) has rank {rank} < {q}" for p, (s, e), rank in failed
         )
         raise SegmentRankDeficient(detail, segments=[seg for _, seg, _ in failed])
+    return rfac, qty
+
+
+def _fit_from_rows(data: RegressionData, partition: Partition, delta: np.ndarray) -> CoefEstimate:
+    """The fit ``delta`` with its residuals and SSR, formed from the data rows."""
+    q = data.n_regressors
+    resid = np.empty(data.n_obs)
+    ssr = 0.0
+    for p, (s, e) in enumerate(partition.segments(data.n_obs)):
+        resid[s:e] = data.y[s:e] - data.z[s:e] @ delta[p * q:(p + 1) * q]
+        ssr += float(resid[s:e] @ resid[s:e])
+    return CoefEstimate(delta=delta, partition=partition, ssr=ssr, residuals=resid)
 
 
 def fit_unrestricted(data: RegressionData, partition: Partition) -> CoefEstimate:
-    """Per-segment OLS, stacked into one coefficient vector.
+    """Per-segment OLS, stacked into one coefficient vector: back-substitution
+    in each segment's ``R_p beta_p = Q_p'y_p`` (:func:`_segment_factors`).
 
     Raises
     ------
     SegmentRankDeficient
-        If any segment's rows fail ``lstsq``'s rank test; ``segments``
-        lists every such segment.
+        If any segment fails the rank verdict; ``segments`` lists them all.
     """
-    segments = partition.segments(data.n_obs)
-    q = data.n_regressors
-    delta = np.empty(len(segments) * q)
-    resid = np.empty(data.n_obs)
-    ranks = []
-    ssr = 0.0
-    for p, (s, e) in enumerate(segments):
-        zseg, yseg = data.z[s:e], data.y[s:e]
-        beta, _, rank, _ = np.linalg.lstsq(zseg, yseg, rcond=None)
-        ranks.append(rank)
-        delta[p * q:(p + 1) * q] = beta
-        resid[s:e] = yseg - zseg @ beta
-        ssr += float(resid[s:e] @ resid[s:e])
-    _check_segment_ranks(segments, ranks, q)
-    return CoefEstimate(delta=delta, partition=partition, ssr=ssr, residuals=resid)
+    rfac, qty = _segment_factors(data, partition)
+    delta = np.concatenate([lapack.dtrtrs(rp, bp)[0] for rp, bp in zip(rfac, qty)])
+    return _fit_from_rows(data, partition, delta)
 
 
-def _restricted_ls(grams: np.ndarray, zys: np.ndarray, restriction: Restriction) -> np.ndarray:
+def _restricted_ls(rfac: np.ndarray, qty: np.ndarray, restriction: Restriction) -> np.ndarray:
     """The restricted least-squares solve of :func:`fit_restricted`.
 
-    Minimizes ``delta'G delta - 2 delta'Z'y`` subject to ``R delta = r``,
-    with ``G`` block diagonal from ``grams[p] = Z_p'Z_p`` and ``Z'y`` stacked
-    from ``zys[p] = Z_p'y_p``, one solve per component of
+    Minimizes ``sum_p ||Q_p'y_p - R_p delta_p||^2`` (the SSR up to a
+    constant) subject to ``R delta = r``, from the stacked factors of
+    :func:`_segment_factors`, one solve per component of
     :meth:`Restriction.segment_components`.  Writing ``delta_c = d0 + N theta``
-    on a component's coefficients leaves the unconstrained
-    ``(N'G_c N) theta = N'(Z_c'y - G_c d0)``; a component of null width 0
-    takes ``delta_c = d0``.  Returns the stacked ``delta``; raises
-    ``LinAlgError`` when some ``N'G_c N`` is exactly singular, which, ``R``
-    having full row rank, is exactly when the constrained normal equations
-    are.
+    on a component's coefficients leaves ``min ||R_c N theta - (Q_c'y - R_c d0)||``,
+    with ``R_c`` its segments' block-diagonal factor, which LAPACK ``dgels``
+    solves (the null-space method; Golub & Van Loan, sec. 12.1); a component
+    of null width 0 takes ``delta_c = d0``.  Raises ``SingularConstraintGram``
+    when some ``R_c N`` has an exactly zero pivot.
     """
-    n_seg, q = zys.shape
+    n_seg, q = qty.shape
     restriction.check_dims(n_seg * q)
     delta = np.empty((n_seg, q))
     for segments, null, d0 in restriction.segment_components(q):
@@ -180,44 +201,31 @@ def _restricted_ls(grams: np.ndarray, zys: np.ndarray, restriction: Restriction)
         if f == 0:
             delta[segments] = d0.reshape(-1, q)
             continue
-        gn = (grams[segments] @ null.reshape(len(segments), q, f)).reshape(-1, f)
-        c = zys[segments].reshape(-1) @ null - d0 @ gn
-        theta = np.linalg.solve(null.T @ gn, c)
-        delta[segments] = (d0 + null @ theta).reshape(-1, q)
+        rc = rfac[segments]
+        rn = (rc @ null.reshape(len(segments), q, f)).reshape(-1, f)
+        rhs = qty[segments].reshape(-1) - (rc @ d0.reshape(-1, q, 1)).reshape(-1)
+        _, theta, info = lapack.dgels(rn, rhs[:, None])
+        if info > 0:
+            raise SingularConstraintGram(f"R_c N of segments {[p + 1 for p in segments]} is rank deficient")
+        delta[segments] = (d0 + null @ theta[:f, 0]).reshape(-1, q)
     return delta.reshape(-1)
 
 
 def fit_restricted(
     data: RegressionData, partition: Partition, restriction: Restriction
 ) -> CoefEstimate:
-    """Least squares subject to ``R delta = r``.
-
-    Runs the restricted solve (:func:`_restricted_ls`, one per restriction
-    component) on each segment's data rows, ``Z_p'Z_p`` and ``Z_p'y_p``, and
-    reports the SSR from explicit residuals, which it keeps.
+    """Least squares subject to ``R delta = r``: :func:`_restricted_ls` on
+    the segments' QR factors, then a check of the constraint gap; the SSR
+    comes from explicit residuals, which it keeps.
 
     Raises
     ------
     SegmentRankDeficient
-        If any segment's rows fail ``matrix_rank``'s test, whatever ``R``
-        identifies; ``segments`` lists every such segment.
+        If any segment fails the rank verdict, whatever ``R`` identifies;
+        ``segments`` lists them all.
     DimensionMismatch, SingularConstraintGram
     """
-    segments = partition.segments(data.n_obs)
-    q = data.n_regressors
-    grams = np.empty((len(segments), q, q))
-    zys = np.empty((len(segments), q))
-    ranks = []
-    for p, (s, e) in enumerate(segments):
-        zseg = data.z[s:e]
-        ranks.append(np.linalg.matrix_rank(zseg))
-        grams[p] = zseg.T @ zseg
-        zys[p] = zseg.T @ data.y[s:e]
-    _check_segment_ranks(segments, ranks, q)
-    try:
-        delta = _restricted_ls(grams, zys, restriction)
-    except np.linalg.LinAlgError as exc:
-        raise SingularConstraintGram("R G^-1 R' is singular") from exc
+    delta = _restricted_ls(*_segment_factors(data, partition), restriction)
     rmat, rhs = restriction.matrix, restriction.rhs
     gap = np.max(np.abs(rmat @ delta - rhs))
     if gap > CONSTRAINT_TOL * (1.0 + np.max(np.abs(rhs), initial=0.0)):
@@ -225,12 +233,7 @@ def fit_restricted(
             f"constraint violated by the constrained solve (gap {gap:.3e}); "
             "the constraint Gram is too ill-conditioned"
         )
-    resid = np.empty(data.n_obs)
-    ssr = 0.0
-    for p, (s, e) in enumerate(segments):
-        resid[s:e] = data.y[s:e] - data.z[s:e] @ delta[p * q:(p + 1) * q]
-        ssr += float(resid[s:e] @ resid[s:e])
-    return CoefEstimate(delta=delta, partition=partition, ssr=ssr, residuals=resid)
+    return _fit_from_rows(data, partition, delta)
 
 
 def estimate_gamma(design: SegmentedDesign) -> np.ndarray:
@@ -262,7 +265,8 @@ def estimate_omega(
     ``method="hac"`` adds Bartlett-weighted autocovariances of the score
     sequence up to ``bandwidth`` lags (rule-of-thumb bandwidth when None).
     The output is symmetrized and any negative eigenvalues are clipped to
-    zero with a warning.
+    zero without a warning: HC0 and HAC are PSD by construction, so one is
+    round-off of a zero eigenvalue, as a segment of exactly ``q`` rows gives.
     """
     residuals = np.asarray(residuals, dtype=float).reshape(-1)
     if residuals.shape[0] != design.n_obs:
@@ -284,11 +288,6 @@ def estimate_omega(
     omega = sym(omega)
     vals, vecs = np.linalg.eigh(omega)
     if vals[0] < 0.0:
-        warnings.warn(
-            "score covariance had negative eigenvalues; clipped to zero",
-            RuntimeWarning,
-            stacklevel=2,
-        )
         omega = sym((vecs * np.clip(vals, 0.0, None)) @ vecs.T)
     return omega
 

@@ -4,9 +4,9 @@ Break dates are chosen to minimize the sum of squared residuals over all
 partitions whose segments respect a minimum length, for both the plain and
 the linearly restricted regression.  Searches score partitions from the
 prefix-sum moments in :class:`SegmentMoments`; the ``ssr`` they report is
-recomputed at the chosen partition from the data rows, by
-``fit_unrestricted`` or ``fit_restricted``, because moment differences lose
-digits on ill-conditioned segments.
+recomputed at the chosen partition by ``fit_unrestricted`` or
+``fit_restricted``, which solve on a thin QR of each segment's data rows,
+because moment differences lose digits on ill-conditioned segments.
 
 The unrestricted criterion separates across segments, so a Bellman
 recursion over a table of single-segment SSRs finds the global optimum in
@@ -97,9 +97,10 @@ class SearchConfig:
 class SegmentationResult:
     """Outcome of a break search.
 
-    ``ssr`` is the SSR of the fit at the returned partition, computed from
-    the data rows by ``fit_unrestricted`` or ``fit_restricted``, not the
-    moment-based score the search ranked partitions by.  ``iterations``
+    ``ssr`` is the SSR of the fit at the returned partition, computed by
+    ``fit_unrestricted`` or ``fit_restricted`` from a thin QR of each
+    segment's data rows and from the rows' residuals, not the moment-based
+    score the search ranked partitions by.  ``iterations``
     counts refinement cycles (0 for the global methods) from the start the
     search received: when a row fit rejects the chosen partition, its
     segments are excluded and the search runs again, and every pass adds

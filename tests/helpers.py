@@ -113,6 +113,34 @@ def kkt_restricted_ls(grams, zys, restriction):
     return sol[:n]
 
 
+def mp_restricted_ls(data, partition, restriction=None, dps=60):
+    """High-precision reference fit of the same double data: the KKT system
+    of :func:`kkt_restricted_ls` (the plain normal equations when
+    ``restriction`` is None), formed and solved by ``mpmath`` at ``dps``
+    digits, then rounded to doubles."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        q = data.n_regressors
+        segments = partition.segments(data.n_obs)
+        n = len(segments) * q
+        k = 0 if restriction is None else restriction.k
+        kkt, rhs = mpmath.zeros(n + k, n + k), mpmath.zeros(n + k, 1)
+        for p, (s, e) in enumerate(segments):
+            z, y = mpmath.matrix(data.z[s:e].tolist()), mpmath.matrix(data.y[s:e].tolist())
+            gram, zy = z.T * z, z.T * y
+            for i in range(q):
+                rhs[p * q + i] = zy[i]
+                for j in range(q):
+                    kkt[p * q + i, p * q + j] = gram[i, j]
+        for i in range(k):
+            for j in range(n):
+                kkt[n + i, j] = kkt[j, n + i] = mpmath.mpf(float(restriction.matrix[i, j]))
+            rhs[n + i] = mpmath.mpf(float(restriction.rhs[i]))
+        sol = mpmath.lu_solve(kkt, rhs)
+        return np.array([float(sol[i]) for i in range(n)])
+
+
 def moment_prefix_sums(data):
     """Prefix sums of ``w w'``, ``w = (z, y)``, with a leading zero block."""
     w = np.column_stack([data.z, data.y])

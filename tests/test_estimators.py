@@ -7,7 +7,13 @@ from numpy.testing import assert_allclose
 from scipy import special
 from scipy import stats as sps
 
-from helpers import kkt_restricted_ls, nullspace_restricted_fit, random_restriction, segment_sparse_restriction
+from helpers import (
+    kkt_restricted_ls,
+    mp_restricted_ls,
+    nullspace_restricted_fit,
+    random_restriction,
+    segment_sparse_restriction,
+)
 from steinbreak import (
     CoefEstimate,
     KTooSmall,
@@ -35,6 +41,8 @@ from steinbreak import (
     wald_distance,
 )
 from steinbreak import estimators, stein_oracle
+from steinbreak.cli import power_trend_basis, restriction_from_spec
+from steinbreak.linalg import rel_error
 from steinbreak.errors import GammaSingular, SegmentRankDeficient
 
 
@@ -480,15 +488,23 @@ def test_fits_list_every_rank_deficient_segment():
     two_bad = rng.normal(size=(30, 2))
     two_bad[:10] = [1.0, 2.0]
     two_bad[20:] = [0.5, -1.0]
+    # the trend basis's last 19 rows at (60, 98): full rank, though ill-conditioned
+    trend = power_trend_basis(117)
+    assert np.linalg.cond(trend[98:]) > 1e5
+    duplicated = rng.normal(size=(20, 3))
+    duplicated[10:, 2] = duplicated[10:, 0]  # segment 2 repeats a column
     cases = [
         (short, Partition((1,)), [(0, 1)]),
         (gaussian, Partition((20,)), []),
+        (gaussian, Partition((2,)), []),  # exactly q rows
         (constant, Partition(()), [(0, 8)]),
         (two_bad, Partition((10, 20)), [(0, 10), (20, 30)]),
+        (trend, Partition((60, 98)), []),
+        (duplicated, Partition((10,)), [(10, 20)]),
     ]
     for z, part, expected in cases:
         data = RegressionData(y=rng.normal(size=len(z)), z=z)
-        restr = Restriction(matrix=np.eye(part.n_segments * 2)[:1], rhs=np.zeros(1))
+        restr = Restriction(matrix=np.eye(part.n_segments * z.shape[1])[:1], rhs=np.zeros(1))
         for fit in (lambda: fit_unrestricted(data, part), lambda: fit_restricted(data, part, restr)):
             if not expected:
                 assert np.isfinite(fit().ssr)
@@ -497,6 +513,81 @@ def test_fits_list_every_rank_deficient_segment():
                 fit()
             assert list(exc.value.segments) == expected
     assert SegmentRankDeficient("no segments").segments == ()
+
+
+def test_rank_verdict_matches_lstsq_on_the_rows():
+    # The verdict reads the singular values of each segment's QR factor;
+    # it must reject exactly the segments whose rows lstsq finds of rank
+    # below q.  Random segments of 1..3q+1 rows, about half of them of
+    # rank below q by construction, columns scaled over six decades.
+    deficient = 0
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        q = int(rng.integers(1, 5))
+        lengths = rng.integers(1, 3 * q + 2, size=int(rng.integers(1, 4)))
+        if lengths.sum() < 2:
+            continue
+        blocks = []
+        for n in lengths:
+            rank = int(rng.integers(0, q)) if rng.random() < 0.5 else q
+            blocks.append(rng.normal(size=(n, rank)) @ rng.normal(size=(rank, q)))
+        z = np.vstack(blocks) * 10.0 ** rng.integers(-3, 4, size=q)
+        data = RegressionData(y=rng.normal(size=len(z)), z=z)
+        part = Partition(tuple(np.cumsum(lengths)[:-1]))
+        expected = [
+            (s, e) for s, e in part.segments(len(z))
+            if np.linalg.lstsq(z[s:e], data.y[s:e], rcond=None)[2] < q
+        ]
+        deficient += bool(expected)
+        try:
+            fit_unrestricted(data, part)
+            got = []
+        except SegmentRankDeficient as exc:
+            got = list(exc.segments)
+        assert got == expected, seed
+    assert deficient > 100
+
+
+def test_fits_match_a_60_digit_reference_on_the_trend_basis():
+    # The criterion-7 series on the power-trend basis at (60, 98), whose
+    # segments' rows have condition numbers 832, 2.5e4 and 4.3e5.  Least
+    # squares on the segments' QR factors keeps those condition numbers;
+    # normal equations squared them and put the restricted fit 1.0e-8
+    # (segments 1 and 3 equal) and 1.2e-9 (2 and 3) off.
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(7)
+    z = power_trend_basis(117)
+    y = np.where(np.arange(117) < 60, z @ [0.5, 1.0, 0.0, 0.0], z @ [0.9, 1.6, 0.0, 0.0])
+    data = RegressionData(y=y + rng.normal(0, 0.05, 117), z=z)
+    part = Partition((60, 98))
+    # per-segment lstsq read 1.6e-11 here; the QR route reads 9.1e-12
+    assert rel_error(fit_unrestricted(data, part).delta, mp_restricted_ls(data, part)) <= 2e-11
+    for segments, tol in (((1, 3), 1e-11), ((2, 3), 1e-11), ((1, 2), 2e-11)):
+        restr = restriction_from_spec({"pattern": "equal-segments", "segments": list(segments)}, 2, 4)
+        err = rel_error(fit_restricted(data, part, restr).delta, mp_restricted_ls(data, part, restr))
+        assert err <= tol, (segments, err)
+
+
+def test_omega_of_an_exact_segment_fit_warns_nothing():
+    # A segment of exactly q rows fits them exactly, so its scores are
+    # round-off and Omega_hat has zero eigenvalues that round-off makes
+    # negative about half the time; they are clipped without a warning.
+    negative = 0
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        data = RegressionData(y=rng.normal(size=40), z=rng.normal(1.0, 1.0, size=(40, 3)))
+        for part in (Partition((3,)), Partition((20, 37))):
+            ue = fit_unrestricted(data, part)
+            design = build_design(data, part)
+            scores = design.zbar * ue.residuals[:, None]
+            negative += np.linalg.eigvalsh(scores.T @ scores / 40)[0] < 0.0
+            for method in ("hc0", "hac"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    omega = estimate_omega(design, ue.residuals, method=method)
+                vals = np.linalg.eigvalsh(omega)
+                assert vals[0] >= -1e-15 * vals[-1]
+    assert negative > 0
 
 
 def _count_fits(monkeypatch):

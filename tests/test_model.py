@@ -9,11 +9,8 @@ from steinbreak import (
     RegressionData,
     Restriction,
     RestrictionRankDeficient,
-    SegmentRankDeficient,
     block_restriction,
     build_design,
-    fit_restricted,
-    fit_unrestricted,
     load_regression_csv,
     write_regression_csv,
 )
@@ -71,40 +68,6 @@ def test_regression_data_validation():
         RegressionData(y=np.array([1.0, np.nan]), z=np.ones((2, 1)))
     with pytest.raises(DimensionMismatch):
         RegressionData(y=np.zeros(1), z=np.ones((1, 1)))
-
-
-def _rank_deficient_segments(z, part):
-    # 0-based (start, end) of every segment both fits report as rank deficient
-    data = RegressionData(y=np.random.default_rng(0).normal(size=len(z)), z=z)
-    restr = Restriction(matrix=np.eye(part.n_segments * z.shape[1])[:1], rhs=np.zeros(1))
-    found = []
-    for fit in (lambda: fit_unrestricted(data, part), lambda: fit_restricted(data, part, restr)):
-        try:
-            assert np.isfinite(fit().ssr)
-            found.append([])
-        except SegmentRankDeficient as exc:
-            found.append(list(exc.segments))
-    assert found[0] == found[1]
-    return found[0]
-
-
-def test_validate_segment_rank_short_segment():
-    rng = np.random.default_rng(2)
-    z = rng.normal(size=(5, 2))
-    # first segment has a single observation but q = 2
-    assert _rank_deficient_segments(z, Partition((1,))) == [(0, 1)]
-
-
-def test_validate_segment_rank_gaussian_segments():
-    rng = np.random.default_rng(3)
-    z = rng.normal(size=(40, 2))
-    # both segments length 20 >= 5q
-    assert _rank_deficient_segments(z, Partition((20,))) == []
-
-
-def test_validate_segment_rank_constant_rows():
-    z = np.tile([1.0, 2.0], (8, 1))  # identical rows, rank-1 Gram with q = 2
-    assert _rank_deficient_segments(z, Partition(())) == [(0, 8)]
 
 
 def test_stacked_ssr_equals_segment_ssr_sum():
