@@ -14,7 +14,6 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     DivergentMoment,
-    GammaSingular,
     InfeasibleConfig,
     InvalidPartition,
     KTooSmall,
@@ -31,7 +30,6 @@ from .estimators import (
     PluginMatrices,
     ShrinkageFunction,
     build_plugin_matrices,
-    estimate_gamma,
     estimate_class,
     estimate_omega,
     fit_restricted,

@@ -10,7 +10,7 @@ class InvalidPartition(SteinbreakError):
 
 
 class SegmentRankDeficient(SteinbreakError):
-    """A segment Gram matrix is numerically singular.
+    """A segment's rows are numerically rank deficient.
 
     ``segments`` lists the 0-based half-open ``(start, end)`` ranges of
     every segment that failed, when the raiser tested the segments of one
@@ -48,10 +48,6 @@ class BudgetExceeded(SteinbreakError):
 class SingularConstraintGram(SteinbreakError):
     """The constrained least-squares problem is singular, or its solve misses
     the constraint; the constraint cannot be imposed."""
-
-
-class GammaSingular(SteinbreakError):
-    """The scaled design Gram matrix is not positive definite."""
 
 
 class KTooSmall(SteinbreakError):

@@ -2,16 +2,16 @@
 
 Three families: per-segment OLS (``fit_unrestricted``), equality-constrained
 least squares (``fit_restricted``), and shrinkage combinations of the two
-steered by the Wald-type distance.  Both fits solve on one thin QR of each
-segment's rows, with one rank verdict and no normal equations.  The
-distance is
+steered by the Wald-type distance.  The fits and the plug-ins solve on one
+thin QR of each segment's rows, with one rank verdict.  The distance is
 
     psi = T (delta_re - delta_ue)' A_hat (delta_re - delta_ue),
 
-where ``A_hat = R'(R Gamma_hat^-1 Omega_hat Gamma_hat^-1 R')^-1 R`` is built
-from the scaled design Gram matrix ``Gamma_hat = Zbar'Zbar / T`` and a
-heteroskedasticity-robust (optionally autocorrelation-robust) score
-covariance ``Omega_hat``.  A shrinkage rule ``h`` maps psi to a mixing factor:
+where ``A_hat = R'(R S R')^-1 R`` is the Wald metric of the sandwich
+``S = Gamma_hat^-1 Omega_hat Gamma_hat^-1``, with ``Gamma_hat = Zbar'Zbar / T``
+and a heteroskedasticity-robust (optionally autocorrelation-robust) score
+covariance ``Omega_hat``; ``S`` comes from the segments' triangular factors,
+never from ``Gamma_hat``.  A shrinkage rule ``h`` maps psi to a mixing factor:
 ``h == 1`` recovers the unrestricted estimator, ``h == 0`` the restricted one,
 and the James-Stein pair uses ``1 - (k - 2)/psi`` and its positive part.
 :func:`estimate_class` is the one step from estimated break partitions to
@@ -30,13 +30,12 @@ from scipy.linalg import lapack
 
 from .errors import (
     DimensionMismatch,
-    GammaSingular,
     KTooSmall,
     MismatchedPartitions,
     SegmentRankDeficient,
     SingularConstraintGram,
 )
-from .linalg import RANK_RTOL, pd_factor, sandwich, sym, wald_metric
+from .linalg import sym, wald_metric
 from .model import Partition, RegressionData, Restriction, SegmentedDesign, build_design
 
 # Constraint satisfaction tolerance for restricted fits:
@@ -65,17 +64,12 @@ class CoefEstimate:
 
 @dataclass(frozen=True)
 class PluginMatrices:
-    """Plug-in estimates of the asymptotic matrices at a fitted partition."""
+    """Plug-in estimates at a fitted partition: the Wald metric ``a_hat`` and
+    the sandwich ``Gamma_hat^-1 Omega_hat Gamma_hat^-1`` it is built from."""
 
-    gamma_hat: np.ndarray
-    omega_hat: np.ndarray
     a_hat: np.ndarray
+    sandwich: np.ndarray
     omega_method: str
-
-    @property
-    def sandwich(self) -> np.ndarray:
-        """Gamma_hat^-1 Omega_hat Gamma_hat^-1, the sandwich ``a_hat`` is built from."""
-        return sandwich(pd_factor(self.gamma_hat, name="gamma_hat"), self.omega_hat)
 
 
 @dataclass(frozen=True)
@@ -125,24 +119,21 @@ class ShrinkageFunction:
         return cls(evaluate=evaluate, name=name, breakpoints=breakpoints, pieces=pieces)
 
 
-def _segment_factors(data: RegressionData, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """``R_p`` and ``Q_p'y_p`` of each segment's thin QR ``Z_p = Q_p R_p``,
-    stacked, after the one rank verdict of both fits.
+def _segment_qr(blocks: list[np.ndarray], segments: list, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """``R_p`` and ``Q_p'W_p`` of each segment's block ``[Z_p, W_p]``, stacked,
+    where ``Z_p = Q_p R_p`` is the thin QR and ``W_p`` may have no columns,
+    after the one rank verdict of the fits and the plug-ins.
 
-    One LAPACK ``dgeqrf`` of the rows ``[Z_p, y_p]`` gives both without
-    forming ``Q_p``, zero-padded to ``q`` when ``n_p < q``.  ``R_p`` has the
-    singular values of ``Z_p``, so one batched SVD of the factors applies
-    ``lstsq``'s rule ``sv > eps max(n_p, q) sv_max``; ``SegmentRankDeficient``
-    lists every segment that fails it.
+    One LAPACK ``dgeqrf`` per block gives both without forming ``Q_p``,
+    zero-padded to ``q`` rows when ``n_p < q``.  ``R_p`` has the singular
+    values of ``Z_p``, so one batched SVD of the factors applies ``lstsq``'s
+    rule ``sv > eps max(n_p, q) sv_max``; ``SegmentRankDeficient`` lists
+    every segment that fails it.
     """
-    segments = partition.segments(data.n_obs)
-    q = data.n_regressors
-    rows = np.column_stack([data.z, data.y])
-    rfac, qty = np.zeros((len(segments), q, q)), np.zeros((len(segments), q))
-    for p, (s, e) in enumerate(segments):
-        qr, n = lapack.dgeqrf(rows[s:e])[0], min(e - s, q)
-        rfac[p, :n], qty[p, :n] = qr[:n, :q], qr[:n, q]
-    rfac = np.triu(rfac)
+    fac = np.zeros((len(blocks), q, blocks[0].shape[1]))
+    for p, block in enumerate(blocks):
+        fac[p, :min(len(block), q)] = lapack.dgeqrf(block)[0][:q]
+    rfac = np.triu(fac[:, :, :q])
     sv = np.linalg.svd(rfac, compute_uv=False)
     tol = _EPS * np.maximum([e - s for s, e in segments], q) * sv[:, 0]
     ranks = np.sum(sv > tol[:, None], axis=1)
@@ -152,7 +143,15 @@ def _segment_factors(data: RegressionData, partition: Partition) -> tuple[np.nda
             f"segment {p + 1} (times {s + 1}..{e}) has rank {rank} < {q}" for p, (s, e), rank in failed
         )
         raise SegmentRankDeficient(detail, segments=[seg for _, seg, _ in failed])
-    return rfac, qty
+    return rfac, fac[:, :, q:]
+
+
+def _segment_factors(data: RegressionData, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked ``R_p`` and ``Q_p'y_p``: :func:`_segment_qr` of the rows ``[Z_p, y_p]``."""
+    segments = partition.segments(data.n_obs)
+    rows = np.column_stack([data.z, data.y])
+    rfac, qty = _segment_qr([rows[s:e] for s, e in segments], segments, data.n_regressors)
+    return rfac, qty[:, :, 0]
 
 
 def _fit_from_rows(data: RegressionData, partition: Partition, delta: np.ndarray) -> CoefEstimate:
@@ -236,32 +235,20 @@ def fit_restricted(
     return _fit_from_rows(data, partition, delta)
 
 
-def estimate_gamma(design: SegmentedDesign) -> np.ndarray:
-    """Scaled design Gram matrix ``Zbar'Zbar / T``.
-
-    Raises ``GammaSingular`` unless the result is positive definite.
-    """
-    gamma = sym(design.zbar.T @ design.zbar / design.n_obs)
-    vals = np.linalg.eigvalsh(gamma)
-    if vals[0] <= RANK_RTOL * max(vals[-1], 0.0) or vals[-1] <= 0.0:
-        raise GammaSingular("Zbar'Zbar / T is not positive definite")
-    return gamma
-
-
 def newey_west_bandwidth(n_obs: int) -> int:
     """Rule-of-thumb Bartlett bandwidth, floor(4 (T/100)^(2/9))."""
     return int(math.floor(4.0 * (n_obs / 100.0) ** (2.0 / 9.0)))
 
 
 def estimate_omega(
-    design: SegmentedDesign,
+    rows: np.ndarray,
     residuals: np.ndarray,
     method: str = "hc0",
     bandwidth: int | None = None,
 ) -> np.ndarray:
-    """Score covariance estimate ``Omega_hat``.
+    """Score covariance estimate from ``T`` design rows ``x_t`` and residuals.
 
-    ``method="hc0"`` returns ``T^-1 sum_t u_t^2 zbar_t zbar_t'``.
+    ``method="hc0"`` returns ``T^-1 sum_t u_t^2 x_t x_t'``.
     ``method="hac"`` adds Bartlett-weighted autocovariances of the score
     sequence up to ``bandwidth`` lags (rule-of-thumb bandwidth when None).
     The output is symmetrized and any negative eigenvalues are clipped to
@@ -269,12 +256,10 @@ def estimate_omega(
     round-off of a zero eigenvalue, as a segment of exactly ``q`` rows gives.
     """
     residuals = np.asarray(residuals, dtype=float).reshape(-1)
-    if residuals.shape[0] != design.n_obs:
-        raise DimensionMismatch(
-            f"{residuals.shape[0]} residuals for {design.n_obs} observations"
-        )
-    t_total = design.n_obs
-    scores = design.zbar * residuals[:, None]
+    t_total = rows.shape[0]
+    if residuals.shape[0] != t_total:
+        raise DimensionMismatch(f"{residuals.shape[0]} residuals for {t_total} observations")
+    scores = rows * residuals[:, None]
     omega = scores.T @ scores / t_total
     if method == "hac":
         lags = newey_west_bandwidth(t_total) if bandwidth is None else int(bandwidth)
@@ -299,13 +284,33 @@ def build_plugin_matrices(
     method: str = "hc0",
     bandwidth: int | None = None,
 ) -> PluginMatrices:
-    """Assemble ``Gamma_hat``, ``Omega_hat`` and ``A_hat`` from a fitted design."""
-    restriction.check_dims(design.n_coefs)
-    gamma = estimate_gamma(design)
-    omega = estimate_omega(design, residuals, method=method, bandwidth=bandwidth)
-    a_hat = wald_metric(sandwich(pd_factor(gamma, name="gamma_hat"), omega), restriction.matrix)
-    label = "hc0" if method == "hc0" else f"hac({newey_west_bandwidth(design.n_obs) if bandwidth is None else int(bandwidth)})"
-    return PluginMatrices(gamma_hat=gamma, omega_hat=omega, a_hat=a_hat, omega_method=label)
+    """``A_hat`` and its sandwich from one thin QR per segment of a fitted design.
+
+    Each block ``Z_p`` of ``Zbar`` gives ``R_p`` and the fits' rank verdict
+    (:func:`_segment_qr`), and its rows map to Q coordinates ``Z_p R_p^-1``,
+    whose :func:`estimate_omega` is ``Omega_Q``.  With ``R = blockdiag(R_p)``,
+    ``Gamma_hat = R'R / T`` and ``Omega_hat = R' Omega_Q R``, so the sandwich
+    is ``S = T^2 R^-1 Omega_Q R^-T``, by triangular solves, and
+    ``A_hat = wald_metric(S, R)``; ``Gamma_hat`` is never formed.
+
+    Raises
+    ------
+    SegmentRankDeficient
+        If any segment fails the rank verdict; ``segments`` lists them all.
+    """
+    t_total, n = design.n_obs, design.n_coefs
+    restriction.check_dims(n)
+    q = n // design.partition.n_segments
+    segments = design.partition.segments(t_total)
+    blocks = [design.zbar[s:e, p * q:(p + 1) * q] for p, (s, e) in enumerate(segments)]
+    rbar = np.zeros((n, n))
+    for p, rp in enumerate(_segment_qr(blocks, segments, q)[0]):
+        rbar[p * q:(p + 1) * q, p * q:(p + 1) * q] = rp
+    qrows = lapack.dtrtrs(rbar, design.zbar.T, trans=1)[0].T
+    half = lapack.dtrtrs(rbar, estimate_omega(qrows, residuals, method=method, bandwidth=bandwidth))[0]
+    s_hat = sym(t_total**2 * lapack.dtrtrs(rbar, half.T)[0])
+    label = "hc0" if method == "hc0" else f"hac({newey_west_bandwidth(t_total) if bandwidth is None else int(bandwidth)})"
+    return PluginMatrices(a_hat=wald_metric(s_hat, restriction.matrix), sandwich=s_hat, omega_method=label)
 
 
 def _check_same_partition(ue: CoefEstimate, re: CoefEstimate) -> None:

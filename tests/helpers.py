@@ -15,10 +15,13 @@ from steinbreak import (
     Restriction,
     SearchConfig,
     build_design,
+    estimate_omega,
     find_breaks_unrestricted,
     nc_chi2_moment,
+    newey_west_bandwidth,
 )
 from steinbreak import risk
+from steinbreak.linalg import pd_factor, sandwich, sym, wald_metric
 from steinbreak.model import _null_form
 from steinbreak.errors import SegmentRankDeficient
 from steinbreak.segmentation import _COARSE_LATTICE, _COARSE_STARTS, MAX_REFINE_CYCLES
@@ -113,6 +116,31 @@ def kkt_restricted_ls(grams, zys, restriction):
     return sol[:n]
 
 
+def _mp_kkt_ls(data, partition, restriction):
+    """The KKT solution of :func:`mp_restricted_ls` at mpmath's working
+    precision, as an ``n x 1`` mpmath matrix."""
+    import mpmath
+
+    q = data.n_regressors
+    segments = partition.segments(data.n_obs)
+    n = len(segments) * q
+    k = 0 if restriction is None else restriction.k
+    kkt, rhs = mpmath.zeros(n + k, n + k), mpmath.zeros(n + k, 1)
+    for p, (s, e) in enumerate(segments):
+        z, y = mpmath.matrix(data.z[s:e].tolist()), mpmath.matrix(data.y[s:e].tolist())
+        gram, zy = z.T * z, z.T * y
+        for i in range(q):
+            rhs[p * q + i] = zy[i]
+            for j in range(q):
+                kkt[p * q + i, p * q + j] = gram[i, j]
+    for i in range(k):
+        for j in range(n):
+            kkt[n + i, j] = kkt[j, n + i] = mpmath.mpf(float(restriction.matrix[i, j]))
+        rhs[n + i] = mpmath.mpf(float(restriction.rhs[i]))
+    sol = mpmath.lu_solve(kkt, rhs)
+    return sol[:n, 0]
+
+
 def mp_restricted_ls(data, partition, restriction=None, dps=60):
     """High-precision reference fit of the same double data: the KKT system
     of :func:`kkt_restricted_ls` (the plain normal equations when
@@ -121,24 +149,52 @@ def mp_restricted_ls(data, partition, restriction=None, dps=60):
     import mpmath
 
     with mpmath.workdps(dps):
-        q = data.n_regressors
-        segments = partition.segments(data.n_obs)
-        n = len(segments) * q
-        k = 0 if restriction is None else restriction.k
-        kkt, rhs = mpmath.zeros(n + k, n + k), mpmath.zeros(n + k, 1)
-        for p, (s, e) in enumerate(segments):
-            z, y = mpmath.matrix(data.z[s:e].tolist()), mpmath.matrix(data.y[s:e].tolist())
-            gram, zy = z.T * z, z.T * y
-            for i in range(q):
-                rhs[p * q + i] = zy[i]
-                for j in range(q):
-                    kkt[p * q + i, p * q + j] = gram[i, j]
-        for i in range(k):
-            for j in range(n):
-                kkt[n + i, j] = kkt[j, n + i] = mpmath.mpf(float(restriction.matrix[i, j]))
-            rhs[n + i] = mpmath.mpf(float(restriction.rhs[i]))
-        sol = mpmath.lu_solve(kkt, rhs)
-        return np.array([float(sol[i]) for i in range(n)])
+        return np.array([float(x) for x in _mp_kkt_ls(data, partition, restriction)])
+
+
+def mp_wald_psi(data, partition, restriction, method="hc0", dps=60):
+    """High-precision reference ``psi`` of the same double data, every step
+    at ``dps`` digits by ``mpmath``: the UE and RE fits of
+    :func:`mp_restricted_ls`, ``Gamma = Zbar'Zbar / T``, the HC0 or
+    Bartlett HAC ``Omega`` (rule-of-thumb bandwidth) of the UE residuals,
+    ``A = R'(R Gamma^-1 Omega Gamma^-1 R')^-1 R`` and
+    ``psi = T (d_re - d_ue)' A (d_re - d_ue)``, rounded to a double."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        t_total = data.n_obs
+        ue = _mp_kkt_ls(data, partition, None)
+        diff = _mp_kkt_ls(data, partition, restriction) - ue
+        zbar = mpmath.matrix(build_design(data, partition).zbar.tolist())
+        resid = mpmath.matrix(data.y.tolist()) - zbar * ue
+        scores = mpmath.matrix(t_total, zbar.cols)
+        for t in range(t_total):
+            for j in range(zbar.cols):
+                scores[t, j] = resid[t] * zbar[t, j]
+        omega = scores.T * scores
+        lags = newey_west_bandwidth(t_total) if method == "hac" else 0
+        for lag in range(1, lags + 1):
+            cov = scores[lag:, :].T * scores[:-lag, :]
+            omega += (1 - mpmath.mpf(lag) / (lags + 1)) * (cov + cov.T)
+        # Gamma^-1 Omega Gamma^-1 with Gamma = Zbar'Zbar / T, Omega = omega / T
+        ginv = mpmath.inverse(zbar.T * zbar)
+        s = t_total * ginv * omega * ginv
+        rmat = mpmath.matrix(restriction.matrix.tolist())
+        a = rmat.T * mpmath.inverse(rmat * s * rmat.T) * rmat
+        return float(t_total * (diff.T * a * diff)[0])
+
+
+def gram_plugin(design, residuals, restriction, method="hc0"):
+    """``(sandwich, A_hat)`` by the Gram route: ``Gamma_hat = Zbar'Zbar / T``,
+    ``Omega_hat`` of the rows of ``Zbar``, ``Gamma_hat^-1 Omega_hat
+    Gamma_hat^-1`` by two solves with one Cholesky factor of ``Gamma_hat``,
+    and its Wald metric.  This is how ``build_plugin_matrices`` formed them
+    before it solved on the segments' QR factors; it squares the segments'
+    condition numbers."""
+    gamma = sym(design.zbar.T @ design.zbar / design.n_obs)
+    omega = estimate_omega(design.zbar, residuals, method=method)
+    s = sandwich(pd_factor(gamma, name="gamma_hat"), omega)
+    return s, wald_metric(s, restriction.matrix)
 
 
 def moment_prefix_sums(data):

@@ -181,14 +181,24 @@ def test_fit_synthetic_trend_series(tmp_path, capsys):
     assert manifest["config"]["subcommand"] == "fit"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="open defect, ROADMAP item 2 (plug-in half): at m = 2 estimate_gamma's "
-    "Zbar'Zbar / T squares the segment condition numbers and fit exits 3 with GammaSingular",
-)
 def test_fit_two_breaks_on_the_criterion_7_series(tmp_path):
+    # At two breaks the trend basis's segments are ill-conditioned enough
+    # that Zbar'Zbar / T is not numerically positive definite; the plug-ins
+    # never form it, so fit and bootstrap run with either plug-in.
     write_trend_series(tmp_path / "series.csv", noise=0.05, seed=7)
-    assert main(["fit", "--config", str(fit_config(tmp_path, m=2, min_seg_frac=0.15))]) == EXIT_OK
+    for omega in ("hc0", "hac"):
+        fit_out, boot_out = tmp_path / f"fit_{omega}", tmp_path / f"boot_{omega}"
+        cfg = fit_config(tmp_path, m=2, min_seg_frac=0.15, omega=omega, out=str(fit_out))
+        assert main(["fit", "--config", str(cfg)]) == EXIT_OK, omega
+        stats = {r["key"]: r["value"] for r in read_rows(fit_out / "fit_stats.csv")}
+        assert stats["omega_method"] == ("hc0" if omega == "hc0" else "hac(4)")
+        assert 0.0 < float(stats["psi"]) < np.inf
+        ue_breaks = [r["time"] for r in read_rows(fit_out / "breaks.csv") if r["search"] == "ue"]
+        assert len(ue_breaks) == 2 and ue_breaks[0] == "60"
+        cfg = fit_config(tmp_path, m=2, min_seg_frac=0.15, omega=omega, bootstrap_b=4, out=str(boot_out))
+        assert main(["bootstrap", "--config", str(cfg)]) == EXIT_OK, omega
+        table = read_rows(boot_out / "table1.csv")[0]
+        assert table["n_fail"] == "0" and table["changepoints_ue"] == "|".join(ue_breaks)
 
 
 def test_fit_no_breaks(tmp_path):

@@ -8,8 +8,10 @@ from scipy import special
 from scipy import stats as sps
 
 from helpers import (
+    gram_plugin,
     kkt_restricted_ls,
     mp_restricted_ls,
+    mp_wald_psi,
     nullspace_restricted_fit,
     random_restriction,
     segment_sparse_restriction,
@@ -28,7 +30,6 @@ from steinbreak import (
     build_design,
     build_plugin_matrices,
     estimate_class,
-    estimate_gamma,
     estimate_omega,
     fit_restricted,
     fit_unrestricted,
@@ -42,8 +43,8 @@ from steinbreak import (
 )
 from steinbreak import estimators, stein_oracle
 from steinbreak.cli import power_trend_basis, restriction_from_spec
-from steinbreak.linalg import rel_error
-from steinbreak.errors import GammaSingular, SegmentRankDeficient
+from steinbreak.linalg import rel_error, wald_metric
+from steinbreak.errors import SegmentRankDeficient
 
 
 def test_fit_unrestricted_exact_recovery():
@@ -172,47 +173,29 @@ def test_fits_carry_their_residuals():
             assert abs(fit.ssr - fit.residuals @ fit.residuals) <= 1e-12 * fit.ssr
 
 
-def test_estimate_gamma_constant_regressor():
-    data = RegressionData(y=np.zeros(10), z=np.ones((10, 1)))
-    design = build_design(data, Partition(()))
-    assert_allclose(estimate_gamma(design), [[1.0]], rtol=1e-12)
-    design2 = build_design(data, Partition((5,)))
-    assert_allclose(estimate_gamma(design2), np.diag([0.5, 0.5]), rtol=1e-12)
-
-
-def test_estimate_gamma_mc_convergence():
-    # i.i.d. N_q(1, S) regressors: Gamma_hat approaches block-diagonal
-    # lambda_p * E[z z'] as T grows
-    rho = 0.5
-    cov = np.array([[1.0, rho], [rho, 1.0]])
-    ezz = cov + np.ones((2, 2))  # E[z z'] = Sigma + mu mu'
-    rng = np.random.default_rng(4)
-    t_total = 4000
-    z = rng.multivariate_normal(np.ones(2), cov, size=t_total)
-    data = RegressionData(y=np.zeros(t_total), z=z)
-    design = build_design(data, Partition((t_total // 2,)))
-    gamma = estimate_gamma(design)
-    expected = np.zeros((4, 4))
-    expected[:2, :2] = 0.5 * ezz
-    expected[2:, 2:] = 0.5 * ezz
-    assert np.max(np.abs(gamma - expected)) < 0.12
-
-
-def test_estimate_gamma_singular():
-    data = RegressionData(y=np.zeros(6), z=np.ones((6, 1)))
-    design = build_design(data, Partition((1,)))  # first segment has 1 row
-    # one-row segments keep gamma PD for q=1; use duplicated columns instead
-    z = np.column_stack([np.ones(6), np.ones(6)])
-    bad = build_design(RegressionData(y=np.zeros(6), z=z), Partition(()))
-    with pytest.raises(GammaSingular):
-        estimate_gamma(bad)
-    estimate_gamma(design)  # still fine
+def test_plugins_reject_a_rank_deficient_segment():
+    # The plug-ins take the fits' rank verdict: a segment that repeats a
+    # column has no Q coordinates, and a triangular solve with its factor
+    # gives a finite, meaningless A_hat (near 1e-32 here) instead of an
+    # error.  A one-row segment at q = 1 has full rank and passes.
+    rng = np.random.default_rng(17)
+    z = rng.normal(1.0, 1.0, size=(20, 3))
+    z[10:, 2] = z[10:, 0]
+    design = build_design(RegressionData(y=np.zeros(20), z=z), Partition((10,)))
+    restr = random_restriction(rng, 6, 3)
+    with pytest.raises(SegmentRankDeficient) as exc:
+        build_plugin_matrices(design, rng.normal(size=20), restr)
+    assert exc.value.segments == ((10, 20),)
+    assert "segment 2 (times 11..20)" in str(exc.value)
+    one_row = build_design(RegressionData(y=np.zeros(6), z=np.ones((6, 1))), Partition((1,)))
+    plug = build_plugin_matrices(one_row, rng.normal(size=6), Restriction(matrix=np.eye(2)[:1], rhs=np.zeros(1)))
+    assert np.all(np.isfinite(plug.a_hat)) and plug.a_hat[0, 0] > 0.0
 
 
 def test_estimate_omega_constant_residuals():
     data = RegressionData(y=np.zeros(8), z=np.ones((8, 1)))
     design = build_design(data, Partition(()))
-    omega = estimate_omega(design, np.full(8, 3.0))
+    omega = estimate_omega(design.zbar, np.full(8, 3.0))
     assert_allclose(omega, [[9.0]], rtol=1e-12)
 
 
@@ -222,9 +205,9 @@ def test_estimate_omega_hc0_matches_sigma2_gamma():
     z = rng.normal(1.0, 1.0, size=(t_total, 2))
     u = rng.normal(0.0, 1.5, size=t_total)
     data = RegressionData(y=z @ [1.0, 1.0] + u, z=z)
-    design = build_design(data, Partition(()))
-    gamma = estimate_gamma(design)
-    omega = estimate_omega(design, u)
+    zbar = build_design(data, Partition(())).zbar
+    gamma = zbar.T @ zbar / t_total
+    omega = estimate_omega(zbar, u)
     err = np.linalg.norm(omega - 1.5**2 * gamma) / np.linalg.norm(1.5**2 * gamma)
     assert err < 0.08
 
@@ -243,8 +226,8 @@ def test_estimate_omega_hac_closer_to_long_run_variance():
     lrv = var_u * (1 + phi) / (1 - phi)
     data = RegressionData(y=u, z=np.ones((t_total, 1)))
     design = build_design(data, Partition(()))
-    hc0 = estimate_omega(design, u)[0, 0]
-    hac = estimate_omega(design, u, method="hac")[0, 0]
+    hc0 = estimate_omega(design.zbar, u)[0, 0]
+    hac = estimate_omega(design.zbar, u, method="hac")[0, 0]
     assert abs(hac - lrv) < abs(hc0 - lrv)
 
 
@@ -254,9 +237,7 @@ def test_newey_west_bandwidth():
 
 
 def _unit_plugin(n):
-    return PluginMatrices(
-        gamma_hat=np.eye(n), omega_hat=np.eye(n), a_hat=np.eye(n), omega_method="hc0"
-    )
+    return PluginMatrices(a_hat=np.eye(n), sandwich=np.eye(n), omega_method="hc0")
 
 
 def _pair(delta_ue, delta_re):
@@ -437,27 +418,6 @@ def test_wald_distance_zero_iff_restriction_satisfied():
 
 
 
-def test_sandwich_factors_gamma_once():
-    # one Cholesky factor serves both solves: an ill-conditioned gamma warns
-    # once, and the sandwich equals two plain solves bit for bit
-    from steinbreak.linalg import pd_solve, sym
-
-    gamma = np.array([[1.0, 1.0 - 1e-12], [1.0 - 1e-12, 1.0]])
-    omega = np.array([[2.0, 0.3], [0.3, 1.0]])
-    plugin = PluginMatrices(gamma_hat=gamma, omega_hat=omega, a_hat=np.eye(2), omega_method="hc0")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        sandwich = plugin.sandwich
-    assert [w.category for w in caught] == [RuntimeWarning]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert np.array_equal(sandwich, sym(pd_solve(gamma, pd_solve(gamma, omega).T)))
-    rng = np.random.default_rng(4)
-    b = rng.normal(size=(6, 6))
-    gamma = b @ b.T + np.eye(6)
-    omega = np.cov(rng.normal(size=(6, 40)))
-    plugin = PluginMatrices(gamma_hat=gamma, omega_hat=omega, a_hat=np.eye(6), omega_method="hc0")
-    assert np.array_equal(plugin.sandwich, sym(pd_solve(gamma, pd_solve(gamma, omega).T)))
 
 def test_plugin_projection_idempotency():
     rng = np.random.default_rng(9)
@@ -584,7 +544,7 @@ def test_omega_of_an_exact_segment_fit_warns_nothing():
             for method in ("hc0", "hac"):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    omega = estimate_omega(design, ue.residuals, method=method)
+                    omega = estimate_omega(design.zbar, ue.residuals, method=method)
                 vals = np.linalg.eigvalsh(omega)
                 assert vals[0] >= -1e-15 * vals[-1]
     assert negative > 0
@@ -663,17 +623,53 @@ def test_estimate_class_computes_psi_once(monkeypatch):
 
 
 def test_a_hat_is_the_wald_metric_of_the_sandwich():
-    from steinbreak.linalg import pd_factor, sandwich, wald_metric
-
     rng = np.random.default_rng(13)
     for method in ("hc0", "hac"):
         data = RegressionData(y=rng.normal(size=50), z=rng.normal(1.0, 1.0, size=(50, 2)))
         part = Partition((24,))
         restr = random_restriction(rng, 4, 2)
         plug = build_plugin_matrices(build_design(data, part), fit_unrestricted(data, part).residuals, restr, method=method)
-        expected = sandwich(pd_factor(plug.gamma_hat), plug.omega_hat)
-        assert np.array_equal(plug.sandwich, expected)
-        assert np.array_equal(plug.a_hat, wald_metric(expected, restr.matrix))
+        assert np.array_equal(plug.a_hat, wald_metric(plug.sandwich, restr.matrix))
+
+
+def test_plugins_match_the_gram_reference_on_well_conditioned_designs():
+    # The QR route and Gamma_hat^-1 Omega_hat Gamma_hat^-1 by a Cholesky
+    # factor of Zbar'Zbar / T agree where squaring the condition number costs
+    # nothing: Gaussian regressors with at least 8 rows per coefficient.
+    rng = np.random.default_rng(18)
+    for _ in range(40):
+        m, q = int(rng.integers(0, 4)), int(rng.integers(1, 5))
+        t_total = 8 * (m + 1) * q + int(rng.integers(0, 10))
+        data = RegressionData(y=rng.normal(size=t_total), z=rng.normal(1.0, 1.0, size=(t_total, q)))
+        part = Partition(tuple(sorted(rng.choice(np.arange(4 * q, t_total - 4 * q, 4 * q), size=m, replace=False))))
+        design = build_design(data, part)
+        resid = fit_unrestricted(data, part).residuals
+        restr = random_restriction(rng, design.n_coefs, int(rng.integers(1, design.n_coefs + 1)))
+        for method in ("hc0", "hac"):
+            plug = build_plugin_matrices(design, resid, restr, method=method)
+            sandwich, a_hat = gram_plugin(design, resid, restr, method=method)
+            assert rel_error(plug.sandwich, sandwich) <= 1e-12, (m, q, method)
+            assert rel_error(plug.a_hat, a_hat) <= 1e-12, (m, q, method)
+
+
+def test_psi_matches_a_60_digit_reference_on_the_trend_basis():
+    # The criterion-7 series with the linear-trend restriction; at (60, 98)
+    # the last segment's rows have condition number 4.3e5, and Zbar'Zbar / T
+    # is not numerically positive definite.  There one-ulp changes of the
+    # data move the reference psi itself by up to 1.6e-11 (HAC), so that
+    # partition gets a few ulps of slack.
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(7)
+    z = power_trend_basis(117)
+    y = np.where(np.arange(117) < 60, z @ [0.5, 1.0, 0.0, 0.0], z @ [0.9, 1.6, 0.0, 0.0])
+    data = RegressionData(y=y + rng.normal(0, 0.05, 117), z=z)
+    for breaks, tol in (((60,), 1e-11), ((60, 98), 3e-11)):
+        part = Partition(breaks)
+        restr = restriction_from_spec({"pattern": "linear-trend"}, len(breaks), 4)
+        for method in ("hc0", "hac"):
+            psi = estimate_class(data, restr, part, part, part, omega=method)["psi"]
+            err = abs(psi - mp_wald_psi(data, part, restr, method)) / psi
+            assert err <= tol, (breaks, method, err)
 
 
 def test_estimate_class_builds_only_requested_members():

@@ -1,6 +1,6 @@
 """Every top-level import of a package module is used in that module,
-every top-level private name is read somewhere in the package, and no
-module calls a matrix inverse.
+every top-level private name is read somewhere in the package, no module
+calls a matrix inverse, and every error type is raised somewhere.
 
 No linter ships with the package, so these tests parse each module with
 ``ast``.  The first fails on a name that a top-level import binds but
@@ -9,9 +9,11 @@ imports to re-export.  The second fails on a private function, class or
 constant (one leading underscore) that no module of the package reads, so
 a helper that a refactor leaves orphaned does not linger.  The third fails
 on any call of numpy's or scipy's ``inv``, ``pinv`` or ``pinvh``: the
-package solves with a factor (``Gamma^-1`` and ``(Z'Z)^-1`` are never
-formed), because an explicit inverse loses digits on the ill-conditioned
-trend designs.
+package solves with a factor, or on the segments' QR factors, and never
+forms an inverse, because an explicit inverse loses digits on the
+ill-conditioned trend designs.  The fourth fails on a class of
+``errors.py`` that no ``raise`` statement of the package names, so an error
+type whose last raiser a refactor removed does not linger either.
 """
 
 import ast
@@ -146,3 +148,38 @@ def test_inverse_detector():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_no_matrix_inverse(path):
     assert inverse_calls(path.read_text(encoding="utf-8")) == []
+
+
+def unraised_errors(errors_source: str, sources: dict[str, str]) -> list[str]:
+    """Classes that ``errors_source`` defines and that no ``raise`` in
+    ``sources`` names as the raised object (``raise E``, ``raise E(...)``
+    or ``raise mod.E(...)``)."""
+    defined = {
+        node.name: node.lineno for node in ast.parse(errors_source).body if isinstance(node, ast.ClassDef)
+    }
+    raised = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    raised.add(exc.attr)
+    return [f"line {line}: {name}" for name, line in defined.items() if name not in raised]
+
+
+def test_unraised_error_detector():
+    errors = "class A(Exception):\n    pass\nclass B(A):\n    pass\nclass C(A):\n    pass\nclass D(A):\n    pass\n"
+    sources = {
+        "x.py": "from .errors import A, B, C\ntry:\n    f()\nexcept C:\n    raise A('no') from None\n",
+        "y.py": "from . import errors\nif g():\n    raise errors.B\nraise ValueError(C)\n",
+    }
+    assert unraised_errors(errors, sources) == ["line 5: C", "line 7: D"]
+
+
+def test_every_error_type_is_raised():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in ALL_MODULES}
+    errors = sources["errors.py"]
+    assert len(unraised_errors(errors, {})) >= 10
+    assert unraised_errors(errors, sources) == []
