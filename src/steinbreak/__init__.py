@@ -45,7 +45,6 @@ from .model import (
     Partition,
     RegressionData,
     Restriction,
-    SegmentedDesign,
     block_restriction,
     build_design,
     load_regression_csv,

@@ -2,8 +2,8 @@
 
 Three families: per-segment OLS (``fit_unrestricted``), equality-constrained
 least squares (``fit_restricted``), and shrinkage combinations of the two
-steered by the Wald-type distance.  The fits and the plug-ins solve on one
-thin QR of each segment's rows, with one rank verdict.  The distance is
+steered by the Wald-type distance.  Both fits and the plug-ins at one
+partition solve on one thin QR of each segment's rows.  The distance is
 
     psi = T (delta_re - delta_ue)' A_hat (delta_re - delta_ue),
 
@@ -36,7 +36,7 @@ from .errors import (
     SingularConstraintGram,
 )
 from .linalg import sym, wald_metric
-from .model import Partition, RegressionData, Restriction, SegmentedDesign, build_design
+from .model import Partition, RegressionData, Restriction, build_design
 
 # Constraint satisfaction tolerance for restricted fits:
 # ||R d - r||_inf <= CONSTRAINT_TOL * (1 + ||r||_inf).
@@ -50,9 +50,11 @@ class CoefEstimate:
 
     ``ssr`` is the residual sum of squares of the fit and ``residuals`` its
     residual vector ``y - Zbar delta``, formed segment by segment for the
-    SSR; both are None for shrinkage estimates, which are formed from two
-    existing fits without access to the data.  ``label`` names the
-    shrinkage rule of a shrinkage estimate.
+    SSR, and ``factors`` the stacked ``[R_p, Q_p'y_p]`` of its partition
+    (:func:`_segment_factors`), which the plug-ins read.  All three are None
+    for shrinkage estimates, which are formed from two existing fits
+    without access to the data.  ``label`` names the shrinkage rule of a
+    shrinkage estimate.
     """
 
     delta: np.ndarray
@@ -60,6 +62,7 @@ class CoefEstimate:
     ssr: float | None
     label: str = ""
     residuals: np.ndarray | None = None
+    factors: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -119,22 +122,25 @@ class ShrinkageFunction:
         return cls(evaluate=evaluate, name=name, breakpoints=breakpoints, pieces=pieces)
 
 
-def _segment_qr(blocks: list[np.ndarray], segments: list, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """``R_p`` and ``Q_p'W_p`` of each segment's block ``[Z_p, W_p]``, stacked,
-    where ``Z_p = Q_p R_p`` is the thin QR and ``W_p`` may have no columns,
-    after the one rank verdict of the fits and the plug-ins.
+def _segment_factors(data: RegressionData, partition: Partition) -> np.ndarray:
+    """``[R_p, Q_p'y_p]`` of each segment's rows ``[Z_p, y_p]``, stacked,
+    where ``Z_p = Q_p R_p`` is the thin QR, after the one rank verdict of
+    the fits and the plug-ins.
 
-    One LAPACK ``dgeqrf`` per block gives both without forming ``Q_p``,
+    One LAPACK ``dgeqrf`` per segment gives both without forming ``Q_p``,
     zero-padded to ``q`` rows when ``n_p < q``.  ``R_p`` has the singular
     values of ``Z_p``, so one batched SVD of the factors applies ``lstsq``'s
     rule ``sv > eps max(n_p, q) sv_max``; ``SegmentRankDeficient`` lists
     every segment that fails it.
     """
-    fac = np.zeros((len(blocks), q, blocks[0].shape[1]))
-    for p, block in enumerate(blocks):
-        fac[p, :min(len(block), q)] = lapack.dgeqrf(block)[0][:q]
-    rfac = np.triu(fac[:, :, :q])
-    sv = np.linalg.svd(rfac, compute_uv=False)
+    q = data.n_regressors
+    segments = partition.segments(data.n_obs)
+    rows = np.column_stack([data.z, data.y])
+    fac = np.zeros((len(segments), q, q + 1))
+    for p, (s, e) in enumerate(segments):
+        fac[p, :min(e - s, q)] = lapack.dgeqrf(rows[s:e])[0][:q]
+    fac[:, :, :q] = np.triu(fac[:, :, :q])
+    sv = np.linalg.svd(fac[:, :, :q], compute_uv=False)
     tol = _EPS * np.maximum([e - s for s, e in segments], q) * sv[:, 0]
     ranks = np.sum(sv > tol[:, None], axis=1)
     failed = [(p, seg, rank) for p, (seg, rank) in enumerate(zip(segments, ranks)) if rank < q]
@@ -143,26 +149,21 @@ def _segment_qr(blocks: list[np.ndarray], segments: list, q: int) -> tuple[np.nd
             f"segment {p + 1} (times {s + 1}..{e}) has rank {rank} < {q}" for p, (s, e), rank in failed
         )
         raise SegmentRankDeficient(detail, segments=[seg for _, seg, _ in failed])
-    return rfac, fac[:, :, q:]
+    return fac
 
 
-def _segment_factors(data: RegressionData, partition: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked ``R_p`` and ``Q_p'y_p``: :func:`_segment_qr` of the rows ``[Z_p, y_p]``."""
-    segments = partition.segments(data.n_obs)
-    rows = np.column_stack([data.z, data.y])
-    rfac, qty = _segment_qr([rows[s:e] for s, e in segments], segments, data.n_regressors)
-    return rfac, qty[:, :, 0]
-
-
-def _fit_from_rows(data: RegressionData, partition: Partition, delta: np.ndarray) -> CoefEstimate:
-    """The fit ``delta`` with its residuals and SSR, formed from the data rows."""
+def _fit_from_rows(
+    data: RegressionData, partition: Partition, delta: np.ndarray, factors: np.ndarray
+) -> CoefEstimate:
+    """The fit ``delta`` with its factors, and its residuals and SSR formed
+    from the data rows."""
     q = data.n_regressors
     resid = np.empty(data.n_obs)
     ssr = 0.0
     for p, (s, e) in enumerate(partition.segments(data.n_obs)):
         resid[s:e] = data.y[s:e] - data.z[s:e] @ delta[p * q:(p + 1) * q]
         ssr += float(resid[s:e] @ resid[s:e])
-    return CoefEstimate(delta=delta, partition=partition, ssr=ssr, residuals=resid)
+    return CoefEstimate(delta=delta, partition=partition, ssr=ssr, residuals=resid, factors=factors)
 
 
 def fit_unrestricted(data: RegressionData, partition: Partition) -> CoefEstimate:
@@ -174,26 +175,28 @@ def fit_unrestricted(data: RegressionData, partition: Partition) -> CoefEstimate
     SegmentRankDeficient
         If any segment fails the rank verdict; ``segments`` lists them all.
     """
-    rfac, qty = _segment_factors(data, partition)
-    delta = np.concatenate([lapack.dtrtrs(rp, bp)[0] for rp, bp in zip(rfac, qty)])
-    return _fit_from_rows(data, partition, delta)
+    factors = _segment_factors(data, partition)
+    delta = np.concatenate([lapack.dtrtrs(f[:, :-1], f[:, -1])[0] for f in factors])
+    return _fit_from_rows(data, partition, delta, factors)
 
 
-def _restricted_ls(rfac: np.ndarray, qty: np.ndarray, restriction: Restriction) -> np.ndarray:
-    """The restricted least-squares solve of :func:`fit_restricted`.
-
-    Minimizes ``sum_p ||Q_p'y_p - R_p delta_p||^2`` (the SSR up to a
-    constant) subject to ``R delta = r``, from the stacked factors of
-    :func:`_segment_factors`, one solve per component of
+def _fit_restricted_on(
+    data: RegressionData, partition: Partition, factors: np.ndarray, restriction: Restriction
+) -> CoefEstimate:
+    """The restricted fit at ``partition`` from its :func:`_segment_factors`:
+    minimizes ``sum_p ||Q_p'y_p - R_p delta_p||^2`` (the SSR up to a
+    constant) subject to ``R delta = r``, one solve per component of
     :meth:`Restriction.segment_components`.  Writing ``delta_c = d0 + N theta``
     on a component's coefficients leaves ``min ||R_c N theta - (Q_c'y - R_c d0)||``,
     with ``R_c`` its segments' block-diagonal factor, which LAPACK ``dgels``
     solves (the null-space method; Golub & Van Loan, sec. 12.1); a component
     of null width 0 takes ``delta_c = d0``.  Raises ``SingularConstraintGram``
-    when some ``R_c N`` has an exactly zero pivot.
+    on an exactly zero pivot of some ``R_c N`` or a constraint gap above
+    ``CONSTRAINT_TOL``.
     """
-    n_seg, q = qty.shape
+    n_seg, q = factors.shape[:2]
     restriction.check_dims(n_seg * q)
+    rfac, qty = factors[:, :, :q], factors[:, :, q]
     delta = np.empty((n_seg, q))
     for segments, null, d0 in restriction.segment_components(q):
         segments, f = list(segments), null.shape[1]
@@ -207,15 +210,23 @@ def _restricted_ls(rfac: np.ndarray, qty: np.ndarray, restriction: Restriction) 
         if info > 0:
             raise SingularConstraintGram(f"R_c N of segments {[p + 1 for p in segments]} is rank deficient")
         delta[segments] = (d0 + null @ theta[:f, 0]).reshape(-1, q)
-    return delta.reshape(-1)
+    delta = delta.reshape(-1)
+    rmat, rhs = restriction.matrix, restriction.rhs
+    gap = np.max(np.abs(rmat @ delta - rhs))
+    if gap > CONSTRAINT_TOL * (1.0 + np.max(np.abs(rhs), initial=0.0)):
+        raise SingularConstraintGram(
+            f"constraint violated by the constrained solve (gap {gap:.3e}); "
+            "the constraint Gram is too ill-conditioned"
+        )
+    return _fit_from_rows(data, partition, delta, factors)
 
 
 def fit_restricted(
     data: RegressionData, partition: Partition, restriction: Restriction
 ) -> CoefEstimate:
-    """Least squares subject to ``R delta = r``: :func:`_restricted_ls` on
-    the segments' QR factors, then a check of the constraint gap; the SSR
-    comes from explicit residuals, which it keeps.
+    """Least squares subject to ``R delta = r`` on the segments' QR factors
+    (:func:`_fit_restricted_on`); the SSR comes from explicit residuals,
+    which it keeps.
 
     Raises
     ------
@@ -224,15 +235,7 @@ def fit_restricted(
         ``segments`` lists them all.
     DimensionMismatch, SingularConstraintGram
     """
-    delta = _restricted_ls(*_segment_factors(data, partition), restriction)
-    rmat, rhs = restriction.matrix, restriction.rhs
-    gap = np.max(np.abs(rmat @ delta - rhs))
-    if gap > CONSTRAINT_TOL * (1.0 + np.max(np.abs(rhs), initial=0.0)):
-        raise SingularConstraintGram(
-            f"constraint violated by the constrained solve (gap {gap:.3e}); "
-            "the constraint Gram is too ill-conditioned"
-        )
-    return _fit_from_rows(data, partition, delta)
+    return _fit_restricted_on(data, partition, _segment_factors(data, partition), restriction)
 
 
 def newey_west_bandwidth(n_obs: int) -> int:
@@ -278,38 +281,37 @@ def estimate_omega(
 
 
 def build_plugin_matrices(
-    design: SegmentedDesign,
-    residuals: np.ndarray,
+    data: RegressionData,
+    ue: CoefEstimate,
     restriction: Restriction,
     method: str = "hc0",
     bandwidth: int | None = None,
 ) -> PluginMatrices:
-    """``A_hat`` and its sandwich from one thin QR per segment of a fitted design.
+    """``A_hat`` and its sandwich at the partition of the unrestricted fit
+    ``ue``, from its residuals and its segments' factors ``R_p``.
 
-    Each block ``Z_p`` of ``Zbar`` gives ``R_p`` and the fits' rank verdict
-    (:func:`_segment_qr`), and its rows map to Q coordinates ``Z_p R_p^-1``,
-    whose :func:`estimate_omega` is ``Omega_Q``.  With ``R = blockdiag(R_p)``,
-    ``Gamma_hat = R'R / T`` and ``Omega_hat = R' Omega_Q R``, so the sandwich
-    is ``S = T^2 R^-1 Omega_Q R^-T``, by triangular solves, and
-    ``A_hat = wald_metric(S, R)``; ``Gamma_hat`` is never formed.
-
-    Raises
-    ------
-    SegmentRankDeficient
-        If any segment fails the rank verdict; ``segments`` lists them all.
+    The rows of ``Zbar`` (:func:`~steinbreak.model.build_design`) map to Q
+    coordinates ``Zbar R^-1`` with ``R = blockdiag(R_p)``, and their
+    :func:`estimate_omega` is ``Omega_Q``.  ``Gamma_hat = R'R / T`` and
+    ``Omega_hat = R' Omega_Q R``, so the sandwich is
+    ``S = T^2 R^-1 Omega_Q R^-T``, by triangular solves, and
+    ``A_hat = wald_metric(S, R)``; ``Gamma_hat`` is never formed.  No QR is
+    taken and no rank verdict made here: the fit made both.  With HAC, the
+    Bartlett lag count is ``bandwidth``, or :func:`newey_west_bandwidth` of
+    ``T`` when None.
     """
-    t_total, n = design.n_obs, design.n_coefs
+    t_total, q = data.n_obs, data.n_regressors
+    zbar = build_design(data, ue.partition)
+    n = zbar.shape[1]
     restriction.check_dims(n)
-    q = n // design.partition.n_segments
-    segments = design.partition.segments(t_total)
-    blocks = [design.zbar[s:e, p * q:(p + 1) * q] for p, (s, e) in enumerate(segments)]
     rbar = np.zeros((n, n))
-    for p, rp in enumerate(_segment_qr(blocks, segments, q)[0]):
+    for p, rp in enumerate(ue.factors[:, :, :q]):
         rbar[p * q:(p + 1) * q, p * q:(p + 1) * q] = rp
-    qrows = lapack.dtrtrs(rbar, design.zbar.T, trans=1)[0].T
-    half = lapack.dtrtrs(rbar, estimate_omega(qrows, residuals, method=method, bandwidth=bandwidth))[0]
+    lags = newey_west_bandwidth(t_total) if bandwidth is None else int(bandwidth)
+    qrows = lapack.dtrtrs(rbar, zbar.T, trans=1)[0].T
+    half = lapack.dtrtrs(rbar, estimate_omega(qrows, ue.residuals, method=method, bandwidth=lags))[0]
     s_hat = sym(t_total**2 * lapack.dtrtrs(rbar, half.T)[0])
-    label = "hc0" if method == "hc0" else f"hac({newey_west_bandwidth(t_total) if bandwidth is None else int(bandwidth)})"
+    label = "hc0" if method == "hc0" else f"hac({lags})"
     return PluginMatrices(a_hat=wald_metric(s_hat, restriction.matrix), sandwich=s_hat, omega_method=label)
 
 
@@ -397,9 +399,9 @@ def estimate_class(
     Fits UE at ``ue_partition`` and RE at ``re_partition``.  The shrinkage
     members ``d_re + h(psi) (d_ue - d_re)`` combine UE and RE fits at
     ``shrink_partition``, reusing the fits above when it is one of their
-    partitions and fitting there otherwise.  The plug-in matrices come from
-    one design at ``shrink_partition`` with the residuals of the UE fit
-    there, and every member shares the one ``psi``.
+    partitions.  Each partition is factored once: the RE fit and the
+    plug-ins there solve on the factors of the UE fit there, whose residuals
+    the plug-ins take, and every member shares the one ``psi``.
     ``shrinkage`` names members of :data:`SHRINKAGE_RULES`; only those are
     built, so an empty tuple works for any ``k``.
 
@@ -407,13 +409,10 @@ def estimate_class(
     member, as :class:`CoefEstimate`), ``plugin`` and ``psi``.
     """
     ue = fit_unrestricted(data, ue_partition)
-    re = fit_restricted(data, re_partition, restriction)
     ue_s = ue if shrink_partition == ue_partition else fit_unrestricted(data, shrink_partition)
-    re_s = re if shrink_partition == re_partition else fit_restricted(data, shrink_partition, restriction)
-    plugin = build_plugin_matrices(
-        build_design(data, shrink_partition), ue_s.residuals, restriction,
-        method=omega, bandwidth=bandwidth,
-    )
+    re_s = _fit_restricted_on(data, shrink_partition, ue_s.factors, restriction)
+    re = re_s if re_partition == shrink_partition else fit_restricted(data, re_partition, restriction)
+    plugin = build_plugin_matrices(data, ue_s, restriction, method=omega, bandwidth=bandwidth)
     psi = wald_distance(ue_s, re_s, plugin, data.n_obs)
     estimates = {"ue": ue, "re": re}
     for name in shrinkage:

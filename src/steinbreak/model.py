@@ -265,39 +265,14 @@ def block_restriction(m: int, q: int, blocks) -> Restriction:
     return Restriction(matrix=np.array(rows).reshape(-1, n), rhs=np.zeros(len(rows)))
 
 
-@dataclass(frozen=True)
-class SegmentedDesign:
-    """Block-diagonal stacked design for a dataset under a partition.
+def build_design(data: RegressionData, partition: Partition) -> np.ndarray:
+    """The read-only block-diagonal stacked design ``Zbar`` of ``data`` under
+    ``partition``.
 
     Row ``t`` carries the regressor row of time ``t`` in the column block of
-    the segment containing ``t`` and zeros elsewhere, so ``zbar.T @ zbar``
-    is block diagonal with one segment Gram matrix per block.
-    """
-
-    zbar: np.ndarray
-    partition: Partition
-
-    @property
-    def n_obs(self) -> int:
-        return self.zbar.shape[0]
-
-    @property
-    def n_coefs(self) -> int:
-        return self.zbar.shape[1]
-
-
-def build_design(data: RegressionData, partition: Partition) -> SegmentedDesign:
-    """Assemble the block-diagonal design matrix for ``data`` under ``partition``.
-
-    Parameters
-    ----------
-    data : RegressionData
-    partition : Partition
-        Breaks must satisfy ``1 <= T_1 < ... < T_m < T``.
-
-    Returns
-    -------
-    SegmentedDesign
+    the segment containing ``t`` and zeros elsewhere, so ``Zbar`` is
+    ``T x (m + 1) q`` and ``Zbar'Zbar`` is block diagonal with one segment
+    Gram matrix per block.
 
     Raises
     ------
@@ -309,7 +284,7 @@ def build_design(data: RegressionData, partition: Partition) -> SegmentedDesign:
     zbar = np.zeros((t_total, partition.n_segments * q))
     for p, (s, e) in enumerate(partition.segments(t_total)):
         zbar[s:e, p * q:(p + 1) * q] = data.z[s:e]
-    return SegmentedDesign(zbar=_readonly(zbar), partition=partition)
+    return _readonly(zbar)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate, special
@@ -42,7 +42,9 @@ from scipy import stats as sps
 
 from .errors import DivergentMoment, KTooSmall, NonConvergence
 from .estimators import ShrinkageFunction
-from .linalg import hypothesis_errors, pd_factor, pd_solve, psd_sqrt, sandwich, sym, wald_metric
+from .linalg import (
+    hypothesis_errors, pd_factor, pd_solve, psd_rank_factor, psd_sqrt, sandwich, sym, wald_metric,
+)
 from .model import Restriction, _readonly
 
 MOMENT_INVERSE_FIRST = "inverse_first"
@@ -328,7 +330,7 @@ def _rule_expectations(
     ``a^2 dT0 + 2ab dT1 + b^2 dT2``, where ``Tp(c) = E[X^p 1{X < c}]`` is a
     ``trunc_below`` kernel, ``Tp(inf)`` the full moment, ``T0(inf) = 1``
     and ``Tp(0) = 0``.  The distinct moments of all requests come from one
-    call of :func:`nc_chi2_moment`, a scalar call when there is only one.
+    call of :func:`nc_chi2_moment`.
     Without pieces, each request is one quadrature.
     """
     if rule.pieces is None:
@@ -354,10 +356,7 @@ def _rule_expectations(
                     moments[lo_key] = 0.0 if lo <= 0.0 else None
         sums.append(terms)
     wanted = [key for key, value in moments.items() if value is None]
-    if len(wanted) == 1:
-        (df, cut, power), = wanted
-        moments[wanted[0]] = nc_chi2_moment(MOMENT_TRUNC_BELOW, df, delta, tol=tol, c=cut, power=power)
-    elif wanted:
+    if wanted:
         dfs, cuts, powers = zip(*wanted)
         batch = nc_chi2_moment(MOMENT_TRUNC_BELOW, dfs, delta, tol=tol, c=cuts, power=powers)
         moments.update(zip(wanted, batch.tolist()))
@@ -399,7 +398,8 @@ def rule_expectation(
 
 @dataclass(frozen=True)
 class AsymptoticScaffold:
-    """Population (or plug-in) matrices of the joint limit distribution."""
+    """Population (or plug-in) matrices of the joint limit distribution;
+    ``sigma22_factor`` is a factor ``F`` of ``S22 = F F'``."""
 
     gamma: np.ndarray
     omega: np.ndarray
@@ -410,6 +410,7 @@ class AsymptoticScaffold:
     sigma11: np.ndarray
     sigma12: np.ndarray
     sigma22: np.ndarray
+    sigma22_factor: np.ndarray
     lambda11: np.ndarray
     lambda12: np.ndarray
     a: np.ndarray
@@ -436,7 +437,8 @@ def make_scaffold(
     mu: np.ndarray,
 ) -> AsymptoticScaffold:
     """Build the full scaffold from ``Gamma``, ``Omega``, the restriction and
-    ``mu``; one factor of ``Gamma`` gives ``J0`` and the plug-ins' sandwich."""
+    ``mu``; one factor of ``Gamma`` gives ``J0`` and the plug-ins' sandwich,
+    and with a rank factor of ``Omega`` the factor of ``S22``."""
     gamma = sym(np.asarray(gamma, dtype=float))
     omega = sym(np.asarray(omega, dtype=float))
     n = gamma.shape[0]
@@ -453,6 +455,7 @@ def make_scaffold(
     proj = np.eye(n) - rmat.T @ j0.T
     s12 = s11 @ proj
     s22 = sym(proj.T @ s11 @ proj)
+    s22_factor = proj.T @ sla.cho_solve(factor, psd_rank_factor(omega), check_finite=False)
     l11 = sym(j0 @ rmat @ s11 @ rmat.T @ j0.T)
     l12 = j0 @ rmat @ s12
     a = wald_metric(s11, rmat)
@@ -467,6 +470,7 @@ def make_scaffold(
         sigma11=_readonly(s11),
         sigma12=_readonly(s12),
         sigma22=_readonly(s22),
+        sigma22_factor=_readonly(s22_factor),
         lambda11=_readonly(l11),
         lambda12=_readonly(l12),
         a=_readonly(a),
@@ -507,10 +511,15 @@ def scaffold_at_delta(
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Loss weight ``W = A^(1/2) W* A^(1/2)`` derived from a PSD ``W*``."""
+    """Loss weight ``W = A^(1/2) W* A^(1/2)`` derived from a PSD ``W*``;
+    ``factor`` is a rank factor ``F`` of ``W``, ``F F' = W``, computed once."""
 
     w_star: np.ndarray
     w: np.ndarray
+    factor: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "factor", _readonly(psd_rank_factor(self.w)))
 
 
 def make_weight(a: np.ndarray, w_star: np.ndarray | None = None) -> WeightSpec:
@@ -551,8 +560,12 @@ def adr_unrestricted(scaffold: AsymptoticScaffold, weight: WeightSpec) -> float:
 
 
 def adr_restricted(scaffold: AsymptoticScaffold, weight: WeightSpec) -> float:
-    """trace(W (I - J0 R) S11 (I - R'J0')) + mu1' W mu1."""
-    return float(np.trace(weight.w @ scaffold.sigma22) + scaffold.mu1 @ weight.w @ scaffold.mu1)
+    """trace(W (I - J0 R) S11 (I - R'J0')) + mu1' W mu1, as the sum of
+    squares ``||F' F22||^2 + ||F' mu1||^2`` of the factors of ``W`` and
+    ``S22``: never negative, though at Delta = 0 it is round-off of 0."""
+    cov = weight.factor.T @ scaffold.sigma22_factor
+    mean = weight.factor.T @ scaffold.mu1
+    return float(np.sum(cov * cov) + mean @ mean)
 
 
 @dataclass(frozen=True)

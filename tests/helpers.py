@@ -74,8 +74,7 @@ def nullspace_restricted_fit(data, partition, restriction):
     R d0 = r and N an orthonormal basis of ker(R), then fitting theta by
     unconstrained least squares.  Returns (delta, ssr).
     """
-    design = build_design(data, partition)
-    zbar, y = design.zbar, data.y
+    zbar, y = build_design(data, partition), data.y
     rmat, rhs = restriction.matrix, restriction.rhs
     d0, *_ = np.linalg.lstsq(rmat, rhs, rcond=None)
     nbasis = sla.null_space(rmat)
@@ -165,7 +164,7 @@ def mp_wald_psi(data, partition, restriction, method="hc0", dps=60):
         t_total = data.n_obs
         ue = _mp_kkt_ls(data, partition, None)
         diff = _mp_kkt_ls(data, partition, restriction) - ue
-        zbar = mpmath.matrix(build_design(data, partition).zbar.tolist())
+        zbar = mpmath.matrix(build_design(data, partition).tolist())
         resid = mpmath.matrix(data.y.tolist()) - zbar * ue
         scores = mpmath.matrix(t_total, zbar.cols)
         for t in range(t_total):
@@ -184,15 +183,15 @@ def mp_wald_psi(data, partition, restriction, method="hc0", dps=60):
         return float(t_total * (diff.T * a * diff)[0])
 
 
-def gram_plugin(design, residuals, restriction, method="hc0"):
+def gram_plugin(zbar, residuals, restriction, method="hc0"):
     """``(sandwich, A_hat)`` by the Gram route: ``Gamma_hat = Zbar'Zbar / T``,
     ``Omega_hat`` of the rows of ``Zbar``, ``Gamma_hat^-1 Omega_hat
     Gamma_hat^-1`` by two solves with one Cholesky factor of ``Gamma_hat``,
     and its Wald metric.  This is how ``build_plugin_matrices`` formed them
     before it solved on the segments' QR factors; it squares the segments'
     condition numbers."""
-    gamma = sym(design.zbar.T @ design.zbar / design.n_obs)
-    omega = estimate_omega(design.zbar, residuals, method=method)
+    gamma = sym(zbar.T @ zbar / zbar.shape[0])
+    omega = estimate_omega(zbar, residuals, method=method)
     s = sandwich(pd_factor(gamma, name="gamma_hat"), omega)
     return s, wald_metric(s, restriction.matrix)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -146,7 +147,7 @@ def test_fit_restricted_per_component_matches_kkt_reference():
         rows = [(data.z[s:e], data.y[s:e]) for s, e in part.segments(t_total)]
         ref = kkt_restricted_ls(np.array([z.T @ z for z, _ in rows]), np.array([z.T @ y for z, y in rows]), restr)
         assert np.max(np.abs(fit.delta - ref)) <= 1e-10 * np.max(np.abs(ref)), layouts[-1]
-        resid = data.y - build_design(data, part).zbar @ ref
+        resid = data.y - build_design(data, part) @ ref
         assert abs(fit.ssr - resid @ resid) <= 1e-10 * (resid @ resid)
         gap = np.max(np.abs(restr.matrix @ fit.delta - restr.rhs))
         assert gap <= estimators.CONSTRAINT_TOL * (1.0 + np.max(np.abs(restr.rhs)))
@@ -165,7 +166,7 @@ def test_fits_carry_their_residuals():
         data = RegressionData(y=rng.normal(size=t_total), z=rng.normal(1.0, 1.0, size=(t_total, q)))
         part = Partition(tuple(sorted(rng.choice(np.arange(2 * q, t_total - 2 * q + 1, 2 * q), size=m, replace=False))))
         restr = segment_sparse_restriction(rng, m, q) if m else random_restriction(rng, q, 1)
-        zbar = build_design(data, part).zbar
+        zbar = build_design(data, part)
         for fit in (fit_unrestricted(data, part), fit_restricted(data, part, restr)):
             dense = data.y - zbar @ fit.delta
             assert fit.residuals.shape == (t_total,)
@@ -173,29 +174,33 @@ def test_fits_carry_their_residuals():
             assert abs(fit.ssr - fit.residuals @ fit.residuals) <= 1e-12 * fit.ssr
 
 
-def test_plugins_reject_a_rank_deficient_segment():
-    # The plug-ins take the fits' rank verdict: a segment that repeats a
-    # column has no Q coordinates, and a triangular solve with its factor
-    # gives a finite, meaningless A_hat (near 1e-32 here) instead of an
-    # error.  A one-row segment at q = 1 has full rank and passes.
+def test_estimate_class_rejects_a_rank_deficient_shrink_partition():
+    # The plug-ins solve on the factors of the UE fit at the shrink
+    # partition and take its rank verdict: a segment that repeats a column
+    # has no Q coordinates, and a triangular solve with its factor would
+    # give a finite, meaningless A_hat instead of an error.  The UE and RE
+    # partitions here are of full rank.  A one-row segment at q = 1 has
+    # full rank and passes.
     rng = np.random.default_rng(17)
     z = rng.normal(1.0, 1.0, size=(20, 3))
     z[10:, 2] = z[10:, 0]
-    design = build_design(RegressionData(y=np.zeros(20), z=z), Partition((10,)))
+    data = RegressionData(y=rng.normal(size=20), z=z)
     restr = random_restriction(rng, 6, 3)
-    with pytest.raises(SegmentRankDeficient) as exc:
-        build_plugin_matrices(design, rng.normal(size=20), restr)
-    assert exc.value.segments == ((10, 20),)
-    assert "segment 2 (times 11..20)" in str(exc.value)
-    one_row = build_design(RegressionData(y=np.zeros(6), z=np.ones((6, 1))), Partition((1,)))
-    plug = build_plugin_matrices(one_row, rng.normal(size=6), Restriction(matrix=np.eye(2)[:1], rhs=np.zeros(1)))
-    assert np.all(np.isfinite(plug.a_hat)) and plug.a_hat[0, 0] > 0.0
+    assert np.isfinite(estimate_class(data, restr, Partition((5,)), Partition((6,)), Partition((5,)))["psi"])
+    for ue_part, re_part in ((Partition((5,)), Partition((6,))), (Partition((10,)), Partition((10,)))):
+        with pytest.raises(SegmentRankDeficient) as exc:
+            estimate_class(data, restr, ue_part, re_part, Partition((10,)))
+        assert exc.value.segments == ((10, 20),)
+        assert "segment 2 (times 11..20)" in str(exc.value)
+    one_row = RegressionData(y=rng.normal(size=6), z=np.ones((6, 1)))
+    fit = fit_unrestricted(one_row, Partition((1,)))
+    plug = build_plugin_matrices(one_row, fit, Restriction(matrix=np.eye(2)[1:], rhs=np.zeros(1)))
+    assert np.all(np.isfinite(plug.a_hat)) and plug.a_hat[1, 1] > 0.0
 
 
 def test_estimate_omega_constant_residuals():
     data = RegressionData(y=np.zeros(8), z=np.ones((8, 1)))
-    design = build_design(data, Partition(()))
-    omega = estimate_omega(design.zbar, np.full(8, 3.0))
+    omega = estimate_omega(build_design(data, Partition(())), np.full(8, 3.0))
     assert_allclose(omega, [[9.0]], rtol=1e-12)
 
 
@@ -205,7 +210,7 @@ def test_estimate_omega_hc0_matches_sigma2_gamma():
     z = rng.normal(1.0, 1.0, size=(t_total, 2))
     u = rng.normal(0.0, 1.5, size=t_total)
     data = RegressionData(y=z @ [1.0, 1.0] + u, z=z)
-    zbar = build_design(data, Partition(())).zbar
+    zbar = build_design(data, Partition(()))
     gamma = zbar.T @ zbar / t_total
     omega = estimate_omega(zbar, u)
     err = np.linalg.norm(omega - 1.5**2 * gamma) / np.linalg.norm(1.5**2 * gamma)
@@ -225,9 +230,9 @@ def test_estimate_omega_hac_closer_to_long_run_variance():
     var_u = sigma_e**2 / (1 - phi**2)
     lrv = var_u * (1 + phi) / (1 - phi)
     data = RegressionData(y=u, z=np.ones((t_total, 1)))
-    design = build_design(data, Partition(()))
-    hc0 = estimate_omega(design.zbar, u)[0, 0]
-    hac = estimate_omega(design.zbar, u, method="hac")[0, 0]
+    zbar = build_design(data, Partition(()))
+    hc0 = estimate_omega(zbar, u)[0, 0]
+    hac = estimate_omega(zbar, u, method="hac")[0, 0]
     assert abs(hac - lrv) < abs(hc0 - lrv)
 
 
@@ -406,14 +411,15 @@ def test_wald_distance_zero_iff_restriction_satisfied():
     restr = Restriction(matrix=rmat, rhs=np.array([0.0, 0.0, 1.0]))
     ue = fit_unrestricted(data, part)
     re = fit_restricted(data, part, restr)
-    design = build_design(data, part)
-    plug = build_plugin_matrices(design, ue.residuals + 1.0, restr)
+    # the noiseless fit's residuals are round-off; shifted, they give a
+    # nonsingular Omega_hat
+    plug = build_plugin_matrices(data, dataclasses.replace(ue, residuals=ue.residuals + 1.0), restr)
     assert wald_distance(ue, re, plug, 40) <= 1e-16
     # perturb the response so the restriction fails: psi > 0
     data2 = RegressionData(y=y + rng.normal(0, 0.5, 40), z=z)
     ue2 = fit_unrestricted(data2, part)
     re2 = fit_restricted(data2, part, restr)
-    plug2 = build_plugin_matrices(design, ue2.residuals, restr)
+    plug2 = build_plugin_matrices(data2, ue2, restr)
     assert wald_distance(ue2, re2, plug2, 40) > 0.0
 
 
@@ -426,10 +432,9 @@ def test_plugin_projection_idempotency():
     data = RegressionData(y=y, z=z)
     part = Partition((30,))
     ue = fit_unrestricted(data, part)
-    design = build_design(data, part)
     restr = random_restriction(rng, 4, 3)
     for method in ("hc0", "hac"):
-        plug = build_plugin_matrices(design, ue.residuals, restr, method=method)
+        plug = build_plugin_matrices(data, ue, restr, method=method)
         sandwich = plug.sandwich
         lhs = plug.a_hat @ sandwich @ plug.a_hat
         rel = np.max(np.abs(lhs - plug.a_hat)) / np.max(np.abs(plug.a_hat))
@@ -538,13 +543,13 @@ def test_omega_of_an_exact_segment_fit_warns_nothing():
         data = RegressionData(y=rng.normal(size=40), z=rng.normal(1.0, 1.0, size=(40, 3)))
         for part in (Partition((3,)), Partition((20, 37))):
             ue = fit_unrestricted(data, part)
-            design = build_design(data, part)
-            scores = design.zbar * ue.residuals[:, None]
+            zbar = build_design(data, part)
+            scores = zbar * ue.residuals[:, None]
             negative += np.linalg.eigvalsh(scores.T @ scores / 40)[0] < 0.0
             for method in ("hc0", "hac"):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    omega = estimate_omega(design.zbar, ue.residuals, method=method)
+                    omega = estimate_omega(zbar, ue.residuals, method=method)
                 vals = np.linalg.eigvalsh(omega)
                 assert vals[0] >= -1e-15 * vals[-1]
     assert negative > 0
@@ -575,13 +580,13 @@ def test_estimate_class_matches_hand_wired_fits(monkeypatch):
         for omega in ("hc0", "hac"):
             calls.clear()
             got = estimate_class(data, restr, ue_part, re_part, shrink_part, omega=omega)
-            # each distinct (estimator, partition) pair is fitted once
+            # each distinct partition has one UE fit, and RE is fitted
+            # apart only away from the shrink partition
             assert len(calls) == len(set(calls))
-            assert len(calls) == 2 + (shrink_part != ue_part) + (shrink_part != re_part)
+            assert len(calls) == 1 + (shrink_part != ue_part) + (shrink_part != re_part)
             ue_s = fit_unrestricted(data, shrink_part)
             re_s = fit_restricted(data, shrink_part, restr)
-            design = build_design(data, shrink_part)
-            plug = build_plugin_matrices(design, ue_s.residuals, restr, method=omega)
+            plug = build_plugin_matrices(data, ue_s, restr, method=omega)
             est = got["estimates"]
             assert list(est) == ["ue", "re", "js", "pp"]
             assert np.array_equal(est["ue"].delta, fit_unrestricted(data, ue_part).delta)
@@ -595,31 +600,54 @@ def test_estimate_class_matches_hand_wired_fits(monkeypatch):
 
 def test_estimate_class_computes_psi_once(monkeypatch):
     # one Wald distance steers every Stein member, and the plug-ins take the
-    # UE fit's own residuals; shrinkage members carry no residuals
+    # UE fit itself; shrinkage members carry no residuals and no factors
     rng = np.random.default_rng(12)
     data = RegressionData(y=rng.normal(size=60), z=rng.normal(1.0, 1.0, size=(60, 3)))
     restr = random_restriction(rng, 6, 4)
     part = Partition((30,))
-    calls, residuals = [], []
+    calls, fits = [], []
     wald, plugins = estimators.wald_distance, estimators.build_plugin_matrices
 
     def counted(*args):
         calls.append(args)
         return wald(*args)
 
-    def spied(design, resid, *rest, **kwargs):
-        residuals.append(resid)
-        return plugins(design, resid, *rest, **kwargs)
+    def spied(data, ue, *rest, **kwargs):
+        fits.append(ue)
+        return plugins(data, ue, *rest, **kwargs)
 
     monkeypatch.setattr(estimators, "wald_distance", counted)
     monkeypatch.setattr(estimators, "build_plugin_matrices", spied)
     got = estimate_class(data, restr, part, part, part)
-    assert len(calls) == 1 and len(residuals) == 1
-    assert residuals[0] is got["estimates"]["ue"].residuals
+    assert len(calls) == 1 and len(fits) == 1
+    assert fits[0] is got["estimates"]["ue"]
+    assert got["estimates"]["re"].factors is fits[0].factors
     assert got["psi"] == wald(*calls[0])
     for name in ("js", "pp"):
         est = got["estimates"][name]
-        assert est.residuals is None and est.ssr is None
+        assert est.residuals is None and est.ssr is None and est.factors is None
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_estimate_class_factors_each_partition_once(monkeypatch, m):
+    # one dgeqrf per segment of each partition factored: the UE fit's
+    # factors serve the RE fit and the plug-ins at the shrink partition
+    rng = np.random.default_rng(19)
+    data = RegressionData(y=rng.normal(size=60), z=rng.normal(1.0, 1.0, size=(60, 3)))
+    restr = random_restriction(rng, 3 * (m + 1), 3)
+    part, other = Partition((20, 40)[:m]), Partition((22, 41)[:m])
+    calls = []
+    dgeqrf = estimators.lapack.dgeqrf
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return dgeqrf(*args, **kwargs)
+
+    monkeypatch.setattr(estimators.lapack, "dgeqrf", counted)
+    for re_part, factored in ((part, 1), (other, 2)):
+        calls.clear()
+        estimate_class(data, restr, part, re_part, part, omega="hac")
+        assert len(calls) == factored * (m + 1), (re_part, calls)
 
 
 def test_a_hat_is_the_wald_metric_of_the_sandwich():
@@ -628,7 +656,7 @@ def test_a_hat_is_the_wald_metric_of_the_sandwich():
         data = RegressionData(y=rng.normal(size=50), z=rng.normal(1.0, 1.0, size=(50, 2)))
         part = Partition((24,))
         restr = random_restriction(rng, 4, 2)
-        plug = build_plugin_matrices(build_design(data, part), fit_unrestricted(data, part).residuals, restr, method=method)
+        plug = build_plugin_matrices(data, fit_unrestricted(data, part), restr, method=method)
         assert np.array_equal(plug.a_hat, wald_metric(plug.sandwich, restr.matrix))
 
 
@@ -642,12 +670,12 @@ def test_plugins_match_the_gram_reference_on_well_conditioned_designs():
         t_total = 8 * (m + 1) * q + int(rng.integers(0, 10))
         data = RegressionData(y=rng.normal(size=t_total), z=rng.normal(1.0, 1.0, size=(t_total, q)))
         part = Partition(tuple(sorted(rng.choice(np.arange(4 * q, t_total - 4 * q, 4 * q), size=m, replace=False))))
-        design = build_design(data, part)
-        resid = fit_unrestricted(data, part).residuals
-        restr = random_restriction(rng, design.n_coefs, int(rng.integers(1, design.n_coefs + 1)))
+        zbar = build_design(data, part)
+        ue = fit_unrestricted(data, part)
+        restr = random_restriction(rng, zbar.shape[1], int(rng.integers(1, zbar.shape[1] + 1)))
         for method in ("hc0", "hac"):
-            plug = build_plugin_matrices(design, resid, restr, method=method)
-            sandwich, a_hat = gram_plugin(design, resid, restr, method=method)
+            plug = build_plugin_matrices(data, ue, restr, method=method)
+            sandwich, a_hat = gram_plugin(zbar, ue.residuals, restr, method=method)
             assert rel_error(plug.sandwich, sandwich) <= 1e-12, (m, q, method)
             assert rel_error(plug.a_hat, a_hat) <= 1e-12, (m, q, method)
 

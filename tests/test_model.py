@@ -18,25 +18,24 @@ from steinbreak import (
 
 def test_build_design_scalar_two_segments():
     data = RegressionData(y=np.zeros(4), z=np.ones((4, 1)))
-    design = build_design(data, Partition((2,)))
+    zbar = build_design(data, Partition((2,)))
     expected = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    assert_allclose(design.zbar, expected)
+    assert_allclose(zbar, expected)
 
 
 def test_build_design_no_breaks_is_raw_matrix():
     rng = np.random.default_rng(0)
     z = rng.normal(size=(7, 3))
     data = RegressionData(y=np.zeros(7), z=z)
-    design = build_design(data, Partition(()))
-    assert_allclose(design.zbar, z)
+    assert_allclose(build_design(data, Partition(())), z)
 
 
 def test_design_gram_block_matches_direct_sum():
     rng = np.random.default_rng(1)
     z = rng.normal(size=(6, 2))
     data = RegressionData(y=np.zeros(6), z=z)
-    design = build_design(data, Partition((3,)))
-    gram = design.zbar.T @ design.zbar
+    zbar = build_design(data, Partition((3,)))
+    gram = zbar.T @ zbar
     block1 = gram[:2, :2]
     direct = sum(np.outer(z[t], z[t]) for t in range(3))
     assert_allclose(block1, direct, rtol=1e-12)
@@ -80,9 +79,9 @@ def test_stacked_ssr_equals_segment_ssr_sum():
         y = r.normal(size=t_total)
         data = RegressionData(y=y, z=z)
         part = Partition((8, 16))
-        design = build_design(data, part)
-        beta, *_ = np.linalg.lstsq(design.zbar, y, rcond=None)
-        stacked = float(np.sum((y - design.zbar @ beta) ** 2))
+        zbar = build_design(data, part)
+        beta, *_ = np.linalg.lstsq(zbar, y, rcond=None)
+        stacked = float(np.sum((y - zbar @ beta) ** 2))
         per_segment = 0.0
         for s, e in part.segments(t_total):
             b, *_ = np.linalg.lstsq(z[s:e], y[s:e], rcond=None)
@@ -222,6 +221,6 @@ def test_immutability():
     data = RegressionData(y=np.zeros(4), z=np.ones((4, 1)))
     with pytest.raises(ValueError):
         data.y[0] = 1.0
-    design = build_design(data, Partition((2,)))
+    zbar = build_design(data, Partition((2,)))
     with pytest.raises(ValueError):
-        design.zbar[0, 0] = 5.0
+        zbar[0, 0] = 5.0

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -21,6 +23,7 @@ from steinbreak import (
     NonConvergence,
     Restriction,
     ShrinkageFunction,
+    SingularFactorization,
     adr_class,
     adr_james_stein,
     adr_positive_part,
@@ -41,6 +44,7 @@ from steinbreak import (
     scaffold_at_delta,
 )
 from steinbreak import risk, stein_oracle
+from steinbreak.cli import main
 from steinbreak.linalg import pd_factor, sandwich, symmetric_rank, wald_metric
 
 H_ONE = ShrinkageFunction(evaluate=lambda x: 1.0, name="one")
@@ -374,6 +378,14 @@ def test_scaffold_hypotheses_hold():
         assert max(errors.values()) <= 1e-8, errors
 
 
+def test_scaffold_rejects_an_omega_that_is_not_a_covariance():
+    # S22 is kept with a real factor, which exists only for a PSD Omega;
+    # here R S11 R' = I is positive definite, so nothing else would object
+    restr = Restriction(matrix=np.eye(4)[:3], rhs=np.zeros(3))
+    with pytest.raises(SingularFactorization):
+        make_scaffold(np.eye(4), np.diag([1.0, 1.0, 1.0, -1.0]), restr, np.ones(3))
+
+
 def test_scaffold_lambda_blocks_singular():
     sc = random_scaffold(8, 4, 1)
     assert symmetric_rank(sc.lambda11) == 4 < 8
@@ -426,6 +438,34 @@ def test_restricted_beats_unrestricted_at_zero_noncentrality():
         w = make_weight(sc.a)
         assert adr_restricted(sc, w) <= adr_unrestricted(sc, w) + 1e-12
     del rng
+
+
+def test_no_risk_is_negative(tmp_path):
+    # At Delta = 0 the restricted risk is trace(W S22), an exact 0 since
+    # A^(1/2) (I - J0 R) = 0.  As a trace of the product it read round-off
+    # of either sign, negative on 292 of these 600 draws (down to -3.5e-16);
+    # as a sum of squares it cannot, and away from 0 it keeps the trace
+    # formula's value.  Criterion 8's risk config writes the same values.
+    for seed in range(200):
+        for n, k in ((8, 4), (6, 3), (10, 5)):
+            sc, w = random_dominant_scaffold(n, k, seed)
+            origin = scaffold_at_delta(sc, 0.0)
+            for adr in (adr_unrestricted, adr_restricted, adr_james_stein, adr_positive_part):
+                assert adr(origin, w) >= 0.0, (seed, n, adr.__name__)
+            for delta in (1.0, 5.0, 20.0):
+                moved = scaffold_at_delta(sc, delta)
+                trace_form = np.trace(w.w @ moved.sigma22) + moved.mu1 @ w.w @ moved.mu1
+                assert abs(adr_restricted(moved, w) - trace_form) <= 1e-12 * adr_unrestricted(moved, w)
+    cfg = tmp_path / "risk.json"
+    cfg.write_text(json.dumps(
+        {"scaffold": {"kind": "random-dominant", "n": 8, "k": 4}, "delta_points": 11, "out": str(tmp_path / "risk")}
+    ))
+    assert main(["risk", "--config", str(cfg), "--seed", "9"]) == 0
+    with open(tmp_path / "risk" / "adr_curves.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 11
+    for name in ("adr_ue", "adr_re", "adr_js", "adr_pp"):
+        assert all(float(row[name]) >= 0.0 for row in rows), name
 
 
 def test_restricted_adr_grows_quadratically_in_mu():
@@ -521,10 +561,11 @@ def test_each_risk_evaluation_makes_one_kernel_call(monkeypatch):
                 calls.clear()
                 evaluate(at, w)
                 assert len(calls) == 1
-    # a lone moment is a scalar call, not a batch of one
+    # a lone moment is a batch of one, whose entry equals its scalar call
+    # bit for bit (test_moment_batch_matches_scalar_calls_bitwise)
     calls.clear()
     rule_expectation(make_james_stein(4), 6, 5.0)
-    assert [args[1] for args in calls] == [6]
+    assert [args[1] for args in calls] == [(6,)]
 
 
 def test_class_breakdown_has_seven_terms():
