@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, InfeasibleConfig, KTooSmall, SteinbreakError
-from .estimators import SHRINKAGE_RULES, estimate_class
+from .estimators import SHRINKAGE_RULES
 from .model import RegressionData, Restriction, block_restriction, read_series_csv
 from .risk import (
     adr_james_stein,
@@ -50,8 +50,10 @@ from .segmentation import (
     METHOD_REFINE,
     SearchConfig,
     SegmentMoments,
+    estimate_groups,
     find_breaks_restricted,
     find_breaks_unrestricted,
+    response_batches,
 )
 from .simulation import (
     SimDesign,
@@ -134,7 +136,8 @@ SCHEMAS: dict[str, dict] = {
     },
 }
 
-# Allowed values of the enumerated keys; a list key allows each element.
+# Allowed values of the enumerated keys; a list key allows each element,
+# must have one and must not repeat one.
 ALLOWED: dict[str, tuple] = {
     "basis": ("none", "power-trend"),
     "omega": ("hc0", "hac"),
@@ -168,11 +171,13 @@ RANGES: dict[str, tuple] = {
 
 def _check_value(key: str, value) -> None:
     """Raise ``ConfigError`` if ``value`` is outside ``ALLOWED`` or ``RANGES``."""
-    if key in RANGES and value == []:
+    if (key in RANGES or key in ALLOWED) and value == []:
         raise ConfigError(f"config key {key!r} must not be empty")
-    for item in value if isinstance(value, list) else [value]:
+    for i, item in enumerate(value if isinstance(value, list) else [value]):
         if key in ALLOWED and item not in ALLOWED[key]:
             raise ConfigError(f"config key {key!r} must be one of {list(ALLOWED[key])}, got {item!r}")
+        if key in ALLOWED and isinstance(value, list) and item in value[:i]:
+            raise ConfigError(f"config key {key!r} must not repeat {item!r}")
         if key in RANGES and item is not None:
             low, strict, *high = RANGES[key]
             number = isinstance(item, (int, float)) and not isinstance(item, bool)
@@ -368,41 +373,47 @@ def _fit_pipeline(
     data: RegressionData,
     restriction: Restriction,
     stats: SegmentMoments | None = None,
-) -> dict:
-    """Both break searches for one dataset, then the estimator class at their breaks.
+) -> list:
+    """Both break searches for every response of ``data``, then the
+    estimator class at their breaks: the responses are searched in
+    :func:`~steinbreak.segmentation.response_batches` and fitted by
+    :func:`~steinbreak.segmentation.estimate_groups`.
 
     ``restriction`` is the config's restriction for ``data``'s regressors,
-    built once per run by the caller.  ``stats`` is the dataset's search
-    state, fresh for ``data``; by default it is built here.
+    built once per run by the caller.  ``stats`` is a search state on
+    ``data``'s regressors; by default it is built for ``data``.  Returns one
+    result dict, or the error that ended it, per response.
     """
     v = cfg.values
-    m = v["m"]
-    stats = stats if stats is not None else SegmentMoments(data)
-    cfg_dp = SearchConfig(m=m, min_seg_frac=v["min_seg_frac"])
+    cfg_dp = SearchConfig(m=v["m"], min_seg_frac=v["min_seg_frac"])
     cfg_re = SearchConfig(
-        m=m,
+        m=v["m"],
         min_seg_frac=v["min_seg_frac"],
         method=_SEARCH_METHODS[v["restricted_search"]],
         exhaustive_budget=v["exhaustive_budget"],
     )
-    ue_search = find_breaks_unrestricted(data, cfg_dp, stats=stats)
-    re_search = find_breaks_restricted(data, restriction, cfg_re, stats=stats)
-    shrink_part = ue_search.partition if v["shrink_partition"] == "ue" else re_search.partition
-    fitted = estimate_class(
+    searches = []
+    for batch, state in response_batches(data, stats):
+        ue = find_breaks_unrestricted(batch, cfg_dp, stats=state)
+        re = find_breaks_restricted(batch, restriction, cfg_re, stats=state)
+        searches += zip(ue.results, re.results)
+    return estimate_groups(
         data,
         restriction,
-        ue_search.partition,
-        re_search.partition,
-        shrink_part,
+        searches,
+        shrink_partition=v["shrink_partition"],
         shrinkage=tuple(name for name in v["estimators"] if name in SHRINKAGE_RULES),
         omega=v["omega"],
         bandwidth=v["hac_bandwidth"],
     )
-    return {
-        "ue_search": ue_search,
-        "re_search": re_search,
-        **fitted,
-    }
+
+
+def _one_result(results: list) -> dict:
+    """The result of a one-response run; its error is raised."""
+    (result,) = results
+    if isinstance(result, SteinbreakError):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +424,7 @@ def _fit_pipeline(
 def cmd_fit(cfg: RunConfig) -> tuple[dict, int]:
     v = cfg.values
     data, restriction = _load_fit_data(cfg)
-    result = _fit_pipeline(cfg, data, restriction)
+    result = _one_result(_fit_pipeline(cfg, data, restriction))
     n = (v["m"] + 1) * data.n_regressors
     estimates = [[name] + [float(c) for c in result["estimates"][name].delta] for name in v["estimators"]]
     break_rows = []
@@ -440,25 +451,37 @@ def cmd_fit(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_bootstrap(cfg: RunConfig) -> tuple[dict, int]:
+    """Residual bootstrap around the fit: replicate ``b`` draws ``T`` of the
+    base UE fit's centred residuals with replacement from
+    ``SeedSequence((seed, b))`` and adds them to its fitted values.
+
+    All ``B`` responses are drawn first and run as one batch
+    (:func:`_fit_pipeline`) on the base fit's search state, which keeps its
+    segment Gram factors: every Gram is factored once per bootstrap.  A
+    replicate's numbers do not depend on its batch, so ``table1.csv`` is
+    that of fitting each replicate alone.  A replicate whose pipeline ends
+    in a ``SteinbreakError`` counts once in ``n_fail`` and leaves the sums.
+    """
     data, restriction = _load_fit_data(cfg)
-    # the replicates keep z, so they share its segment Gram factors
-    base_stats = SegmentMoments(data)
-    base = _fit_pipeline(cfg, data, restriction, base_stats)
+    stats = SegmentMoments(data, keep_factors=True)
+    base = _one_result(_fit_pipeline(cfg, data, restriction, stats))
     resid = base["estimates"]["ue"].residuals
     fitted = data.y - resid
     centered = resid - resid.mean()
     n_b = cfg.values["bootstrap_b"]
     seed = cfg.values["seed"]
     names = list(cfg.values["estimators"])
-    sums = {name: 0.0 for name in names}
-    failures = 0
+    responses = np.empty((n_b, data.n_obs))
     for b in range(n_b):
         rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
-        u_star = rng.choice(centered, size=data.n_obs, replace=True)
-        data_b = RegressionData(y=fitted + u_star, z=data.z)
-        try:
-            rerun = _fit_pipeline(cfg, data_b, restriction, base_stats.with_response(data_b.y))
-        except SteinbreakError:
+        responses[b] = rng.choice(centered, size=data.n_obs, replace=True)
+    responses += fitted
+    replicates = RegressionData(y=responses, z=data.z)
+    del responses
+    sums = {name: 0.0 for name in names}
+    failures = 0
+    for rerun in _fit_pipeline(cfg, replicates, restriction, stats):
+        if isinstance(rerun, SteinbreakError):
             failures += 1
             continue
         for name in names:

@@ -42,6 +42,9 @@ from .model import Partition, RegressionData, Restriction, build_design
 # ||R d - r||_inf <= CONSTRAINT_TOL * (1 + ||r||_inf).
 CONSTRAINT_TOL = 1e-8
 _EPS = float(np.finfo(float).eps)
+# Responses whose score covariances are formed in one stacked product;
+# bounds the (B, T, n) scores of a batch's plug-ins.
+_OMEGA_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,9 @@ class CoefEstimate:
     (:func:`_segment_factors`), which the plug-ins read.  All three are None
     for shrinkage estimates, which are formed from two existing fits
     without access to the data.  ``label`` names the shrinkage rule of a
-    shrinkage estimate.
+    shrinkage estimate.  The fit of a batch of ``B`` responses carries one
+    of each per response along a leading axis: ``delta`` is ``(B, n)`` and
+    ``ssr`` ``(B,)``.
     """
 
     delta: np.ndarray
@@ -68,7 +73,8 @@ class CoefEstimate:
 @dataclass(frozen=True)
 class PluginMatrices:
     """Plug-in estimates at a fitted partition: the Wald metric ``a_hat`` and
-    the sandwich ``Gamma_hat^-1 Omega_hat Gamma_hat^-1`` it is built from."""
+    the sandwich ``Gamma_hat^-1 Omega_hat Gamma_hat^-1`` it is built from;
+    ``(B, n, n)`` stacks for a batch."""
 
     a_hat: np.ndarray
     sandwich: np.ndarray
@@ -125,22 +131,30 @@ class ShrinkageFunction:
 def _segment_factors(data: RegressionData, partition: Partition) -> np.ndarray:
     """``[R_p, Q_p'y_p]`` of each segment's rows ``[Z_p, y_p]``, stacked,
     where ``Z_p = Q_p R_p`` is the thin QR, after the one rank verdict of
-    the fits and the plug-ins.
+    the fits and the plug-ins; for a batch, one such stack per response.
 
-    One LAPACK ``dgeqrf`` per segment gives both without forming ``Q_p``,
-    zero-padded to ``q`` rows when ``n_p < q``.  ``R_p`` has the singular
-    values of ``Z_p``, so one batched SVD of the factors applies ``lstsq``'s
-    rule ``sv > eps max(n_p, q) sv_max``; ``SegmentRankDeficient`` lists
-    every segment that fails it.
+    One LAPACK ``dgeqrf`` per segment and response gives both without
+    forming ``Q_p``, zero-padded to ``q`` rows when ``n_p < q``.  With the
+    same column count, ``R_p`` does not depend on the response, so it is
+    the same for every response of a batch, and so is the verdict: ``R_p``
+    has the singular values of ``Z_p``, so one batched SVD of the factors
+    applies ``lstsq``'s rule ``sv > eps max(n_p, q) sv_max``;
+    ``SegmentRankDeficient`` lists every segment that fails it.  A call per
+    response keeps each response's bits those of its own call: one
+    ``dgeqrf`` of ``[Z_p, Y_p]`` would change a column's last bits with the
+    number of columns.
     """
-    q = data.n_regressors
+    q, ys = data.n_regressors, data.responses
     segments = partition.segments(data.n_obs)
-    rows = np.column_stack([data.z, data.y])
-    fac = np.zeros((len(segments), q, q + 1))
-    for p, (s, e) in enumerate(segments):
-        fac[p, :min(e - s, q)] = lapack.dgeqrf(rows[s:e])[0][:q]
-    fac[:, :, :q] = np.triu(fac[:, :, :q])
-    sv = np.linalg.svd(fac[:, :, :q], compute_uv=False)
+    rows = np.empty((len(ys), data.n_obs, q + 1))
+    rows[:, :, :q] = data.z
+    rows[:, :, q] = ys
+    fac = np.zeros((len(ys), len(segments), q, q + 1))
+    for b in range(len(ys)):
+        for p, (s, e) in enumerate(segments):
+            fac[b, p, :min(e - s, q)] = lapack.dgeqrf(rows[b, s:e])[0][:q]
+    fac[:, :, :, :q] = np.triu(fac[0, :, :, :q])
+    sv = np.linalg.svd(fac[0, :, :, :q], compute_uv=False)
     tol = _EPS * np.maximum([e - s for s, e in segments], q) * sv[:, 0]
     ranks = np.sum(sv > tol[:, None], axis=1)
     failed = [(p, seg, rank) for p, (seg, rank) in enumerate(zip(segments, ranks)) if rank < q]
@@ -149,26 +163,33 @@ def _segment_factors(data: RegressionData, partition: Partition) -> np.ndarray:
             f"segment {p + 1} (times {s + 1}..{e}) has rank {rank} < {q}" for p, (s, e), rank in failed
         )
         raise SegmentRankDeficient(detail, segments=[seg for _, seg, _ in failed])
-    return fac
+    return fac if data.y.ndim == 2 else fac[0]
 
 
 def _fit_from_rows(
     data: RegressionData, partition: Partition, delta: np.ndarray, factors: np.ndarray
 ) -> CoefEstimate:
-    """The fit ``delta`` with its factors, and its residuals and SSR formed
-    from the data rows."""
-    q = data.n_regressors
-    resid = np.empty(data.n_obs)
-    ssr = 0.0
+    """The fit ``delta`` (``(B, n)`` for a batch) with its factors, and its
+    residuals and SSR formed from the data rows, each response by the
+    products of its own fit."""
+    q, ys = data.n_regressors, data.responses
+    deltas = delta.reshape(len(ys), -1)
+    resid = np.empty(ys.shape)
+    ssr = np.zeros(len(ys))
     for p, (s, e) in enumerate(partition.segments(data.n_obs)):
-        resid[s:e] = data.y[s:e] - data.z[s:e] @ delta[p * q:(p + 1) * q]
-        ssr += float(resid[s:e] @ resid[s:e])
+        resid[:, s:e] = ys[:, s:e] - (data.z[s:e] @ deltas[:, p * q:(p + 1) * q, None])[:, :, 0]
+        part = resid[:, None, s:e]
+        ssr += (part @ part.transpose(0, 2, 1))[:, 0, 0]
+    if data.y.ndim == 1:
+        resid, ssr = resid[0], float(ssr[0])
     return CoefEstimate(delta=delta, partition=partition, ssr=ssr, residuals=resid, factors=factors)
 
 
 def fit_unrestricted(data: RegressionData, partition: Partition) -> CoefEstimate:
     """Per-segment OLS, stacked into one coefficient vector: back-substitution
     in each segment's ``R_p beta_p = Q_p'y_p`` (:func:`_segment_factors`).
+    For a batch ``data``, the fit of every response, ``delta`` of shape
+    ``(B, n)`` and ``ssr`` of shape ``(B,)``.
 
     Raises
     ------
@@ -176,8 +197,9 @@ def fit_unrestricted(data: RegressionData, partition: Partition) -> CoefEstimate
         If any segment fails the rank verdict; ``segments`` lists them all.
     """
     factors = _segment_factors(data, partition)
-    delta = np.concatenate([lapack.dtrtrs(f[:, :-1], f[:, -1])[0] for f in factors])
-    return _fit_from_rows(data, partition, delta, factors)
+    fac = factors.reshape(-1, *factors.shape[-3:])
+    delta = np.array([np.concatenate([lapack.dtrtrs(f[:, :-1], f[:, -1])[0] for f in one]) for one in fac])
+    return _fit_from_rows(data, partition, delta.reshape(*factors.shape[:-3], -1), factors)
 
 
 def _fit_restricted_on(
@@ -190,35 +212,42 @@ def _fit_restricted_on(
     on a component's coefficients leaves ``min ||R_c N theta - (Q_c'y - R_c d0)||``,
     with ``R_c`` its segments' block-diagonal factor, which LAPACK ``dgels``
     solves (the null-space method; Golub & Van Loan, sec. 12.1); a component
-    of null width 0 takes ``delta_c = d0``.  Raises ``SingularConstraintGram``
-    on an exactly zero pivot of some ``R_c N`` or a constraint gap above
-    ``CONSTRAINT_TOL``.
+    of null width 0 takes ``delta_c = d0``.  ``R_c N`` and ``R_c d0`` depend
+    on the regressors alone and serve every response of a batch; ``dgels``
+    runs once per response, for the reason :func:`_segment_factors` gives.
+    Raises ``SingularConstraintGram`` on an exactly zero pivot of some
+    ``R_c N`` or a constraint gap above ``CONSTRAINT_TOL`` for some response.
     """
-    n_seg, q = factors.shape[:2]
+    fac = factors.reshape(-1, *factors.shape[-3:])
+    n_seg, q = fac.shape[1:3]
     restriction.check_dims(n_seg * q)
-    rfac, qty = factors[:, :, :q], factors[:, :, q]
-    delta = np.empty((n_seg, q))
+    rfac, qty = fac[0, :, :, :q], fac[:, :, :, q]
+    delta = np.empty((len(fac), n_seg, q))
     for segments, null, d0 in restriction.segment_components(q):
         segments, f = list(segments), null.shape[1]
         if f == 0:
-            delta[segments] = d0.reshape(-1, q)
+            delta[:, segments] = d0.reshape(-1, q)
             continue
         rc = rfac[segments]
         rn = (rc @ null.reshape(len(segments), q, f)).reshape(-1, f)
-        rhs = qty[segments].reshape(-1) - (rc @ d0.reshape(-1, q, 1)).reshape(-1)
-        _, theta, info = lapack.dgels(rn, rhs[:, None])
-        if info > 0:
-            raise SingularConstraintGram(f"R_c N of segments {[p + 1 for p in segments]} is rank deficient")
-        delta[segments] = (d0 + null @ theta[:f, 0]).reshape(-1, q)
-    delta = delta.reshape(-1)
+        rhs = qty[:, segments].reshape(len(fac), -1) - (rc @ d0.reshape(-1, q, 1)).reshape(-1)
+        theta = np.empty((len(fac), f, 1))
+        for b, one in enumerate(rhs):
+            _, solved, info = lapack.dgels(rn, one[:, None])
+            if info > 0:
+                raise SingularConstraintGram(f"R_c N of segments {[p + 1 for p in segments]} is rank deficient")
+            theta[b] = solved[:f]
+        delta[:, segments] = (d0 + (null @ theta)[:, :, 0]).reshape(len(fac), -1, q)
+    delta = delta.reshape(len(fac), -1)
     rmat, rhs = restriction.matrix, restriction.rhs
-    gap = np.max(np.abs(rmat @ delta - rhs))
-    if gap > CONSTRAINT_TOL * (1.0 + np.max(np.abs(rhs), initial=0.0)):
+    gaps = np.abs((rmat @ delta[:, :, None])[:, :, 0] - rhs).max(axis=1)
+    violated = gaps[gaps > CONSTRAINT_TOL * (1.0 + np.max(np.abs(rhs), initial=0.0))]
+    if len(violated):
         raise SingularConstraintGram(
-            f"constraint violated by the constrained solve (gap {gap:.3e}); "
+            f"constraint violated by the constrained solve (gap {violated[0]:.3e}); "
             "the constraint Gram is too ill-conditioned"
         )
-    return _fit_from_rows(data, partition, delta, factors)
+    return _fit_from_rows(data, partition, delta.reshape(*factors.shape[:-3], -1), factors)
 
 
 def fit_restricted(
@@ -226,7 +255,8 @@ def fit_restricted(
 ) -> CoefEstimate:
     """Least squares subject to ``R delta = r`` on the segments' QR factors
     (:func:`_fit_restricted_on`); the SSR comes from explicit residuals,
-    which it keeps.
+    which it keeps.  A batch ``data`` is fitted response by response, as
+    :func:`fit_unrestricted` does.
 
     Raises
     ------
@@ -236,6 +266,31 @@ def fit_restricted(
     DimensionMismatch, SingularConstraintGram
     """
     return _fit_restricted_on(data, partition, _segment_factors(data, partition), restriction)
+
+
+def take_response(fit: CoefEstimate, b: int) -> CoefEstimate:
+    """Response ``b`` of the fit of a batch, as the fit of that response alone."""
+    return CoefEstimate(
+        delta=fit.delta[b],
+        partition=fit.partition,
+        ssr=None if fit.ssr is None else float(fit.ssr[b]),
+        label=fit.label,
+        residuals=None if fit.residuals is None else fit.residuals[b],
+        factors=None if fit.factors is None else fit.factors[b],
+    )
+
+
+def stack_responses(fits: list[CoefEstimate]) -> CoefEstimate:
+    """The fit of a batch from fits of its responses at one partition."""
+    first = fits[0]
+    return CoefEstimate(
+        delta=np.stack([fit.delta for fit in fits]),
+        partition=first.partition,
+        ssr=None if first.ssr is None else np.array([fit.ssr for fit in fits]),
+        label=first.label,
+        residuals=None if first.residuals is None else np.stack([fit.residuals for fit in fits]),
+        factors=None if first.factors is None else np.stack([fit.factors for fit in fits]),
+    )
 
 
 def newey_west_bandwidth(n_obs: int) -> int:
@@ -257,26 +312,33 @@ def estimate_omega(
     The output is symmetrized and any negative eigenvalues are clipped to
     zero without a warning: HC0 and HAC are PSD by construction, so one is
     round-off of a zero eigenvalue, as a segment of exactly ``q`` rows gives.
+    Residuals of shape ``(B, T)`` give one estimate per row, stacked; each
+    is the estimate of its row alone.
     """
-    residuals = np.asarray(residuals, dtype=float).reshape(-1)
+    residuals = np.asarray(residuals, dtype=float)
+    if residuals.ndim != 2:
+        residuals = residuals.reshape(-1)
     t_total = rows.shape[0]
-    if residuals.shape[0] != t_total:
-        raise DimensionMismatch(f"{residuals.shape[0]} residuals for {t_total} observations")
-    scores = rows * residuals[:, None]
-    omega = scores.T @ scores / t_total
+    if residuals.shape[-1] != t_total:
+        raise DimensionMismatch(f"{residuals.shape[-1]} residuals for {t_total} observations")
+    scores = rows * residuals[..., None]
+    omega = np.swapaxes(scores, -1, -2) @ scores / t_total
     if method == "hac":
         lags = newey_west_bandwidth(t_total) if bandwidth is None else int(bandwidth)
         if lags < 0:
             raise DimensionMismatch("bandwidth must be >= 0")
         for lag in range(1, lags + 1):
-            gamma_l = scores[lag:].T @ scores[:-lag] / t_total
-            omega += (1.0 - lag / (lags + 1.0)) * (gamma_l + gamma_l.T)
+            gamma_l = np.swapaxes(scores[..., lag:, :], -1, -2) @ scores[..., :-lag, :] / t_total
+            omega += (1.0 - lag / (lags + 1.0)) * (gamma_l + np.swapaxes(gamma_l, -1, -2))
     elif method != "hc0":
         raise DimensionMismatch(f"unknown omega method {method!r}")
-    omega = sym(omega)
+    omega = 0.5 * (omega + np.swapaxes(omega, -1, -2))
     vals, vecs = np.linalg.eigh(omega)
-    if vals[0] < 0.0:
-        omega = sym((vecs * np.clip(vals, 0.0, None)) @ vecs.T)
+    clip = vals[..., 0] < 0.0
+    if clip.any():
+        kept = vecs[clip] * np.clip(vals[clip], 0.0, None)[:, None, :]
+        fixed = kept @ np.swapaxes(vecs[clip], -1, -2)
+        omega[clip] = 0.5 * (fixed + np.swapaxes(fixed, -1, -2))
     return omega
 
 
@@ -298,21 +360,32 @@ def build_plugin_matrices(
     ``A_hat = wald_metric(S, R)``; ``Gamma_hat`` is never formed.  No QR is
     taken and no rank verdict made here: the fit made both.  With HAC, the
     Bartlett lag count is ``bandwidth``, or :func:`newey_west_bandwidth` of
-    ``T`` when None.
+    ``T`` when None.  For the fit of a batch, ``Zbar``, ``R`` and the Q
+    coordinates serve every response, ``Omega_Q`` is stacked, and the
+    triangular solves and :func:`~steinbreak.linalg.wald_metric` run per
+    response, so that ``a_hat`` and ``sandwich`` are ``(B, n, n)`` stacks
+    whose every entry is that response's own.
     """
     t_total, q = data.n_obs, data.n_regressors
     zbar = build_design(data, ue.partition)
     n = zbar.shape[1]
     restriction.check_dims(n)
     rbar = np.zeros((n, n))
-    for p, rp in enumerate(ue.factors[:, :, :q]):
+    for p, rp in enumerate(ue.factors.reshape(-1, n // q, q, q + 1)[0, :, :, :q]):
         rbar[p * q:(p + 1) * q, p * q:(p + 1) * q] = rp
     lags = newey_west_bandwidth(t_total) if bandwidth is None else int(bandwidth)
     qrows = lapack.dtrtrs(rbar, zbar.T, trans=1)[0].T
-    half = lapack.dtrtrs(rbar, estimate_omega(qrows, ue.residuals, method=method, bandwidth=lags))[0]
-    s_hat = sym(t_total**2 * lapack.dtrtrs(rbar, half.T)[0])
+    residuals = ue.residuals.reshape(-1, t_total)
+    s_hat, a_hat = np.empty((2, len(residuals), n, n))
+    for i in range(0, len(residuals), _OMEGA_BATCH):
+        omega = estimate_omega(qrows, residuals[i:i + _OMEGA_BATCH], method=method, bandwidth=lags)
+        for s_one, a_one, o_one in zip(s_hat[i:], a_hat[i:], omega):
+            half = lapack.dtrtrs(rbar, o_one)[0]
+            s_one[...] = sym(t_total**2 * lapack.dtrtrs(rbar, half.T)[0])
+            a_one[...] = wald_metric(s_one, restriction.matrix)
+    shape = ue.residuals.shape[:-1] + (n, n)
     label = "hc0" if method == "hc0" else f"hac({lags})"
-    return PluginMatrices(a_hat=wald_metric(s_hat, restriction.matrix), sandwich=s_hat, omega_method=label)
+    return PluginMatrices(a_hat=a_hat.reshape(shape), sandwich=s_hat.reshape(shape), omega_method=label)
 
 
 def _check_same_partition(ue: CoefEstimate, re: CoefEstimate) -> None:
@@ -324,22 +397,27 @@ def _check_same_partition(ue: CoefEstimate, re: CoefEstimate) -> None:
 
 def wald_distance(
     ue: CoefEstimate, re: CoefEstimate, plugin: PluginMatrices, n_obs: int
-) -> float:
-    """psi = T (d_re - d_ue)' A_hat (d_re - d_ue); zero iff the fits coincide."""
+) -> float | np.ndarray:
+    """psi = T (d_re - d_ue)' A_hat (d_re - d_ue); zero iff the fits coincide.
+    For fits of a batch, one psi per response, shape ``(B,)``."""
     _check_same_partition(ue, re)
     diff = re.delta - ue.delta
-    return max(float(n_obs * diff @ plugin.a_hat @ diff), 0.0)
+    if diff.ndim == 1:
+        return max(float(n_obs * diff @ plugin.a_hat @ diff), 0.0)
+    return np.array([max(float(n_obs * d @ a @ d), 0.0) for d, a in zip(diff, plugin.a_hat)])
 
 
 def shrinkage_estimate(
-    ue: CoefEstimate, re: CoefEstimate, psi: float, h: ShrinkageFunction
+    ue: CoefEstimate, re: CoefEstimate, psi: float | np.ndarray, h: ShrinkageFunction
 ) -> CoefEstimate:
     """Combine a restricted and an unrestricted fit through the rule ``h``
     at their Wald distance ``psi`` (:func:`wald_distance`).
 
     Returns ``d_re + h(psi) (d_ue - d_re)``.  When ``psi == 0`` the two fits
     coincide and the restricted fit is returned without evaluating ``h``
-    (the limit convention for rules singular at zero).
+    (the limit convention for rules singular at zero).  For fits of a
+    batch, ``psi`` holds one distance per response, and ``h`` is evaluated
+    once on the array of those that are not zero.
 
     Raises
     ------
@@ -347,7 +425,14 @@ def shrinkage_estimate(
         If the two fits were computed on different partitions.
     """
     _check_same_partition(ue, re)
-    if psi == 0.0:
+    if np.ndim(psi):
+        moved = psi != 0.0
+        factor = np.zeros(len(psi))
+        factor[moved] = h.evaluate(psi[moved]) if moved.any() else 0.0
+        delta = re.delta + factor[:, None] * (ue.delta - re.delta)
+        if not moved.all():
+            delta[~moved] = re.delta[~moved]
+    elif psi == 0.0:
         delta = re.delta.copy()
     else:
         factor = float(h.evaluate(psi))
@@ -393,10 +478,12 @@ def estimate_class(
     shrinkage: tuple[str, ...] = ("js", "pp"),
     omega: str = "hc0",
     bandwidth: int | None = None,
+    ue: CoefEstimate | None = None,
 ) -> dict:
     """UE, RE and the requested shrinkage members at estimated breaks.
 
-    Fits UE at ``ue_partition`` and RE at ``re_partition``.  The shrinkage
+    Fits UE at ``ue_partition``, unless the unrestricted search hands its
+    fit there on as ``ue``, and RE at ``re_partition``.  The shrinkage
     members ``d_re + h(psi) (d_ue - d_re)`` combine UE and RE fits at
     ``shrink_partition``, reusing the fits above when it is one of their
     partitions.  Each partition is factored once: the RE fit and the
@@ -405,10 +492,15 @@ def estimate_class(
     ``shrinkage`` names members of :data:`SHRINKAGE_RULES`; only those are
     built, so an empty tuple works for any ``k``.
 
+    A batch ``data`` is the group of responses whose searches landed on the
+    same partitions: every step above runs once for the group, on the
+    stacks its functions take, and each response's numbers are those of
+    the class of that response alone.
+
     Returns a dict with ``estimates`` (``"ue"``, ``"re"`` and each requested
     member, as :class:`CoefEstimate`), ``plugin`` and ``psi``.
     """
-    ue = fit_unrestricted(data, ue_partition)
+    ue = ue if ue is not None else fit_unrestricted(data, ue_partition)
     ue_s = ue if shrink_partition == ue_partition else fit_unrestricted(data, shrink_partition)
     re_s = _fit_restricted_on(data, shrink_partition, ue_s.factors, restriction)
     re = re_s if re_partition == shrink_partition else fit_restricted(data, re_partition, restriction)

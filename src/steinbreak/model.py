@@ -39,8 +39,9 @@ class RegressionData:
 
     Parameters
     ----------
-    y : np.ndarray, shape (T,)
-        Response vector.
+    y : np.ndarray, shape (T,) or (B, T)
+        Response vector, or a batch of ``B`` responses on the same
+        regressors, one per row (a residual bootstrap's replicates).
     z : np.ndarray, shape (T, q)
         Regressor row for each time; include a constant column explicitly
         if the model has an intercept.
@@ -50,16 +51,17 @@ class RegressionData:
     z: np.ndarray
 
     def __post_init__(self):
-        y = _readonly(np.asarray(self.y, dtype=float).reshape(-1))
+        y = np.asarray(self.y, dtype=float)
+        y = _readonly(y if y.ndim == 2 else y.reshape(-1))
         z = np.asarray(self.z, dtype=float)
         if z.ndim == 1:
             z = z.reshape(-1, 1)
         z = _readonly(z)
-        if y.shape[0] != z.shape[0]:
+        if y.shape[-1] != z.shape[0]:
             raise DimensionMismatch(
-                f"y has {y.shape[0]} rows but z has {z.shape[0]}"
+                f"y has {y.shape[-1]} rows but z has {z.shape[0]}"
             )
-        if y.shape[0] < 2:
+        if y.shape[-1] < 2:
             raise DimensionMismatch("need at least two observations")
         if z.shape[1] < 1:
             raise DimensionMismatch("need at least one regressor column")
@@ -70,11 +72,27 @@ class RegressionData:
 
     @property
     def n_obs(self) -> int:
-        return self.y.shape[0]
+        return self.y.shape[-1]
 
     @property
     def n_regressors(self) -> int:
         return self.z.shape[1]
+
+    @property
+    def responses(self) -> np.ndarray:
+        """The responses as a ``(B, T)`` array; ``B = 1`` for a vector."""
+        return self.y.reshape(-1, self.n_obs)
+
+    def select(self, rows) -> RegressionData:
+        """The batch of the responses ``rows`` (an index array or a slice) on
+        the same regressors; its arrays are read-only views or copies of
+        this dataset's, which are already checked."""
+        batch = object.__new__(RegressionData)
+        y = self.responses[rows]
+        y.flags.writeable = False
+        object.__setattr__(batch, "y", y)
+        object.__setattr__(batch, "z", self.z)
+        return batch
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,14 @@ makes the moves of a descent on its own.
 
 Ties between partitions with identical SSR are broken lexicographically on
 the break vector, in every search method, so results are deterministic.
+
+Both searches run over a batch of responses on one set of regressors (a
+residual bootstrap's replicates): every kernel is elementwise over the
+responses, or one same-shape product per response, so a response's
+partition, SSR and cycle count are those of a search of that response
+alone.  :func:`response_batches` feeds a state ``_BATCH`` responses at a
+time, and :func:`estimate_groups` fits the responses that land on the same
+partitions as one group.
 """
 
 from __future__ import annotations
@@ -43,8 +51,17 @@ from .errors import (
     BudgetExceeded,
     InfeasibleConfig,
     SegmentRankDeficient,
+    SteinbreakError,
 )
-from .estimators import fit_restricted, fit_unrestricted
+from .estimators import (
+    CoefEstimate,
+    PluginMatrices,
+    estimate_class,
+    fit_restricted,
+    fit_unrestricted,
+    stack_responses,
+    take_response,
+)
 from .model import Partition, RegressionData, Restriction
 
 METHOD_DP = "dynamic-programming"
@@ -100,7 +117,10 @@ class SegmentationResult:
     ``ssr`` is the SSR of the fit at the returned partition, computed by
     ``fit_unrestricted`` or ``fit_restricted`` from a thin QR of each
     segment's data rows and from the rows' residuals, not the moment-based
-    score the search ranked partitions by.  ``iterations``
+    score the search ranked partitions by.  The unrestricted search hands
+    that fit on as ``fit``, which :func:`~steinbreak.estimators.estimate_class`
+    then reuses; the restricted search reports its fit's SSR through
+    :func:`ssr_restricted` and keeps ``fit`` None.  ``iterations``
     counts refinement cycles (0 for the global methods) from the start the
     search received: when a row fit rejects the chosen partition, its
     segments are excluded and the search runs again, and every pass adds
@@ -114,6 +134,7 @@ class SegmentationResult:
     ssr: float
     method_used: str
     iterations: int = 0
+    fit: CoefEstimate | None = None
 
     @property
     def is_global(self) -> bool:
@@ -122,9 +143,21 @@ class SegmentationResult:
         return self.method_used != METHOD_REFINE
 
 
-# Bytes of segment Gram factors one set of regressors keeps (O(T^2 q^2),
-# O(T q^2) for one break); past it, every SSR table factors its Grams again, block by block.
-_FACTOR_CACHE_BYTES = 4 << 20
+@dataclass(frozen=True)
+class SegmentationBatch:
+    """Outcome of one break search over a batch of responses: for each
+    response, its :class:`SegmentationResult`, or the ``SteinbreakError``
+    that ended its search.  ``iterations`` sums the refinement cycles of the
+    responses that found a partition."""
+
+    results: tuple
+    method_used: str
+
+    @property
+    def iterations(self) -> int:
+        return sum(r.iterations for r in self.results if isinstance(r, SegmentationResult))
+
+
 # Segments per block of an SSR table build; bounds its temporaries.
 _TABLE_BLOCK = 2048
 # A Cholesky pivot at or below this fraction of its Gram diagonal marks a
@@ -315,60 +348,83 @@ def _component_layout(restriction: Restriction, q: int) -> _ComponentLayout:
 
 
 class SegmentMoments:
-    """Search state of one dataset, shared by both searches: prefix sums of
-    ``w w'`` with ``w = (z, y)``, single-segment SSR tables, the unrestricted
-    optimum and the excluded segments.
+    """Search state of one set of regressors and a batch of responses,
+    shared by both searches: prefix sums of ``w w'`` with ``w = (z, y)``
+    for each response, single-segment SSR tables, the unrestricted optima
+    and the excluded segments.
 
     The difference of two prefix sums is the augmented Gram
     ``[[Z'Z, Z'y], [y'Z, y'y]]`` of the observations between them.  Every
-    score it returns is ``+inf`` for a partition with a segment inside an
-    excluded one.
+    score it returns is ``+inf`` for a partition with a segment inside a
+    segment excluded for that response.
+
+    ``data.y`` is one response of shape ``(T,)``, and every table, score
+    and optimum is then that response's own, or ``B`` responses of shape
+    ``(B, T)`` (a batch), and each gets a leading response axis.  Every
+    operation is elementwise over the responses, or one same-shape product
+    per response, so a response's tables, optima and scores are bit for bit
+    those of a state of that response alone, whatever its batch.  Memory
+    grows with ``B``: a dense ``T x T`` table per response, so batched runs
+    feed ``_BATCH`` responses at a time (:meth:`set_responses`).
 
     An ``m``-break search reads only the segments that some feasible
     partition contains (:func:`_reachable_rows`), so tables and factors are
     built for those alone and keyed by ``(min_len, m)``: ``O(T)`` segments
     at ``m = 1``.  The Cholesky factors of the segment Grams ``Z'Z`` depend
-    on the regressors only.  They are kept while they fit in
-    ``_FACTOR_CACHE_BYTES``, and :meth:`with_response` hands them to the
-    state of another response on the same regressors, so that a residual
-    bootstrap factors every segment Gram once.
+    on the regressors only, so one pass factors them for every response of
+    the batch.  With ``keep_factors`` the state keeps them, so that the
+    responses of a later :meth:`set_responses` reuse them: a residual
+    bootstrap or a fixed-regressor study factors every segment Gram once.
+    Without it no factor outlives its table build, which keeps a one-off
+    table at large ``T`` within the table's own memory.
     """
 
-    def __init__(self, data: RegressionData):
-        w = np.column_stack([data.z, data.y])
-        outer = w[:, :, None] * w[:, None, :]
-        self._cum = np.concatenate([np.zeros((1, *outer.shape[1:])), np.cumsum(outer, axis=0)])
-        self._z = data.z
+    def __init__(self, data: RegressionData, keep_factors: bool = False):
         self.n_obs = data.n_obs
         self.n_regressors = data.n_regressors
+        self._z = data.z
+        self._keep_factors = keep_factors
         self._factors: dict[tuple[int, int], list[tuple]] = {}
+        self._layout: tuple | None = None
+        self.set_responses(data.y)
+
+    def set_responses(self, y: np.ndarray) -> None:
+        """Search the responses ``y`` (``(T,)`` or ``(B, T)``) from now on,
+        on the same regressors.
+
+        The prefix sums, tables, optima, exclusions and restricted moments
+        are those of a fresh state of ``y``; only the kept segment Gram
+        factors carry over.
+        """
+        self._single = np.ndim(y) == 1
+        ys = np.reshape(y, (-1, self.n_obs))
+        w = np.empty((len(ys), self.n_obs, self.n_regressors + 1))
+        w[:, :, :-1] = self._z
+        w[:, :, -1] = ys
+        self._cum = np.zeros((len(ys), self.n_obs + 1, *w.shape[2:], w.shape[2]))
+        np.cumsum(w[:, :, :, None] * w[:, :, None, :], axis=1, out=self._cum[:, 1:])
+        self.n_responses = len(ys)
         self._tables: dict[tuple[int, int], np.ndarray] = {}
-        self._optima: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._optima: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._excluded: list[tuple[int, int]] = []
+        self._excluded_for: list[np.ndarray] = []
         self._prefix: tuple | None = None
 
-    def with_response(self, y: np.ndarray) -> SegmentMoments:
-        """A fresh search state for response ``y`` on the same regressors.
-
-        It shares this state's segment Gram factors and has its own prefix
-        sums, tables, optima and exclusions, so its tables are bit for bit
-        those of ``SegmentMoments(RegressionData(y=y, z=z))``.
-        """
-        state = SegmentMoments(RegressionData(y=y, z=self._z))
-        state._factors = self._factors
-        return state
-
-    def exclude(self, segments) -> None:
+    def exclude(self, segments, responses=None) -> None:
         """Score every partition with a segment inside one of ``segments``
-        (``SegmentRankDeficient.segments``) as ``+inf`` from now on; a
-        subset of a segment's rows has no higher rank."""
+        (``SegmentRankDeficient.segments``) as ``+inf`` from now on, for the
+        ``responses`` (indices; all when None); a subset of a segment's rows
+        has no higher rank."""
+        mask = np.zeros(self.n_responses, dtype=bool)
+        mask[slice(None) if responses is None else responses] = True
         for s, e in segments:
             self._excluded.append((s, e))
+            self._excluded_for.append(mask)
             for tab in self._tables.values():
-                tab[s:e, s:e] = np.inf
+                tab[mask, s:e, s:e] = np.inf
         self._optima.clear()
 
-    def restricted_ssr(self, bounds: np.ndarray, restriction: Restriction) -> np.ndarray:
+    def restricted_ssr(self, bounds: np.ndarray, restriction: Restriction, responses=None) -> np.ndarray:
         """Restricted-LS SSR of each row of segment boundaries.
 
         Row ``i`` of the integer array ``bounds`` is ``(0, T_1, ..., T_m, T)``.
@@ -378,97 +434,124 @@ class SegmentMoments:
         ``W = sum_p B_p'M_p B_p`` (see :meth:`_component_prefix`), without
         forming ``delta``: it is the Schur complement ``s - c'A^-1 c`` of
         ``W = [[A, c], [c', s]]``, by :func:`_schur_ssr`.  Every operation
-        is elementwise over the rows, so a row's score does not depend on
-        its batch.  A row gets ``+inf`` when some component's ``A`` meets a
-        zero pivot in an LU solve, when its score is NaN, or when it has a
-        segment inside an excluded one.
+        is elementwise over the rows and the responses, so a row's score
+        does not depend on its batch.  A row gets ``+inf`` when some
+        component's ``A`` meets a zero pivot in an LU solve, when its score
+        is NaN, or when it has a segment inside one excluded for the
+        response.
+
+        ``responses`` picks the responses scored: an index gives the scores
+        of that response, shape ``(rows,)``; an index array or None (all)
+        gives ``(len, rows)``, and None ``(rows,)`` on a state of one
+        response.
         """
         layout, prefix = self._component_prefix(restriction)
+        if responses is None:
+            picked = slice(None)
+        elif np.ndim(responses) == 0:
+            picked = slice(responses, responses + 1)
+            prefix = prefix[:, :, picked]
+        else:
+            picked = np.asarray(responses)
+            prefix = prefix[:, :, picked]
         base = np.arange(len(layout.slots))[:, None] * (self.n_obs + 1)
-        moments = np.take(prefix, bounds[:, layout.slots + 1].T + base, axis=2)
-        moments -= np.take(prefix, bounds[:, layout.slots].T + base, axis=2)
+        moments = np.take(prefix, bounds[:, layout.slots + 1].T + base, axis=3)
+        moments -= np.take(prefix, bounds[:, layout.slots].T + base, axis=3)
         # each component's moments, summed over its segments in slot order
-        w = moments[:, :, layout.heads]
+        w = moments[:, :, :, layout.heads]
         for components, slots in layout.tails:
-            w[:, :, components] += moments[:, :, slots]
-        w[layout.pad[0], layout.pad[0], layout.pad[1]] = 1.0
+            w[:, :, :, components] += moments[:, :, :, slots]
+        w[layout.pad[0], layout.pad[0], :, layout.pad[1]] = 1.0
         width = w.shape[0] - 1
-        ssr = _schur_ssr(w.reshape(width + 1, width + 1, -1), width)
-        ssr = ssr.reshape(len(layout.heads), len(bounds)).sum(axis=0)
+        scores = _schur_ssr(w.reshape(width + 1, width + 1, -1), width).reshape(w.shape[2:])
+        ssr = scores[:, 0]
+        for c in range(1, scores.shape[1]):
+            ssr = ssr + scores[:, c]
         ssr[np.isnan(ssr)] = np.inf
-        for s, e in self._excluded:
-            inside = (bounds[:, :-1] >= s) & (bounds[:, 1:] <= e)
-            ssr[inside.any(axis=1)] = np.inf
-        return ssr
+        for (s, e), mask in zip(self._excluded, self._excluded_for):
+            inside = ((bounds[:, :-1] >= s) & (bounds[:, 1:] <= e)).any(axis=1)
+            ssr[np.ix_(mask[picked], inside)] = np.inf
+        single = responses is None and self.n_responses == 1
+        return ssr[0] if single or (responses is not None and np.ndim(responses) == 0) else ssr
 
     def _component_prefix(self, restriction: Restriction) -> tuple[_ComponentLayout, np.ndarray]:
         """The restriction's :class:`_ComponentLayout` and the prefix sums
-        of every slot's moments in its component's coordinates, kept for
-        the last restriction scored.
+        of every slot's moments in its component's coordinates, for every
+        response, kept for the last restriction scored.
 
         A segment's moments in those coordinates are ``B_p'M_p B_p``, so the
         prefix sums ``B_p'C_t B_p`` of the augmented Grams ``C_t`` give them
-        by one difference: ``prefix[a, b, i * (T + 1) + t]`` is entry
-        ``(a, b)`` of ``B'C_t B`` for slot ``i``.  Only its lower triangle
-        is read.
+        by one difference: ``prefix[a, b, r, i * (T + 1) + t]`` is entry
+        ``(a, b)`` of ``B'C_t B`` for slot ``i`` and response ``r``.  Each
+        response's products have the shapes of a one-response state's, so
+        its bits do too.  Only the lower triangle is read.  The layout
+        depends on the regressor count alone and outlives a response set.
         """
         if self._prefix is not None and self._prefix[0] is restriction:
             return self._prefix[1]
-        q, t_total = self.n_regressors, self.n_obs
-        layout = _component_layout(restriction, q)
+        q, t_total, n_resp = self.n_regressors, self.n_obs, self.n_responses
+        if self._layout is None or self._layout[0] is not restriction:
+            self._layout = (restriction, _component_layout(restriction, q))
+        layout = self._layout[1]
         n_slots, _, width = layout.basis.shape
-        # C_t B for every slot in one product, then B' (C_t B) slot by slot
-        half = (self._cum.reshape(-1, q + 1) @ np.hstack(layout.basis)).reshape(
-            t_total + 1, q + 1, n_slots, width
+        # C_t B for every slot in one product per response, then B' (C_t B) slot by slot
+        half = (self._cum.reshape(n_resp, -1, q + 1) @ np.hstack(layout.basis)).reshape(
+            n_resp, t_total + 1, q + 1, n_slots, width
         )
-        half = np.ascontiguousarray(half.transpose(2, 1, 0, 3)).reshape(n_slots, q + 1, -1)
-        prefix = (np.swapaxes(layout.basis, 1, 2) @ half).reshape(n_slots, width, t_total + 1, width)
-        prefix = np.ascontiguousarray(prefix.transpose(1, 3, 0, 2)).reshape(width, width, -1)
+        half = np.ascontiguousarray(half.transpose(0, 3, 2, 1, 4)).reshape(n_resp, n_slots, q + 1, -1)
+        prefix = (np.swapaxes(layout.basis, 1, 2) @ half).reshape(n_resp, n_slots, width, t_total + 1, width)
+        prefix = np.ascontiguousarray(prefix.transpose(2, 4, 0, 1, 3)).reshape(width, width, n_resp, -1)
         self._prefix = (restriction, (layout, prefix))
         return layout, prefix
 
     def ssr_table(self, min_len: int, m: int) -> np.ndarray:
         """Table ``tab[i, j]`` = OLS SSR of observations ``i..j`` inclusive,
-        for the segments that some feasible ``m``-break partition contains.
+        for the segments that some feasible ``m``-break partition contains;
+        ``(B, T, T)``, one table per response, for a batch.
 
         Each entry is ``y'y - ||L^-1 Z'y||^2`` with ``L`` the Cholesky
         factor of the segment's Gram ``Z'Z``; the factors come from
         :meth:`_factor_blocks`, and only the ``Z'y`` and ``y'y`` prefix
-        sums are read per table.  Every operation is elementwise over a
-        block of segments, so an entry does not depend on the block it is
-        computed in, nor on the other segments of the table.  A segment
-        with a Cholesky pivot at or below ``_PIVOT_FLOOR`` of its Gram
-        diagonal is solved by LU instead.
+        sums are read per response.  Every operation is elementwise over a
+        block of segments and the responses, so an entry does not depend on
+        the block it is computed in, nor on the other segments of the table
+        or the other responses.  A segment with a Cholesky pivot at or below
+        ``_PIVOT_FLOOR`` of its Gram diagonal is solved by LU instead.
 
         Entries for segments that no feasible ``m``-break partition with
         segments of at least ``min_len`` contains (:func:`_reachable_rows`),
-        whose Gram has an exact LU zero pivot, or inside an excluded segment
-        are ``+inf``; no search with this ``m`` reads the first kind.  A
-        segment whose rows are rank deficient but whose Gram is singular
-        only up to round-off gets a finite entry, possibly below its true
-        SSR, until a fit rejects it and the search excludes it.
+        whose Gram has an exact LU zero pivot, or inside a segment excluded
+        for the response are ``+inf``; no search with this ``m`` reads the
+        first kind.  A segment whose rows are rank deficient but whose Gram
+        is singular only up to round-off gets a finite entry, possibly below
+        its true SSR, until a fit rejects it and the search excludes it.
         """
         key = (max(int(min_len), 1), int(m))
-        if key in self._tables:
-            return self._tables[key]
-        t_total, q = self.n_obs, self.n_regressors
-        tab = np.full((t_total, t_total), np.inf)
-        # rows: Z'y prefix sums, then y'y
-        response = np.ascontiguousarray(self._cum[:, :, q].T)
+        if key not in self._tables:
+            self._tables[key] = self._build_tables(key)
+        tab = self._tables[key]
+        return tab[0] if self._single else tab
+
+    def _build_tables(self, key: tuple[int, int]) -> np.ndarray:
+        """The ``(B, T, T)`` tables of :meth:`ssr_table`."""
+        t_total, q, n_resp = self.n_obs, self.n_regressors, self.n_responses
+        tab = np.full((n_resp, t_total, t_total), np.inf)
+        # rows: Z'y prefix sums, then y'y; one column per response and time
+        response = np.ascontiguousarray(np.moveaxis(self._cum[:, :, :, q], 2, 0))
         for starts, ends, fac, fallback in self._factor_blocks(*key):
-            w = np.take(response, ends, axis=1)
-            w -= np.take(response, starts, axis=1)
+            w = np.take(response, ends, axis=2)
+            w -= np.take(response, starts, axis=2)
             for j in range(q):
                 for k in range(j):
                     w[j] -= fac[_packed(j, k)] * w[k]
                 w[j] *= fac[_packed(j, j)]
                 w[q] -= w[j] * w[j]
             if len(fallback):
-                w[q, fallback] = _lu_ssr(self._cum[ends[fallback]] - self._cum[starts[fallback]], q)
-            tab.ravel()[starts * t_total + ends - 1] = np.maximum(w[q], 0.0)
-        for s, e in self._excluded:
-            tab[s:e, s:e] = np.inf
-        self._tables[key] = tab
+                mom = self._cum[:, ends[fallback]] - self._cum[:, starts[fallback]]
+                w[q][:, fallback] = _lu_ssr(mom.reshape(-1, q + 1, q + 1), q).reshape(n_resp, -1)
+            tab.reshape(n_resp, -1)[:, starts * t_total + ends - 1] = np.maximum(w[q], 0.0)
+        for (s, e), mask in zip(self._excluded, self._excluded_for):
+            tab[mask, s:e, s:e] = np.inf
         return tab
 
     def _factor_blocks(self, min_len: int, m: int):
@@ -477,42 +560,48 @@ class SegmentMoments:
 
         ``fac`` holds each segment's Cholesky factor as
         :func:`_cholesky_rows` leaves it, and ``fallback`` indexes the
-        segments it leaves to the LU solve.  The blocks are kept, and shared
-        with every :meth:`with_response` state, when all kept factors stay
-        within ``_FACTOR_CACHE_BYTES``; otherwise each table factors them
-        again.
+        segments it leaves to the LU solve.  A ``keep_factors`` state keeps
+        the blocks for every later table with this key; any other state
+        factors them anew for each table build.
         """
         key = (min_len, m)
         if key in self._factors:
             yield from self._factors[key]
             return
         q = self.n_regressors
-        _, n_inner, to_end = _reachable_rows(self.n_obs, min_len, m)
-        n_segments = int(n_inner.sum() + to_end.sum())
-        held = sum(a.nbytes for blocks in self._factors.values() for blk in blocks for a in blk)
         lower = [(i, j) for i in range(q) for j in range(i + 1)]
-        keep = held + n_segments * (len(lower) + 2) * 8 <= _FACTOR_CACHE_BYTES
-        cum = np.ascontiguousarray(self._cum[:, [i for i, _ in lower], [j for _, j in lower]].T)
+        cum = np.ascontiguousarray(self._cum[0][:, [i for i, _ in lower], [j for _, j in lower]].T)
         blocks = []
         for starts, ends in _segment_blocks(self.n_obs, min_len, m):
             fac = np.take(cum, ends, axis=1)
             fac -= np.take(cum, starts, axis=1)
             block = (starts, ends, fac, _cholesky_rows(fac, q))
-            if keep:
+            if self._keep_factors:
                 blocks.append(block)
             yield block
-        if keep:
+        if self._keep_factors:
             self._factors[key] = blocks
 
-    def dp_optimum(self, min_len: int, m: int) -> tuple[int, ...]:
-        """Lexicographically first break vector minimizing the table total,
-        kept until a segment is excluded; the fit at it may still reject a
-        segment."""
+    def _dp_optima(self, min_len: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each response's lexicographically first break vector minimizing
+        its table total, ``(B, m)``, and whether the total is finite,
+        ``(B,)``; kept until a segment is excluded."""
         key = (min_len, m)
         if key not in self._optima:
-            _, breaks = _suffix_dp(self.ssr_table(min_len, m), m, min_len)
-            self._optima[key] = tuple(breaks)
+            tab = self.ssr_table(min_len, m).reshape(-1, self.n_obs, self.n_obs)
+            best, breaks = _suffix_dp(tab, m, min_len)
+            self._optima[key] = (breaks, np.isfinite(best[:, 0, m]))
         return self._optima[key]
+
+    def dp_optimum(self, min_len: int, m: int, response: int = 0) -> tuple[int, ...]:
+        """Lexicographically first break vector minimizing the table total of
+        ``response``, kept until a segment is excluded; the fit at it may
+        still reject a segment.  Raises ``SegmentRankDeficient`` when every
+        feasible partition has an infinite total."""
+        breaks, found = self._dp_optima(min_len, m)
+        if not found[response]:
+            raise SegmentRankDeficient("every feasible partition hit a singular segment")
+        return tuple(int(b) for b in breaks[response])
 
 
 def ssr_unrestricted(data: RegressionData, partition: Partition) -> float:
@@ -560,7 +649,7 @@ def count_partitions(n_obs: int, m: int, min_len: int) -> int:
 _DP_CHUNK = 1 << 18
 
 
-def _suffix_dp(tab: np.ndarray, m: int, min_len: int) -> tuple[np.ndarray, list[int]]:
+def _suffix_dp(tab: np.ndarray, m: int, min_len: int) -> tuple[np.ndarray, list[int] | np.ndarray]:
     """Suffix Bellman recursion plus lexicographic front-to-back readout.
 
     ``best[j, c]`` is the minimal SSR of covering observations ``j..T-1``
@@ -576,27 +665,38 @@ def _suffix_dp(tab: np.ndarray, m: int, min_len: int) -> tuple[np.ndarray, list[
     ``m - c`` of some feasible partition, which read only the segments of
     :func:`_reachable_rows`; any other ``best[j, c]`` may read an entry the
     table leaves ``+inf``.
+
+    ``tab`` of shape ``(B, T, T)`` holds one table per response, and every
+    step is elementwise over them: ``best`` is then ``(B, T + 1, m + 1)``
+    and the break vectors ``(B, m)``, those of a response with an infinite
+    optimum meaningless.  A single table returns its break list, and raises
+    ``SegmentRankDeficient`` when its optimum is infinite.
     """
-    t_total = tab.shape[0]
-    best = np.full((t_total + 1, m + 1), np.inf)
-    best[:t_total - min_len + 1, 0] = tab[:t_total - min_len + 1, t_total - 1]
+    t_total = tab.shape[-1]
+    tabs = tab.reshape(-1, t_total, t_total)
+    n_tab = len(tabs)
+    best = np.full((n_tab, t_total + 1, m + 1), np.inf)
+    best[:, :t_total - min_len + 1, 0] = tabs[:, :t_total - min_len + 1, t_total - 1]
     for c in range(1, m + 1):
         n_rows, hi = t_total - (c + 1) * min_len + 1, t_total - c * min_len
-        step = max(1, _DP_CHUNK // max(hi, 1))
+        step = max(1, _DP_CHUNK // max(hi * n_tab, 1))
         for j0 in range(0, n_rows, step):
             j1, lo = min(j0 + step, n_rows), j0 + min_len
-            cand = tab[j0:j1, lo - 1:hi] + best[lo:hi + 1, c - 1]
-            best[j0:j1, c] = cand.min(axis=1)
-    if not np.isfinite(best[0, m]):
+            cand = tabs[:, j0:j1, lo - 1:hi] + best[:, None, lo:hi + 1, c - 1]
+            best[:, j0:j1, c] = cand.min(axis=2)
+    if tab.ndim == 2 and not np.isfinite(best[0, 0, m]):
         raise SegmentRankDeficient("every feasible partition hit a singular segment")
-    breaks: list[int] = []
-    j = 0
-    for c in range(m, 0, -1):
-        lo, hi = j + min_len, t_total - c * min_len
-        cand = tab[j, lo - 1:hi] + best[lo:hi + 1, c - 1]
-        b = lo + int(np.argmax(cand == best[j, c]))
-        breaks.append(b)
-        j = b
+    breaks = np.zeros((n_tab, m), dtype=np.intp)
+    for one, table, row in zip(best, tabs, breaks):
+        if not np.isfinite(one[0, m]):
+            continue
+        j = 0
+        for c in range(m, 0, -1):
+            lo, hi = j + min_len, t_total - c * min_len
+            cand = table[j, lo - 1:hi] + one[lo:hi + 1, c - 1]
+            j = row[m - c] = lo + int(np.argmax(cand == one[j, c]))
+    if tab.ndim == 2:
+        return best[0], [int(b) for b in breaks[0]]
     return best, breaks
 
 
@@ -625,15 +725,16 @@ def find_breaks_unrestricted(
 
 
 def _fold_total(tab: np.ndarray, breaks: np.ndarray, t_total: int) -> np.ndarray:
-    """SSR total of each row of ``breaks``, added right to left.
+    """SSR total of each row of ``breaks``, added right to left; ``(B,
+    rows)`` for tables ``(B, T, T)``.
 
     The right-associated order matches the suffix recursion's rounding, so
     exhaustive search and the DP agree bit for bit.
     """
     full = _with_ends(breaks, t_total)
-    total = np.zeros(len(full))
+    total = np.zeros(tab.shape[:-2] + (len(full),))
     for p in range(full.shape[1] - 2, -1, -1):
-        total = tab[full[:, p], full[:, p + 1] - 1] + total
+        total = tab[..., full[:, p], full[:, p + 1] - 1] + total
     return total
 
 
@@ -665,27 +766,27 @@ def _partition_chunks(n_obs: int, m: int, min_len: int):
         yield flat.reshape(len(batch), m) + offset
 
 
-def _exhaustive_min(t_total, m, min_len, objective, budget) -> list[int]:
-    """Lexicographically first break vector minimizing ``objective``.
+def _exhaustive_min(t_total, m, min_len, objective, budget) -> tuple[np.ndarray, np.ndarray]:
+    """Each response's lexicographically first break vector minimizing
+    ``objective``, ``(B, m)``, and whether its minimum is finite, ``(B,)``.
 
     ``objective`` maps a ``(rows, m)`` array of break vectors to their
-    scores.  Raises ``BudgetExceeded`` before enumerating more than
-    ``budget`` partitions, and ``SegmentRankDeficient`` when no partition
-    scores finite.
+    scores, ``(rows,)`` for one response or ``(B, rows)``.  Raises
+    ``BudgetExceeded`` before enumerating more than ``budget`` partitions.
     """
     n_part = count_partitions(t_total, m, min_len)
     if n_part > budget:
         raise BudgetExceeded(n_part, budget)
-    best_val = np.inf
-    best_breaks = None
+    best_val = best_breaks = None
     for breaks in _partition_chunks(t_total, m, min_len):
-        vals = objective(breaks)
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val, best_breaks = vals[i], breaks[i]
-    if best_breaks is None:
-        raise SegmentRankDeficient("every feasible partition hit a singular segment")
-    return [int(b) for b in best_breaks]
+        vals = np.atleast_2d(objective(breaks))
+        if best_val is None:
+            best_val, best_breaks = np.full(len(vals), np.inf), np.zeros((len(vals), m), dtype=np.intp)
+        i = np.argmin(vals, axis=1)
+        low = vals[np.arange(len(vals)), i]
+        better = low < best_val
+        best_val[better], best_breaks[better] = low[better], breaks[i[better]]
+    return best_breaks, np.isfinite(best_val)
 
 
 def find_breaks_restricted(
@@ -719,47 +820,231 @@ def find_breaks_restricted(
     return _search(data, restriction, config, stats)
 
 
-def _search(data, restriction, config, stats) -> SegmentationResult:
-    """The one loop of both break searches.
+def _search(data, restriction, config, stats) -> SegmentationResult | SegmentationBatch:
+    """The one loop of both break searches, over every response of ``stats``.
 
     Checks that ``m + 1`` segments of the minimum length fit, searches, and
-    fits the chosen partition from the rows (``ssr_restricted`` when there
-    is a restriction).  When the fit raises ``SegmentRankDeficient``, the
-    segments it lists are excluded on ``stats`` and the search runs again;
-    an excluded segment is never picked again, so the loop ends.
+    fits each chosen partition from the rows (``ssr_restricted`` when there
+    is a restriction), once for all the responses that chose it.  When the
+    fit raises ``SegmentRankDeficient``, a verdict on the regressors alone,
+    the segments it lists are excluded for those responses and they search
+    again; an excluded segment is never picked again, so the loop ends.  A
+    response whose search ends in another ``SteinbreakError`` keeps it as
+    its result (:func:`_by_member`).  Refinement runs its loop response by
+    response on the shared state.  A one-response ``data`` returns its
+    result, or raises its error.
     """
     stats = stats if stats is not None else SegmentMoments(data)
     t_total, q, m = data.n_obs, data.n_regressors, config.m
     min_len = config.feasible_min_length(t_total, q)
     if restriction is None:
-        score = lambda breaks: _fold_total(stats.ssr_table(min_len, m), breaks, t_total)
-        fit = lambda partition: ssr_unrestricted(data, partition)
+
+        def score(breaks, rows):
+            return _fold_total(stats.ssr_table(min_len, m).reshape(-1, t_total, t_total)[rows], breaks, t_total)
+
+        def fit(sub, partition):
+            found = fit_unrestricted(sub, partition)
+            return found.ssr, found
+
     else:
         restriction.check_dims((m + 1) * q)
         if config.method not in (METHOD_EXHAUSTIVE, METHOD_REFINE):
             raise InfeasibleConfig(
                 "restricted search method must be 'exhaustive' or 'coordinate-refine'"
             )
-        score = lambda breaks: stats.restricted_ssr(_with_ends(breaks, t_total), restriction)
-        fit = lambda partition: ssr_restricted(data, partition, restriction)
-    total_cycles = 0
-    while True:
-        if config.method == METHOD_DP:
-            breaks = stats.dp_optimum(min_len, m)
-        elif config.method == METHOD_EXHAUSTIVE:
-            breaks = _exhaustive_min(t_total, m, min_len, score, config.exhaustive_budget)
-        else:
-            breaks, cycles = _refine(t_total, m, min_len, score, stats.dp_optimum(min_len, m))
-            total_cycles += cycles
-        partition = Partition(tuple(breaks))
+
+        def score(breaks, rows):
+            if stats.n_responses == 1:
+                return stats.restricted_ssr(_with_ends(breaks, t_total), restriction)
+            return stats.restricted_ssr(_with_ends(breaks, t_total), restriction, rows)
+
+        def fit(sub, partition):
+            return ssr_restricted(sub, partition, restriction), None
+
+    results: list = [None] * stats.n_responses
+    cycles = [0] * stats.n_responses
+    pending = list(range(stats.n_responses))
+    while pending:
+        picked = {}
         try:
-            ssr = fit(partition)
-        except SegmentRankDeficient as exc:
-            stats.exclude(exc.segments)
-            continue
-        return SegmentationResult(
-            partition=partition, ssr=ssr, method_used=config.method, iterations=total_cycles
-        )
+            if config.method == METHOD_DP:
+                breaks, found = stats._dp_optima(min_len, m)
+                picked = {r: tuple(breaks[r]) for r in pending if found[r]}
+            elif config.method == METHOD_EXHAUSTIVE:
+                rows = np.array(pending)
+                breaks, found = _exhaustive_min(
+                    t_total, m, min_len, lambda b: score(b, rows), config.exhaustive_budget
+                )
+                picked = {r: tuple(b) for r, b, ok in zip(pending, breaks, found) if ok}
+            else:
+                for r in pending:
+                    try:
+                        breaks, n_cycles = _refine(
+                            t_total, m, min_len, lambda b, r=r: score(b, r), stats.dp_optimum(min_len, m, r)
+                        )
+                    except SegmentRankDeficient as exc:
+                        results[r] = exc
+                        continue
+                    cycles[r] += n_cycles
+                    picked[r] = breaks
+        except BudgetExceeded as exc:
+            picked = {}
+            for r in pending:
+                results[r] = exc
+        for r in pending:
+            if r not in picked and results[r] is None:
+                results[r] = SegmentRankDeficient("every feasible partition hit a singular segment")
+        pending = []
+        for breaks, members in _grouped(picked).items():
+            partition = Partition(tuple(int(b) for b in breaks))
+            for rows, outcome in _by_member(lambda ms: fit(_members(data, ms), partition), members):
+                if isinstance(outcome, SegmentRankDeficient):
+                    stats.exclude(outcome.segments, rows)
+                    pending += rows
+                elif isinstance(outcome, SteinbreakError):
+                    for r in rows:
+                        results[r] = outcome
+                else:
+                    ssr, found = outcome
+                    for i, r in enumerate(rows):
+                        results[r] = SegmentationResult(
+                            partition=partition,
+                            ssr=float(ssr[i]),
+                            method_used=config.method,
+                            iterations=cycles[r],
+                            fit=None if found is None else take_response(found, i),
+                        )
+        pending.sort()
+    if data.y.ndim == 1:
+        (result,) = results
+        if isinstance(result, SteinbreakError):
+            raise result
+        return result
+    return SegmentationBatch(results=tuple(results), method_used=config.method)
+
+
+def _members(data: RegressionData, rows: list) -> RegressionData:
+    """The batch of the responses ``rows`` of ``data``: ``data`` itself when
+    it is a batch of exactly those."""
+    if data.y.ndim == 2 and rows == list(range(len(data.y))):
+        return data
+    return data.select(rows)
+
+
+def _grouped(picked: dict) -> dict:
+    """Responses by the key they picked, each list in response order."""
+    groups: dict = {}
+    for r, key in picked.items():
+        groups.setdefault(key, []).append(r)
+    return groups
+
+
+def _by_member(fn, members: list) -> list:
+    """``fn`` on the batch of ``members``, as ``(members, outcome)`` pairs,
+    the outcome its value or the ``SteinbreakError`` it raised.
+
+    A ``SegmentRankDeficient`` is the verdict of the regressors alone, so it
+    holds for every member.  Any other error is traced to its members: each
+    member runs alone, and since a member's numbers do not depend on its
+    batch, every other member gets its own value, bit for bit.
+    """
+    try:
+        return [(members, fn(members))]
+    except SegmentRankDeficient as exc:
+        return [(members, exc)]
+    except SteinbreakError as exc:
+        if len(members) == 1:
+            return [(members, exc)]
+        return [pair for r in members for pair in _by_member(fn, [r])]
+
+
+# Responses a batched run searches at a time; bounds its tables to
+# _BATCH T^2 doubles.  A response's numbers do not depend on it.
+_BATCH = 4
+
+
+def response_batches(data: RegressionData, stats: SegmentMoments | None = None):
+    """The responses of ``data``, ``_BATCH`` at a time, each batch loaded
+    into one search state: ``(batch, stats)`` pairs.
+
+    Given ``stats`` (a state on ``data.z``), every batch is loaded by
+    :meth:`SegmentMoments.set_responses`; otherwise one state is built
+    here, keeping its factors when there is more than one batch.
+    """
+    n_resp = len(data.responses)
+    fresh = stats is None
+    if fresh:
+        stats = SegmentMoments(data.select(slice(0, _BATCH)), keep_factors=n_resp > _BATCH)
+    for start in range(0, n_resp, _BATCH):
+        batch = data.select(slice(start, start + _BATCH))
+        if start or not fresh:
+            stats.set_responses(batch.y)
+        yield batch, stats
+
+
+def estimate_groups(
+    data: RegressionData,
+    restriction: Restriction,
+    searches: list,
+    shrink_partition: str = "ue",
+    shrinkage: tuple[str, ...] = ("js", "pp"),
+    omega: str = "hc0",
+    bandwidth: int | None = None,
+) -> list:
+    """The estimator class of every response of ``data`` at the breaks of
+    its two searches: the one estimation step of ``fit``, ``bootstrap`` and
+    ``simulate``, after they search :func:`response_batches`.
+
+    ``searches`` holds, per response, its unrestricted and restricted
+    search outcome (a :class:`SegmentationResult` or the error that ended
+    the search).  Responses whose searches landed on the same partitions
+    form one fit group: :func:`~steinbreak.estimators.estimate_class` runs
+    once for the group, on the unrestricted search's fits, with shrinkage
+    at the UE partition when ``shrink_partition`` is ``"ue"`` and at the RE
+    partition otherwise.  Every response's numbers are those of a group of
+    one, and an error fails only its own responses (:func:`_by_member`).
+
+    Returns, per response, a dict of ``ue_search``, ``re_search``,
+    ``estimates``, ``plugin`` and ``psi`` (as :func:`estimate_class` gives
+    them for one response), or the ``SteinbreakError`` that ended it.
+    """
+    out: list = [None] * len(searches)
+    picked = {}
+    for r, (ue, re) in enumerate(searches):
+        failed = [x for x in (ue, re) if isinstance(x, SteinbreakError)]
+        if failed:
+            out[r] = failed[0]
+        else:
+            picked[r] = (ue.partition, re.partition)
+    for (ue_part, re_part), members in _grouped(picked).items():
+
+        def fitted(ms, ue_part=ue_part, re_part=re_part):
+            return estimate_class(
+                _members(data, ms),
+                restriction,
+                ue_part,
+                re_part,
+                ue_part if shrink_partition == "ue" else re_part,
+                shrinkage=shrinkage,
+                omega=omega,
+                bandwidth=bandwidth,
+                ue=stack_responses([searches[r][0].fit for r in ms]),
+            )
+
+        for rows, outcome in _by_member(fitted, members):
+            for i, r in enumerate(rows):
+                if isinstance(outcome, SteinbreakError):
+                    out[r] = outcome
+                    continue
+                plugin = outcome["plugin"]
+                out[r] = {
+                    "ue_search": searches[r][0],
+                    "re_search": searches[r][1],
+                    "estimates": {name: take_response(est, i) for name, est in outcome["estimates"].items()},
+                    "plugin": PluginMatrices(plugin.a_hat[i], plugin.sandwich[i], plugin.omega_method),
+                    "psi": float(outcome["psi"][i]),
+                }
+    return out
 
 
 def _refine(t_total, m, min_len, objective, init) -> tuple[tuple[int, ...], int]:

@@ -25,14 +25,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SteinbreakError
-from .estimators import SHRINKAGE_RULES, estimate_class
+from .estimators import SHRINKAGE_RULES
 from .model import Partition, RegressionData, Restriction, _readonly, block_restriction
 from .segmentation import (
     METHOD_REFINE,
     SearchConfig,
     SegmentMoments,
+    estimate_groups,
     find_breaks_restricted,
     find_breaks_unrestricted,
+    response_batches,
 )
 
 ESTIMATOR_NAMES = ("ue", "re", "js", "pp")
@@ -182,32 +184,44 @@ def _rep_rng(seed: int, sigma_index: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, sigma_index, rep)))
 
 
-def _one_replication(
-    design: SimDesign, data: RegressionData, stats: SegmentMoments | None = None
-):
-    """Estimate breaks and the four estimators on one dataset.
+def _replications(design: SimDesign, data: RegressionData, stats: SegmentMoments | None = None) -> list:
+    """Estimate breaks and the four estimators on each response of ``data``.
 
-    Returns (losses by estimator, ue breaks, re breaks).  The restricted
-    estimator is fitted at its own break estimates; the shrinkage pair
-    conditions everything (including the plug-in matrices) on the
-    unrestricted breaks.  ``stats`` is the dataset's search state, fresh
-    for ``data``; by default it is built here.
+    Returns, per response, (losses by estimator, ue breaks, re breaks), or
+    the ``SteinbreakError`` that ended it.  The restricted estimator is
+    fitted at its own break estimates; the shrinkage pair conditions
+    everything (including the plug-in matrices) on the unrestricted
+    breaks.  The responses are searched in
+    :func:`~steinbreak.segmentation.response_batches` on ``stats`` (a search
+    state on ``data.z``; by default one is built here) and fitted by
+    :func:`~steinbreak.segmentation.estimate_groups`.
     """
-    stats = stats if stats is not None else SegmentMoments(data)
     cfg = SearchConfig(m=design.m, min_seg_frac=design.min_seg_frac)
-    ue_search = find_breaks_unrestricted(data, cfg, stats=stats)
     rcfg = SearchConfig(
         m=design.m, min_seg_frac=design.min_seg_frac, method=design.restricted_search
     )
-    re_search = find_breaks_restricted(data, design.restriction, rcfg, stats=stats)
-    fitted = estimate_class(
-        data, design.restriction, ue_search.partition, re_search.partition, ue_search.partition
-    )
-    losses = {}
-    for name, est in fitted["estimates"].items():
-        err = est.delta - design.delta0
-        losses[name] = float(err @ err)
-    return losses, ue_search.partition.breaks, re_search.partition.breaks
+    searches = []
+    for batch, state in response_batches(data, stats):
+        ue = find_breaks_unrestricted(batch, cfg, stats=state)
+        re = find_breaks_restricted(batch, design.restriction, rcfg, stats=state)
+        searches += zip(ue.results, re.results)
+    out = []
+    for fitted in estimate_groups(data, design.restriction, searches):
+        if isinstance(fitted, SteinbreakError):
+            out.append(fitted)
+            continue
+        losses = {}
+        for name, est in fitted["estimates"].items():
+            err = est.delta - design.delta0
+            losses[name] = float(err @ err)
+        out.append((losses, fitted["ue_search"].partition.breaks, fitted["re_search"].partition.breaks))
+    return out
+
+
+def _one_replication(design: SimDesign, data: RegressionData):
+    """The outcome of :func:`_replications` on a one-response ``data``."""
+    (result,) = _replications(design, data)
+    return result
 
 
 def run_monte_carlo(design: SimDesign) -> SimResult:
@@ -217,7 +231,11 @@ def run_monte_carlo(design: SimDesign) -> SimResult:
     skipped, never silently dropped; the result is flagged when failures
     exceed 1% at any noise level.  Every replication builds the Stein
     pair, so a restriction with ``k <= 2`` raises ``KTooSmall`` before any
-    search.
+    search.  With redrawn regressors each replication is a batch of one;
+    with fixed regressors all replications of a noise level form one batch
+    on one search state for the study, which factors every segment Gram
+    once.  Either way a replication's numbers are those of its own batch of
+    one.
     """
     for name in ESTIMATOR_NAMES:
         if name in SHRINKAGE_RULES:
@@ -228,26 +246,27 @@ def run_monte_carlo(design: SimDesign) -> SimResult:
         sigma2_grid=design.sigma2_grid,
         estimators=ESTIMATOR_NAMES,
     )
-    fixed_z = base_stats = None
+    fixed_z = stats = None
     if not design.redraw_regressors:
         rng0 = np.random.default_rng(np.random.SeedSequence((design.seed, 0x5E6D)))
         fixed_z = _draw_regressors(design, rng0)
-        # every replication shares the segment Gram factors of fixed_z
-        base_stats = SegmentMoments(RegressionData(y=np.zeros(design.n_obs), z=fixed_z))
+        stats = SegmentMoments(RegressionData(y=np.zeros(design.n_obs), z=fixed_z), keep_factors=True)
     for si, sigma2 in enumerate(design.sigma2_grid):
         t0 = time.perf_counter()
+        rngs = (_rep_rng(design.seed, si, rep) for rep in range(design.n_reps))
+        if fixed_z is None:
+            outcomes = (_one_replication(design, simulate_dataset(design, sigma2, rng)) for rng in rngs)
+        else:
+            ys = [simulate_dataset(design, sigma2, rng, z=fixed_z).y for rng in rngs]
+            outcomes = _replications(design, RegressionData(y=ys, z=fixed_z), stats)
         sums = {name: 0.0 for name in ESTIMATOR_NAMES}
         ue_breaks, re_breaks = [], []
         failures = 0
-        for rep in range(design.n_reps):
-            rng = _rep_rng(design.seed, si, rep)
-            data = simulate_dataset(design, sigma2, rng, z=fixed_z)
-            try:
-                stats = None if base_stats is None else base_stats.with_response(data.y)
-                losses, bu, br = _one_replication(design, data, stats)
-            except SteinbreakError:
+        for outcome in outcomes:
+            if isinstance(outcome, SteinbreakError):
                 failures += 1
                 continue
+            losses, bu, br = outcome
             for name, value in losses.items():
                 sums[name] += value
             ue_breaks.append(bu)

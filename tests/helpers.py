@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 from scipy import linalg as sla
@@ -588,3 +589,76 @@ def reference_adr_positive_part(scaffold, weight, tol=1e-12):
         - e3 * tw11
         - e4 * m1wm1
     )
+
+
+def fixed_regressor_reference(design):
+    """The fixed-regressor study fitted replication by replication, each on
+    a fresh one-response search state: per noise level, the mean loss of
+    each estimator and the break arrays, as ``run_monte_carlo`` reports
+    them.  Every replication succeeds here."""
+    from steinbreak.simulation import (
+        ESTIMATOR_NAMES,
+        _draw_regressors,
+        _one_replication,
+        _rep_rng,
+        simulate_dataset,
+    )
+
+    fixed_z = _draw_regressors(design, np.random.default_rng(np.random.SeedSequence((design.seed, 0x5E6D))))
+    out = {"risks": {}, "breaks_ue": {}, "breaks_re": {}}
+    for si, sigma2 in enumerate(design.sigma2_grid):
+        sums = {name: 0.0 for name in ESTIMATOR_NAMES}
+        ue, re = [], []
+        for rep in range(design.n_reps):
+            data = simulate_dataset(design, sigma2, _rep_rng(design.seed, si, rep), z=fixed_z)
+            losses, bu, br = _one_replication(design, data)
+            for name, value in losses.items():
+                sums[name] += value
+            ue.append(bu)
+            re.append(br)
+        out["risks"][sigma2] = {name: sums[name] / design.n_reps for name in ESTIMATOR_NAMES}
+        out["breaks_ue"][sigma2] = np.array(ue)
+        out["breaks_re"][sigma2] = np.array(re)
+    return out
+
+
+def per_replicate_bootstrap(values):
+    """The residual bootstrap of the config ``values`` run replicate by
+    replicate, each a one-response pipeline on its own search state: the
+    loop ``cli.cmd_bootstrap`` ran before the replicates became one batch,
+    kept as the reference for it.  Returns the ``table1.csv`` header and
+    row, and each replicate's pipeline result or error."""
+    from steinbreak import cli
+    from steinbreak.errors import SteinbreakError
+
+    cfg = cli.RunConfig.from_dict("bootstrap", values)
+    data, restriction = cli._load_fit_data(cfg)
+    base = cli._one_result(cli._fit_pipeline(cfg, data, restriction))
+    resid = base["estimates"]["ue"].residuals
+    fitted = data.y - resid
+    centered = resid - resid.mean()
+    names = list(cfg.values["estimators"])
+    sums = {name: 0.0 for name in names}
+    failures, results = 0, []
+    for b in range(cfg.values["bootstrap_b"]):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.values["seed"], b)))
+        u_star = rng.choice(centered, size=data.n_obs, replace=True)
+        (rerun,) = cli._fit_pipeline(cfg, RegressionData(y=fitted + u_star, z=data.z), restriction)
+        results.append(rerun)
+        if isinstance(rerun, SteinbreakError):
+            failures += 1
+            continue
+        for name in names:
+            diff = rerun["estimates"][name].delta - base["estimates"][name].delta
+            sums[name] += float(diff @ diff)
+    n_ok = len(results) - failures
+    header = ["series", "changepoints_ue", "changepoints_re", *(f"mse_{name}" for name in names), "n_fail", "b"]
+    row = [
+        Path(cfg.values["csv"]).stem,
+        "|".join(str(b) for b in base["ue_search"].partition.breaks),
+        "|".join(str(b) for b in base["re_search"].partition.breaks),
+        *(float(sums[name] / n_ok) for name in names),
+        failures,
+        len(results),
+    ]
+    return header, row, results

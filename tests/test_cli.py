@@ -1,10 +1,12 @@
 import csv
+import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from steinbreak import cli
+from steinbreak import cli, estimators
 from steinbreak.cli import (
     ALLOWED,
     EXIT_CONFIG,
@@ -17,6 +19,7 @@ from steinbreak.cli import (
     power_trend_basis,
     main,
     restriction_from_spec,
+    write_csv,
 )
 from steinbreak.errors import ConfigError
 from steinbreak.stein_oracle import MIN_SAMPLES, IdentityCheck, VerifyEntry
@@ -336,6 +339,10 @@ BAD_CONFIGS = {
     "omega": ("fit", {"omega": "nope"}),
     "shrink-partition": ("fit", {"shrink_partition": "nope"}),
     "estimators": ("bootstrap", {"estimators": ["ue", "foo"]}),
+    "estimators-empty-fit": ("fit", {"estimators": []}),
+    "estimators-empty-bootstrap": ("bootstrap", {"estimators": []}),
+    "estimators-repeated-fit": ("fit", {"estimators": ["js", "js"]}),
+    "estimators-repeated-bootstrap": ("bootstrap", {"estimators": ["ue", "js", "ue"]}),
     "m": ("fit", {"m": -1}),
     "bootstrap-b": ("bootstrap", {"bootstrap_b": 0}),
     "reps": ("simulate", {"case": 1, "reps": 0}),
@@ -516,7 +523,9 @@ def test_bootstrap_factors_segment_grams_once(tmp_path, monkeypatch):
 
 def test_bootstrap_builds_one_design_per_pipeline_run(tmp_path, monkeypatch):
     # the plug-ins need the design; the resampling reads the base UE fit's
-    # own residuals, so no second design is built for the base fit
+    # own residuals, so no second design is built for the base fit, and the
+    # replicates run as one batch whose searches all land on the base
+    # breaks: one fit group, one design
     from steinbreak import estimators
 
     write_trend_series(tmp_path / "series.csv", n_obs=60, brk=30, noise=0.05)
@@ -536,7 +545,184 @@ def test_bootstrap_builds_one_design_per_pipeline_run(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_fit_pipeline", counted_pipeline)
     assert main(["bootstrap", "--config", str(cfg)]) == EXIT_OK
     assert read_rows(tmp_path / "out" / "table1.csv")[0]["n_fail"] == "0"
-    assert runs == [0, 1, 2, 3, 4] and len(designs) == 5
+    assert runs == [0, 1] and len(designs) == 2
+    assert designs[0] == designs[1]
+
+
+def bench_style_series(path, seed=5, index=1):
+    """A series as the bootstrap benchmark draws them: power-trend basis,
+    one break in the middle 30% and the linear-trend restriction true."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5E71E5, index)))
+    n_obs = (104, 111, 117, 124)[index]
+    brk = int(rng.integers(int(0.35 * n_obs), int(0.65 * n_obs) + 1))
+    before = np.array([rng.uniform(0.3, 0.7), rng.uniform(0.8, 1.2), 0.0, 0.0])
+    after = before + np.array([rng.uniform(0.3, 0.5), rng.uniform(0.4, 0.8), 0.0, 0.0])
+    basis = power_trend_basis(n_obs)
+    y = np.where(np.arange(n_obs) < brk, basis @ before, basis @ after) + rng.normal(0.0, 0.05, n_obs)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "y"])
+        for i in range(n_obs):
+            writer.writerow([i + 1, repr(float(y[i]))])
+
+
+def criterion_7_series(path):
+    """The series of acceptance criterion 7."""
+    write_trend_series(path, n_obs=117, brk=60, noise=0.05, seed=7)
+
+
+def captured_batches(monkeypatch):
+    """The results of every pipeline run, in run order."""
+    runs = []
+    original = cli._fit_pipeline
+
+    def spied(*args, **kwargs):
+        runs.append(original(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "_fit_pipeline", spied)
+    return runs
+
+
+def same_replicates(batched, reference):
+    """Each replicate fails alike, or has the same bits of every estimate
+    and of psi."""
+    assert len(batched) == len(reference)
+    for got, want in zip(batched, reference):
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+            continue
+        assert got["psi"] == want["psi"]
+        assert got["estimates"].keys() == want["estimates"].keys()
+        for name, est in want["estimates"].items():
+            assert got["estimates"][name].delta.tobytes() == est.delta.tobytes(), name
+        for key in ("ue_search", "re_search"):
+            assert got[key].partition == want[key].partition and got[key].ssr == want[key].ssr
+
+
+@pytest.mark.parametrize("series", ["criterion-7", "bench"])
+def test_bootstrap_batch_matches_the_per_replicate_reference(tmp_path, monkeypatch, series):
+    # the replicates run as one batch, searched _BATCH at a time and fitted
+    # by partition group; table1.csv, every replicate's estimates and psi are
+    # bit for bit those of fitting each replicate alone, at any batch size
+    from steinbreak import segmentation
+
+    from helpers import per_replicate_bootstrap
+
+    path = tmp_path / "series.csv"
+    (criterion_7_series if series == "criterion-7" else bench_style_series)(path)
+    for m, omega, search, shrink in itertools.product((1, 2), ("hc0", "hac"), ("exhaustive", "refine"), ("ue", "re")):
+        values = {
+            "csv": str(path), "m": m, "basis": "power-trend", "restriction": {"pattern": "linear-trend"},
+            "min_seg_frac": 0.15, "omega": omega, "restricted_search": search, "shrink_partition": shrink,
+            "bootstrap_b": 7, "seed": 3, "out": str(tmp_path / "out"),
+        }
+        header, row, reference = per_replicate_bootstrap(values)
+        write_csv(tmp_path / "reference.csv", header, [row])
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(values))
+        for batch in (segmentation._BATCH, 1, 3):
+            monkeypatch.setattr(segmentation, "_BATCH", batch)
+            runs = captured_batches(monkeypatch)
+            assert main(["bootstrap", "--config", str(cfg)]) == EXIT_OK
+            got = (tmp_path / "out" / "table1.csv").read_bytes()
+            assert got == (tmp_path / "reference.csv").read_bytes(), (m, omega, search, shrink, batch)
+            same_replicates(runs[1], reference)
+
+
+def test_criterion_7_bootstrap_matches_the_per_replicate_reference(tmp_path, monkeypatch):
+    # criterion 7's B = 200 run: every replicate lands on the base breaks,
+    # so all 200 form one fit group, and the table is the reference's
+    from helpers import per_replicate_bootstrap
+
+    path = tmp_path / "series.csv"
+    criterion_7_series(path)
+    values = {
+        "csv": str(path), "m": 1, "basis": "power-trend", "restriction": {"pattern": "linear-trend"},
+        "min_seg_frac": 0.15, "bootstrap_b": 200, "seed": 11, "out": str(tmp_path / "out"),
+    }
+    header, row, reference = per_replicate_bootstrap(values)
+    write_csv(tmp_path / "reference.csv", header, [row])
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(values))
+    designs = []
+    build_design = estimators.build_design
+    monkeypatch.setattr(estimators, "build_design", lambda *args: designs.append(args[1]) or build_design(*args))
+    runs = captured_batches(monkeypatch)
+    assert main(["bootstrap", "--config", str(cfg)]) == EXIT_OK
+    assert (tmp_path / "out" / "table1.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    same_replicates(runs[1], reference)
+    assert len(designs) == 2
+
+
+def test_one_failed_replicate_fails_only_itself(tmp_path, monkeypatch, capsys):
+    # replicate 4's restricted fit is made to fail wherever it is fitted:
+    # it counts once in n_fail, and every other replicate keeps the bits of
+    # the reference that skips it; when every replicate fails, the run fails
+    from steinbreak.errors import SingularConstraintGram
+
+    from helpers import per_replicate_bootstrap
+
+    path = tmp_path / "series.csv"
+    criterion_7_series(path)
+    values = {
+        "csv": str(path), "m": 1, "basis": "power-trend", "restriction": {"pattern": "linear-trend"},
+        "min_seg_frac": 0.15, "bootstrap_b": 12, "seed": 11, "out": str(tmp_path / "out"),
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(values))
+    data, restriction = cli._load_fit_data(RunConfig.from_dict("bootstrap", values))
+    resid = cli._one_result(cli._fit_pipeline(RunConfig.from_dict("bootstrap", values), data, restriction))[
+        "estimates"]["ue"].residuals
+    rng = np.random.default_rng(np.random.SeedSequence((11, 4)))
+    target = data.y - resid + rng.choice(resid - resid.mean(), size=data.n_obs, replace=True)
+    original = estimators._fit_restricted_on
+
+    def failing(batch, *args):
+        if any(np.array_equal(y, target) for y in batch.responses):
+            raise SingularConstraintGram("forced failure of one replicate")
+        return original(batch, *args)
+
+    monkeypatch.setattr(estimators, "_fit_restricted_on", failing)
+    header, row, reference = per_replicate_bootstrap(values)
+    assert row[-2] == 1 and isinstance(reference[4], SingularConstraintGram)
+    write_csv(tmp_path / "reference.csv", header, [row])
+    runs = captured_batches(monkeypatch)
+    assert main(["bootstrap", "--config", str(cfg)]) == EXIT_OK
+    assert (tmp_path / "out" / "table1.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert read_rows(tmp_path / "out" / "table1.csv")[0]["n_fail"] == "1"
+    same_replicates(runs[1], reference)
+
+    def all_replicates(batch, *args):
+        if any(not np.array_equal(y, data.y) for y in batch.responses):
+            raise SingularConstraintGram("forced failure of every replicate")
+        return original(batch, *args)
+
+    monkeypatch.setattr(estimators, "_fit_restricted_on", all_replicates)
+    capsys.readouterr()
+    assert main(["bootstrap", "--config", str(cfg)]) == EXIT_NUMERIC
+    assert json.loads(capsys.readouterr().err)["message"] == "all bootstrap replicates failed"
+
+
+def test_bootstrap_memory_stays_bounded(tmp_path):
+    # B = 500 on the criterion-7 series: the replicates are searched
+    # _BATCH at a time, so no more than _BATCH dense tables (117^2 doubles,
+    # 0.11 MB each) live at once.  What grows with B is a few B x T arrays
+    # (0.47 MB each: the responses, the handed-on and stacked fits and
+    # their residuals) and each replicate's small result; it reads 5.3 MB,
+    # against 0.55 MB replicate by replicate and about 55 MB with a table
+    # per replicate
+    path = tmp_path / "series.csv"
+    criterion_7_series(path)
+    cfg = fit_config(tmp_path, csv=str(path), bootstrap_b=500, min_seg_frac=0.15, seed=11)
+    tracemalloc.start()
+    try:
+        assert main(["bootstrap", "--config", str(cfg)]) == EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6, f"peak {peak / 1e6:.2f} MB"
+    assert read_rows(tmp_path / "out" / "table1.csv")[0]["n_fail"] == "0"
 
 
 def test_bootstrap_builds_one_restriction(tmp_path, monkeypatch):

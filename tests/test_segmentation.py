@@ -782,10 +782,10 @@ def trend_series(n_obs, brk, seed):
     return RegressionData(y=y + rng.normal(0.0, 0.05, n_obs), z=z)
 
 
-def test_with_response_tables_match_a_fresh_state(monkeypatch):
-    # shared factors, refactored blocks and any block size give the same
-    # table bits as a fresh state on the same (z, y), finite on every
-    # segment a search with this m can read and +inf on every other
+def test_batch_tables_match_a_fresh_state(monkeypatch):
+    # each response of a batch gets, at any block size, the table bits and
+    # DP optimum of a fresh one-response state on the same (z, y), finite on
+    # every segment a search with this m can read and +inf on every other
     cases = [(trend_series(124, 62, 0), 18, 1), (constant_block_instance(3), 2, 2)]
     for seed in range(5):
         data, m = random_instance(700 + seed, q_choices=(1, 2, 3))
@@ -793,47 +793,93 @@ def test_with_response_tables_match_a_fresh_state(monkeypatch):
     for data, min_len, m in cases:
         rng = np.random.default_rng(min_len)
         reachable = reachable_mask(data.n_obs, min_len, m)
-        base = SegmentMoments(data)
-        base.ssr_table(min_len, m)
-        for _ in range(3):
-            y = data.y + rng.normal(size=data.n_obs)
-            shared = base.with_response(y)
-            assert shared._factors is base._factors
-            fresh = SegmentMoments(RegressionData(y=y, z=data.z)).ssr_table(min_len, m)
-            assert np.isinf(fresh[~reachable]).all()
-            assert np.array_equal(shared.ssr_table(min_len, m), fresh)
-            with monkeypatch.context() as patch:
-                patch.setattr(segmentation, "_FACTOR_CACHE_BYTES", 0)
-                patch.setattr(segmentation, "_TABLE_BLOCK", 7)
-                refactored = SegmentMoments(RegressionData(y=y, z=data.z))
-                assert np.array_equal(refactored.ssr_table(min_len, m), fresh)
-                assert refactored._factors == {}
+        ys = data.y + rng.normal(size=(4, data.n_obs))
+        fresh = [SegmentMoments(RegressionData(y=y, z=data.z)) for y in ys]
+        for block in (segmentation._TABLE_BLOCK, 7):
+            monkeypatch.setattr(segmentation, "_TABLE_BLOCK", block)
+            batch = SegmentMoments(RegressionData(y=ys, z=data.z))
+            tabs = batch.ssr_table(min_len, m)
+            assert tabs.shape == (4, data.n_obs, data.n_obs)
+            for b, alone in enumerate(fresh):
+                tab = alone.ssr_table(min_len, m)
+                assert np.isinf(tab[~reachable]).all()
+                assert np.array_equal(tabs[b], tab)
+                try:
+                    optimum = alone.dp_optimum(min_len, m)
+                except SegmentRankDeficient:
+                    continue
+                assert batch.dp_optimum(min_len, m, b) == optimum
 
 
-def test_with_response_keeps_its_own_search_state():
+def test_batch_keeps_each_response_search_state():
     # the unrestricted search on seed 6 excludes rank-deficient segments;
-    # they stay on that replicate, not on its base or a sibling
+    # in a batch they stay on the responses whose fits rejected them, and
+    # every response finds the partition it finds alone
     data = constant_block_instance(6)
     cfg = SearchConfig(m=2, min_seg_frac=0.02)
     min_len = cfg.min_segment_length(data.n_obs, data.n_regressors)
-    base = SegmentMoments(data)
-    base_tab = base.ssr_table(min_len, 2).copy()
-    assert np.isinf(base_tab[~reachable_mask(data.n_obs, min_len, 2)]).all()
-    first = base.with_response(data.y)
-    sibling = base.with_response(data.y)
-    found = find_breaks_unrestricted(data, cfg, stats=first)
-    assert first._excluded
-    assert (base._excluded, sibling._excluded) == ([], [])
-    assert base._optima == {} and sibling._optima == {} and sibling._tables == {}
-    assert first.dp_optimum(min_len, 2) == found.partition.breaks
-    sibling_tab = sibling.ssr_table(min_len, 2)
-    assert sibling_tab is not first.ssr_table(min_len, 2)
-    assert np.array_equal(sibling_tab, base_tab)
-    assert np.array_equal(base.ssr_table(min_len, 2), base_tab)
-    for s, e in first._excluded:
-        assert np.isinf(first.ssr_table(min_len, 2)[s:e, s:e]).all()
-        assert np.isfinite(sibling_tab[s:e, s:e]).any()
-    assert sibling.dp_optimum(min_len, 2) != found.partition.breaks
+    alone = find_breaks_unrestricted(data, cfg)
+    ys = np.stack([data.y, data.y + np.random.default_rng(6).normal(size=data.n_obs)])
+    batch = RegressionData(y=ys, z=data.z)
+    stats = SegmentMoments(batch)
+    stats.exclude([(0, 3)], [1])
+    tab = stats.ssr_table(min_len, 2)
+    assert np.isinf(tab[1, 0:3, 0:3]).all()
+    assert np.array_equal(tab[0], SegmentMoments(data).ssr_table(min_len, 2))
+    found = find_breaks_unrestricted(batch, cfg, stats=stats).results
+    assert (found[0].partition, found[0].ssr) == (alone.partition, alone.ssr)
+    assert len(stats._excluded) > 1
+    for (s, e), mask in zip(stats._excluded, stats._excluded_for):
+        assert np.isinf(stats.ssr_table(min_len, 2)[mask, s:e, s:e]).all()
+    for b, extra in ((0, []), (1, [(0, 3)])):
+        lone = SegmentMoments(RegressionData(y=ys[b], z=data.z))
+        lone.exclude(extra)
+        other = find_breaks_unrestricted(RegressionData(y=ys[b], z=data.z), cfg, stats=lone)
+        assert (found[b].partition, found[b].ssr) == (other.partition, other.ssr)
+        assert [seg for seg, mask in zip(stats._excluded, stats._excluded_for) if mask[b]] == lone._excluded
+
+
+def test_batch_restricted_scores_match_a_fresh_state():
+    # every response of a batch scores restricted partitions bit for bit
+    # as a fresh state of that response alone, asked alone or with others
+    rng = np.random.default_rng(21)
+    linear_trend = block_restriction(1, 4, [("zero", 1, (3, 4)), ("zero", 2, (3, 4))])
+    cases = [(trend_series(124, 62, 0), linear_trend, 1)]
+    for seed in range(4):
+        data, _ = random_instance(900 + seed, t_range=(30, 50), q_choices=(2, 3))
+        cases.append((data, segment_sparse_restriction(rng, 2, data.n_regressors), 2))
+    for data, restr, m in cases:
+        t_total = data.n_obs
+        min_len = SearchConfig(m=m).min_segment_length(t_total, data.n_regressors)
+        breaks = next(segmentation._partition_chunks(t_total, m, min_len))
+        bounds = segmentation._with_ends(breaks, t_total)
+        ys = data.y + rng.normal(size=(3, t_total))
+        batch = SegmentMoments(RegressionData(y=ys, z=data.z))
+        scores = batch.restricted_ssr(bounds, restr)
+        assert scores.shape == (3, len(bounds))
+        for b, y in enumerate(ys):
+            fresh = SegmentMoments(RegressionData(y=y, z=data.z)).restricted_ssr(bounds, restr)
+            assert np.array_equal(scores[b], fresh)
+            assert np.array_equal(batch.restricted_ssr(bounds, restr, b), fresh)
+            assert np.array_equal(batch.restricted_ssr(bounds, restr, [2, b])[1], fresh)
+
+
+def test_set_responses_keeps_only_the_factors():
+    # a keep_factors state factors each segment Gram once for every later
+    # response set, and each set searches as a fresh state would
+    data = constant_block_instance(6)
+    cfg = SearchConfig(m=2, min_seg_frac=0.02)
+    min_len = cfg.min_segment_length(data.n_obs, data.n_regressors)
+    stats = SegmentMoments(data, keep_factors=True)
+    find_breaks_unrestricted(data, cfg, stats=stats)
+    assert stats._excluded and stats._factors
+    factors = stats._factors
+    ys = data.y + np.random.default_rng(8).normal(size=(2, data.n_obs))
+    stats.set_responses(ys)
+    assert stats._excluded == [] and stats._optima == {} and stats._factors is factors
+    for b, y in enumerate(ys):
+        fresh = SegmentMoments(RegressionData(y=y, z=data.z))
+        assert np.array_equal(stats.ssr_table(min_len, 2)[b], fresh.ssr_table(min_len, 2))
 
 
 @pytest.mark.parametrize("const", [0.3, 1.0])
@@ -877,7 +923,7 @@ def test_table_inf_pattern_with_singular_grams_on_several_start_rows():
         for starts, ends, _, fallback in stats._factor_blocks(2, m):
             got = tab[starts[fallback], ends[fallback] - 1]
             alone = [
-                max(segmentation._lu_ssr(stats._cum[[e]] - stats._cum[s], 2)[0], 0.0)
+                max(segmentation._lu_ssr(stats._cum[0, [e]] - stats._cum[0, s], 2)[0], 0.0)
                 for s, e in zip(starts[fallback], ends[fallback])
             ]
             assert np.array_equal(got, alone), m
@@ -1051,25 +1097,3 @@ def test_one_break_search_factors_linear_in_t(monkeypatch):
         assert sum(calls) == (2 * (t_total - 2 * min_len + 1) if m else 1), (t_total, m)
     assert len(calls) == 1
 
-
-def test_with_response_restricted_scores_match_a_fresh_state():
-    # a state that shares its base's factors scores restricted partitions
-    # bit for bit as a fresh state of the same response does
-    rng = np.random.default_rng(21)
-    linear_trend = block_restriction(1, 4, [("zero", 1, (3, 4)), ("zero", 2, (3, 4))])
-    cases = [(trend_series(124, 62, 0), linear_trend, 1)]
-    for seed in range(4):
-        data, _ = random_instance(900 + seed, t_range=(30, 50), q_choices=(2, 3))
-        cases.append((data, segment_sparse_restriction(rng, 2, data.n_regressors), 2))
-    for data, restr, m in cases:
-        t_total = data.n_obs
-        min_len = SearchConfig(m=m).min_segment_length(t_total, data.n_regressors)
-        breaks = next(segmentation._partition_chunks(t_total, m, min_len))
-        bounds = segmentation._with_ends(breaks, t_total)
-        base = SegmentMoments(data)
-        base.restricted_ssr(bounds, restr)
-        for _ in range(2):
-            y = data.y + rng.normal(size=t_total)
-            shared = base.with_response(y)
-            fresh = SegmentMoments(RegressionData(y=y, z=data.z))
-            assert np.array_equal(shared.restricted_ssr(bounds, restr), fresh.restricted_ssr(bounds, restr))

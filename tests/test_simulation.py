@@ -20,6 +20,8 @@ from steinbreak import (
 from steinbreak.cli import main
 from steinbreak.simulation import _one_replication
 
+from helpers import fixed_regressor_reference
+
 
 def test_case1_design_matches_printed_values():
     design = build_case1(n_obs=100)
@@ -148,8 +150,9 @@ def test_fixed_regressor_mode():
 
 
 def test_fixed_regressors_share_one_factorization(monkeypatch):
-    # with z fixed, the replications read one set of segment Gram factors;
-    # refactoring per replication gives the same study
+    # with z fixed, every replication of the study, at every noise level,
+    # reads one set of segment Gram factors; fitting each replication alone
+    # on its own search state, which factors again, gives the same study
     import dataclasses
 
     from steinbreak import segmentation
@@ -167,13 +170,12 @@ def test_fixed_regressors_share_one_factorization(monkeypatch):
     monkeypatch.setattr(segmentation, "_cholesky_rows", counted)
     shared = run_monte_carlo(design)
     assert len(calls) == 1
-    monkeypatch.setattr(segmentation, "_FACTOR_CACHE_BYTES", 0)
-    alone = run_monte_carlo(design)
+    alone = fixed_regressor_reference(design)
     assert len(calls) == 1 + 10
-    assert shared.risks == alone.risks
+    assert shared.risks == alone["risks"]
     for sigma2 in design.sigma2_grid:
-        assert np.array_equal(shared.breaks_ue[sigma2], alone.breaks_ue[sigma2])
-        assert np.array_equal(shared.breaks_re[sigma2], alone.breaks_re[sigma2])
+        assert np.array_equal(shared.breaks_ue[sigma2], alone["breaks_ue"][sigma2])
+        assert np.array_equal(shared.breaks_re[sigma2], alone["breaks_re"][sigma2])
 
 
 def test_simulate_and_fit_agree(tmp_path):
