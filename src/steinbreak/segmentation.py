@@ -446,13 +446,10 @@ class SegmentMoments:
         response.
         """
         layout, prefix = self._component_prefix(restriction)
-        if responses is None:
-            picked = slice(None)
-        elif np.ndim(responses) == 0:
-            picked = slice(responses, responses + 1)
-            prefix = prefix[:, :, picked]
-        else:
-            picked = np.asarray(responses)
+        picked, squeeze = slice(None), self.n_responses == 1
+        if responses is not None:
+            squeeze = np.ndim(responses) == 0
+            picked = slice(responses, responses + 1) if squeeze else np.asarray(responses)
             prefix = prefix[:, :, picked]
         base = np.arange(len(layout.slots))[:, None] * (self.n_obs + 1)
         moments = np.take(prefix, bounds[:, layout.slots + 1].T + base, axis=3)
@@ -471,8 +468,7 @@ class SegmentMoments:
         for (s, e), mask in zip(self._excluded, self._excluded_for):
             inside = ((bounds[:, :-1] >= s) & (bounds[:, 1:] <= e)).any(axis=1)
             ssr[np.ix_(mask[picked], inside)] = np.inf
-        single = responses is None and self.n_responses == 1
-        return ssr[0] if single or (responses is not None and np.ndim(responses) == 0) else ssr
+        return ssr[0] if squeeze else ssr
 
     def _component_prefix(self, restriction: Restriction) -> tuple[_ComponentLayout, np.ndarray]:
         """The restriction's :class:`_ComponentLayout` and the prefix sums
