@@ -54,6 +54,7 @@ from .segmentation import (
     find_breaks_restricted,
     find_breaks_unrestricted,
     response_batches,
+    response_chunks,
 )
 from .simulation import (
     SimDesign,
@@ -373,16 +374,18 @@ def _fit_pipeline(
     data: RegressionData,
     restriction: Restriction,
     stats: SegmentMoments | None = None,
-) -> list:
+):
     """Both break searches for every response of ``data``, then the
-    estimator class at their breaks: the responses are searched in
-    :func:`~steinbreak.segmentation.response_batches` and fitted by
-    :func:`~steinbreak.segmentation.estimate_groups`.
+    estimator class at their breaks: chunk by chunk
+    (:func:`~steinbreak.segmentation.response_chunks`), the responses are
+    searched in :func:`~steinbreak.segmentation.response_batches` and fitted
+    by :func:`~steinbreak.segmentation.estimate_groups`.
 
     ``restriction`` is the config's restriction for ``data``'s regressors,
     built once per run by the caller.  ``stats`` is a search state on
-    ``data``'s regressors; by default it is built for ``data``.  Returns one
-    result dict, or the error that ended it, per response.
+    ``data``'s regressors; by default one is built per chunk.  Yields one
+    result dict, or the error that ended it, per response, in order; a
+    chunk's results are dropped once the caller moves past them.
     """
     v = cfg.values
     cfg_dp = SearchConfig(m=v["m"], min_seg_frac=v["min_seg_frac"])
@@ -392,23 +395,24 @@ def _fit_pipeline(
         method=_SEARCH_METHODS[v["restricted_search"]],
         exhaustive_budget=v["exhaustive_budget"],
     )
-    searches = []
-    for batch, state in response_batches(data, stats):
-        ue = find_breaks_unrestricted(batch, cfg_dp, stats=state)
-        re = find_breaks_restricted(batch, restriction, cfg_re, stats=state)
-        searches += zip(ue.results, re.results)
-    return estimate_groups(
-        data,
-        restriction,
-        searches,
-        shrink_partition=v["shrink_partition"],
-        shrinkage=tuple(name for name in v["estimators"] if name in SHRINKAGE_RULES),
-        omega=v["omega"],
-        bandwidth=v["hac_bandwidth"],
-    )
+    for chunk in response_chunks(data):
+        searches = []
+        for batch, state in response_batches(chunk, stats):
+            ue = find_breaks_unrestricted(batch, cfg_dp, stats=state)
+            re = find_breaks_restricted(batch, restriction, cfg_re, stats=state)
+            searches += zip(ue.results, re.results)
+        yield from estimate_groups(
+            chunk,
+            restriction,
+            searches,
+            shrink_partition=v["shrink_partition"],
+            shrinkage=tuple(name for name in v["estimators"] if name in SHRINKAGE_RULES),
+            omega=v["omega"],
+            bandwidth=v["hac_bandwidth"],
+        )
 
 
-def _one_result(results: list) -> dict:
+def _one_result(results) -> dict:
     """The result of a one-response run; its error is raised."""
     (result,) = results
     if isinstance(result, SteinbreakError):
@@ -457,10 +461,13 @@ def cmd_bootstrap(cfg: RunConfig) -> tuple[dict, int]:
 
     All ``B`` responses are drawn first and run as one batch
     (:func:`_fit_pipeline`) on the base fit's search state, which keeps its
-    segment Gram factors: every Gram is factored once per bootstrap.  A
-    replicate's numbers do not depend on its batch, so ``table1.csv`` is
-    that of fitting each replicate alone.  A replicate whose pipeline ends
-    in a ``SteinbreakError`` counts once in ``n_fail`` and leaves the sums.
+    segment Gram factors: every Gram is factored once per bootstrap.  Each
+    replicate's squared deviations are added to the sums as the batch
+    yields it, so memory does not grow with ``B`` beyond the responses
+    themselves.  A replicate's numbers do not depend on its batch, so
+    ``table1.csv`` is that of fitting each replicate alone.  A replicate
+    whose pipeline ends in a ``SteinbreakError`` counts once in ``n_fail``
+    and leaves the sums.
     """
     data, restriction = _load_fit_data(cfg)
     stats = SegmentMoments(data, keep_factors=True)

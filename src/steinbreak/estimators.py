@@ -42,9 +42,6 @@ from .model import Partition, RegressionData, Restriction, build_design
 # ||R d - r||_inf <= CONSTRAINT_TOL * (1 + ||r||_inf).
 CONSTRAINT_TOL = 1e-8
 _EPS = float(np.finfo(float).eps)
-# Responses whose score covariances are formed in one stacked product;
-# bounds the (B, T, n) scores of a batch's plug-ins.
-_OMEGA_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -375,14 +372,12 @@ def build_plugin_matrices(
         rbar[p * q:(p + 1) * q, p * q:(p + 1) * q] = rp
     lags = newey_west_bandwidth(t_total) if bandwidth is None else int(bandwidth)
     qrows = lapack.dtrtrs(rbar, zbar.T, trans=1)[0].T
-    residuals = ue.residuals.reshape(-1, t_total)
-    s_hat, a_hat = np.empty((2, len(residuals), n, n))
-    for i in range(0, len(residuals), _OMEGA_BATCH):
-        omega = estimate_omega(qrows, residuals[i:i + _OMEGA_BATCH], method=method, bandwidth=lags)
-        for s_one, a_one, o_one in zip(s_hat[i:], a_hat[i:], omega):
-            half = lapack.dtrtrs(rbar, o_one)[0]
-            s_one[...] = sym(t_total**2 * lapack.dtrtrs(rbar, half.T)[0])
-            a_one[...] = wald_metric(s_one, restriction.matrix)
+    omega = estimate_omega(qrows, ue.residuals.reshape(-1, t_total), method=method, bandwidth=lags)
+    s_hat, a_hat = np.empty((2, *omega.shape))
+    for s_one, a_one, o_one in zip(s_hat, a_hat, omega):
+        half = lapack.dtrtrs(rbar, o_one)[0]
+        s_one[...] = sym(t_total**2 * lapack.dtrtrs(rbar, half.T)[0])
+        a_one[...] = wald_metric(s_one, restriction.matrix)
     shape = ue.residuals.shape[:-1] + (n, n)
     label = "hc0" if method == "hc0" else f"hac({lags})"
     return PluginMatrices(a_hat=a_hat.reshape(shape), sandwich=s_hat.reshape(shape), omega_method=label)

@@ -33,9 +33,11 @@ Both searches run over a batch of responses on one set of regressors (a
 residual bootstrap's replicates): every kernel is elementwise over the
 responses, or one same-shape product per response, so a response's
 partition, SSR and cycle count are those of a search of that response
-alone.  :func:`response_batches` feeds a state ``_BATCH`` responses at a
-time, and :func:`estimate_groups` fits the responses that land on the same
-partitions as one group.
+alone.  A batched run takes its responses ``_FIT_CHUNK`` at a time
+(:func:`response_chunks`); :func:`response_batches` feeds a state ``_BATCH``
+of them at a time, and :func:`estimate_groups` fits the responses of a
+chunk that land on the same partitions as one group.  Both constants bound
+memory whatever the number of responses.
 """
 
 from __future__ import annotations
@@ -746,8 +748,9 @@ def _with_ends(breaks: np.ndarray, t_total: int) -> np.ndarray:
 _EXHAUSTIVE_CHUNK = 1024
 
 
-def _partition_chunks(n_obs: int, m: int, min_len: int):
-    """Feasible break vectors in lexicographic order, as ``(rows, m)`` arrays.
+def _partition_chunks(n_obs: int, m: int, min_len: int, size: int = _EXHAUSTIVE_CHUNK):
+    """Feasible break vectors in lexicographic order, as ``(rows, m)`` arrays
+    of ``size`` rows (the last may have fewer).
 
     With ``s = n_obs - (m + 1) min_len``, the strictly increasing ``c`` in
     ``combinations(range(s + m), m)`` map to the break vectors
@@ -757,27 +760,31 @@ def _partition_chunks(n_obs: int, m: int, min_len: int):
     slack = n_obs - (m + 1) * min_len
     offset = np.arange(m) * (min_len - 1) + min_len
     combos = combinations(range(slack + m), m)
-    while batch := list(islice(combos, _EXHAUSTIVE_CHUNK)):
+    while batch := list(islice(combos, size)):
         flat = np.fromiter(chain.from_iterable(batch), dtype=np.intp, count=len(batch) * m)
         yield flat.reshape(len(batch), m) + offset
 
 
-def _exhaustive_min(t_total, m, min_len, objective, budget) -> tuple[np.ndarray, np.ndarray]:
-    """Each response's lexicographically first break vector minimizing
-    ``objective``, ``(B, m)``, and whether its minimum is finite, ``(B,)``.
+def _exhaustive_min(t_total, m, min_len, objective, budget, n_resp=1) -> tuple[np.ndarray, np.ndarray]:
+    """Each of ``n_resp`` responses' lexicographically first break vector
+    minimizing ``objective``, ``(B, m)``, and whether its minimum is finite,
+    ``(B,)``.
 
     ``objective`` maps a ``(rows, m)`` array of break vectors to their
-    scores, ``(rows,)`` for one response or ``(B, rows)``.  Raises
-    ``BudgetExceeded`` before enumerating more than ``budget`` partitions.
+    scores, ``(rows,)`` for one response or ``(B, rows)``; it is called on
+    ``_EXHAUSTIVE_CHUNK // n_resp`` rows at a time, so that a call scores
+    about ``_EXHAUSTIVE_CHUNK`` partitions whatever ``B``.  A strictly
+    lower chunk minimum replaces the kept one, so the first minimizer wins
+    at any chunk size.  Raises ``BudgetExceeded`` before enumerating more
+    than ``budget`` partitions.
     """
     n_part = count_partitions(t_total, m, min_len)
     if n_part > budget:
         raise BudgetExceeded(n_part, budget)
-    best_val = best_breaks = None
-    for breaks in _partition_chunks(t_total, m, min_len):
+    best_val = np.full(n_resp, np.inf)
+    best_breaks = np.zeros((n_resp, m), dtype=np.intp)
+    for breaks in _partition_chunks(t_total, m, min_len, max(1, _EXHAUSTIVE_CHUNK // n_resp)):
         vals = np.atleast_2d(objective(breaks))
-        if best_val is None:
-            best_val, best_breaks = np.full(len(vals), np.inf), np.zeros((len(vals), m), dtype=np.intp)
         i = np.argmin(vals, axis=1)
         low = vals[np.arange(len(vals)), i]
         better = low < best_val
@@ -869,7 +876,7 @@ def _search(data, restriction, config, stats) -> SegmentationResult | Segmentati
             elif config.method == METHOD_EXHAUSTIVE:
                 rows = np.array(pending)
                 breaks, found = _exhaustive_min(
-                    t_total, m, min_len, lambda b: score(b, rows), config.exhaustive_budget
+                    t_total, m, min_len, lambda b: score(b, rows), config.exhaustive_budget, len(rows)
                 )
                 picked = {r: tuple(b) for r, b, ok in zip(pending, breaks, found) if ok}
             else:
@@ -957,6 +964,21 @@ def _by_member(fn, members: list) -> list:
 # Responses a batched run searches at a time; bounds its tables to
 # _BATCH T^2 doubles.  A response's numbers do not depend on it.
 _BATCH = 4
+# Responses a batched run fits at a time: fit groups form within a chunk,
+# which bounds the fits, residuals and plug-in scores alive at once to
+# _FIT_CHUNK of each.  A response's numbers do not depend on it either.
+_FIT_CHUNK = 64
+
+
+def response_chunks(data: RegressionData):
+    """The responses of ``data``, ``_FIT_CHUNK`` at a time: ``data`` itself
+    when it holds no more."""
+    n_resp = len(data.responses)
+    if n_resp <= _FIT_CHUNK:
+        yield data
+        return
+    for start in range(0, n_resp, _FIT_CHUNK):
+        yield data.select(slice(start, start + _FIT_CHUNK))
 
 
 def response_batches(data: RegressionData, stats: SegmentMoments | None = None):
@@ -989,7 +1011,8 @@ def estimate_groups(
 ) -> list:
     """The estimator class of every response of ``data`` at the breaks of
     its two searches: the one estimation step of ``fit``, ``bootstrap`` and
-    ``simulate``, after they search :func:`response_batches`.
+    ``simulate``, after they search :func:`response_batches`, one
+    :func:`response_chunks` chunk at a time.
 
     ``searches`` holds, per response, its unrestricted and restricted
     search outcome (a :class:`SegmentationResult` or the error that ended

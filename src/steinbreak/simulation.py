@@ -35,6 +35,7 @@ from .segmentation import (
     find_breaks_restricted,
     find_breaks_unrestricted,
     response_batches,
+    response_chunks,
 )
 
 ESTIMATOR_NAMES = ("ue", "re", "js", "pp")
@@ -184,38 +185,38 @@ def _rep_rng(seed: int, sigma_index: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, sigma_index, rep)))
 
 
-def _replications(design: SimDesign, data: RegressionData, stats: SegmentMoments | None = None) -> list:
+def _replications(design: SimDesign, data: RegressionData, stats: SegmentMoments | None = None):
     """Estimate breaks and the four estimators on each response of ``data``.
 
-    Returns, per response, (losses by estimator, ue breaks, re breaks), or
-    the ``SteinbreakError`` that ended it.  The restricted estimator is
-    fitted at its own break estimates; the shrinkage pair conditions
-    everything (including the plug-in matrices) on the unrestricted
-    breaks.  The responses are searched in
-    :func:`~steinbreak.segmentation.response_batches` on ``stats`` (a search
-    state on ``data.z``; by default one is built here) and fitted by
-    :func:`~steinbreak.segmentation.estimate_groups`.
+    Yields, per response in order, (losses by estimator, ue breaks, re
+    breaks), or the ``SteinbreakError`` that ended it.  The restricted
+    estimator is fitted at its own break estimates; the shrinkage pair
+    conditions everything (including the plug-in matrices) on the
+    unrestricted breaks.  Chunk by chunk
+    (:func:`~steinbreak.segmentation.response_chunks`), the responses are
+    searched in :func:`~steinbreak.segmentation.response_batches` on
+    ``stats`` (a search state on ``data.z``; by default one is built per
+    chunk) and fitted by :func:`~steinbreak.segmentation.estimate_groups`.
     """
     cfg = SearchConfig(m=design.m, min_seg_frac=design.min_seg_frac)
     rcfg = SearchConfig(
         m=design.m, min_seg_frac=design.min_seg_frac, method=design.restricted_search
     )
-    searches = []
-    for batch, state in response_batches(data, stats):
-        ue = find_breaks_unrestricted(batch, cfg, stats=state)
-        re = find_breaks_restricted(batch, design.restriction, rcfg, stats=state)
-        searches += zip(ue.results, re.results)
-    out = []
-    for fitted in estimate_groups(data, design.restriction, searches):
-        if isinstance(fitted, SteinbreakError):
-            out.append(fitted)
-            continue
-        losses = {}
-        for name, est in fitted["estimates"].items():
-            err = est.delta - design.delta0
-            losses[name] = float(err @ err)
-        out.append((losses, fitted["ue_search"].partition.breaks, fitted["re_search"].partition.breaks))
-    return out
+    for chunk in response_chunks(data):
+        searches = []
+        for batch, state in response_batches(chunk, stats):
+            ue = find_breaks_unrestricted(batch, cfg, stats=state)
+            re = find_breaks_restricted(batch, design.restriction, rcfg, stats=state)
+            searches += zip(ue.results, re.results)
+        for fitted in estimate_groups(chunk, design.restriction, searches):
+            if isinstance(fitted, SteinbreakError):
+                yield fitted
+                continue
+            losses = {}
+            for name, est in fitted["estimates"].items():
+                err = est.delta - design.delta0
+                losses[name] = float(err @ err)
+            yield losses, fitted["ue_search"].partition.breaks, fitted["re_search"].partition.breaks
 
 
 def _one_replication(design: SimDesign, data: RegressionData):

@@ -572,13 +572,15 @@ def criterion_7_series(path):
 
 
 def captured_batches(monkeypatch):
-    """The results of every pipeline run, in run order."""
+    """The results of every pipeline run, in run order, as it yields them."""
     runs = []
     original = cli._fit_pipeline
 
     def spied(*args, **kwargs):
-        runs.append(original(*args, **kwargs))
-        return runs[-1]
+        runs.append([])
+        for result in original(*args, **kwargs):
+            runs[-1].append(result)
+            yield result
 
     monkeypatch.setattr(cli, "_fit_pipeline", spied)
     return runs
@@ -602,9 +604,11 @@ def same_replicates(batched, reference):
 
 @pytest.mark.parametrize("series", ["criterion-7", "bench"])
 def test_bootstrap_batch_matches_the_per_replicate_reference(tmp_path, monkeypatch, series):
-    # the replicates run as one batch, searched _BATCH at a time and fitted
-    # by partition group; table1.csv, every replicate's estimates and psi are
-    # bit for bit those of fitting each replicate alone, at any batch size
+    # the replicates run as one batch, _FIT_CHUNK at a time, searched _BATCH
+    # at a time with _EXHAUSTIVE_CHUNK partitions per scoring call, and
+    # fitted by partition group; table1.csv, every replicate's estimates and
+    # psi are bit for bit those of fitting each replicate alone, at any of
+    # those sizes
     from steinbreak import segmentation
 
     from helpers import per_replicate_bootstrap
@@ -621,18 +625,24 @@ def test_bootstrap_batch_matches_the_per_replicate_reference(tmp_path, monkeypat
         write_csv(tmp_path / "reference.csv", header, [row])
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(values))
-        for batch in (segmentation._BATCH, 1, 3):
+        sizes = (segmentation._BATCH, segmentation._FIT_CHUNK, segmentation._EXHAUSTIVE_CHUNK)
+        for batch, chunk, rows in (sizes, (1, 1, 13), (3, 3, 64), (2, 5, 100)):
             monkeypatch.setattr(segmentation, "_BATCH", batch)
+            monkeypatch.setattr(segmentation, "_FIT_CHUNK", chunk)
+            monkeypatch.setattr(segmentation, "_EXHAUSTIVE_CHUNK", rows)
             runs = captured_batches(monkeypatch)
             assert main(["bootstrap", "--config", str(cfg)]) == EXIT_OK
             got = (tmp_path / "out" / "table1.csv").read_bytes()
-            assert got == (tmp_path / "reference.csv").read_bytes(), (m, omega, search, shrink, batch)
+            assert got == (tmp_path / "reference.csv").read_bytes(), (m, omega, search, shrink, batch, chunk, rows)
             same_replicates(runs[1], reference)
 
 
 def test_criterion_7_bootstrap_matches_the_per_replicate_reference(tmp_path, monkeypatch):
     # criterion 7's B = 200 run: every replicate lands on the base breaks,
-    # so all 200 form one fit group, and the table is the reference's
+    # so each chunk of _FIT_CHUNK replicates forms one fit group, and the
+    # table is the reference's
+    from steinbreak import segmentation
+
     from helpers import per_replicate_bootstrap
 
     path = tmp_path / "series.csv"
@@ -652,7 +662,7 @@ def test_criterion_7_bootstrap_matches_the_per_replicate_reference(tmp_path, mon
     assert main(["bootstrap", "--config", str(cfg)]) == EXIT_OK
     assert (tmp_path / "out" / "table1.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
     same_replicates(runs[1], reference)
-    assert len(designs) == 2
+    assert len(designs) == 1 + -(-200 // segmentation._FIT_CHUNK)
 
 
 def test_one_failed_replicate_fails_only_itself(tmp_path, monkeypatch, capsys):
@@ -705,24 +715,28 @@ def test_one_failed_replicate_fails_only_itself(tmp_path, monkeypatch, capsys):
 
 
 def test_bootstrap_memory_stays_bounded(tmp_path):
-    # B = 500 on the criterion-7 series: the replicates are searched
-    # _BATCH at a time, so no more than _BATCH dense tables (117^2 doubles,
-    # 0.11 MB each) live at once.  What grows with B is a few B x T arrays
-    # (0.47 MB each: the responses, the handed-on and stacked fits and
-    # their residuals) and each replicate's small result; it reads 5.3 MB,
-    # against 0.55 MB replicate by replicate and about 55 MB with a table
-    # per replicate
+    # B = 500 on the criterion-7 series.  The replicates are searched
+    # _BATCH at a time (at most _BATCH dense tables of 117^2 doubles, 0.11
+    # MB each) and fitted _FIT_CHUNK at a time, and each replicate leaves
+    # the sums as soon as it is fitted, so the traced peak grows with B only
+    # by the drawn responses (B x 117 doubles, 0.23 MB from B = 250 to 500).
+    # It reads 2.3 MB at B = 500 and 2.1 MB at B = 250, against 0.55 MB
+    # replicate by replicate and about 55 MB with a table per replicate
     path = tmp_path / "series.csv"
     criterion_7_series(path)
-    cfg = fit_config(tmp_path, csv=str(path), bootstrap_b=500, min_seg_frac=0.15, seed=11)
-    tracemalloc.start()
-    try:
-        assert main(["bootstrap", "--config", str(cfg)]) == EXIT_OK
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 6e6, f"peak {peak / 1e6:.2f} MB"
-    assert read_rows(tmp_path / "out" / "table1.csv")[0]["n_fail"] == "0"
+    peaks = {}
+    for n_b in (250, 500):
+        cfg = fit_config(tmp_path, csv=str(path), bootstrap_b=n_b, min_seg_frac=0.15, seed=11)
+        tracemalloc.start()
+        try:
+            assert main(["bootstrap", "--config", str(cfg)]) == EXIT_OK
+            _, peaks[n_b] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert read_rows(tmp_path / "out" / "table1.csv")[0]["n_fail"] == "0"
+    assert peaks[500] < 3e6, f"peak {peaks[500] / 1e6:.2f} MB"
+    growth = peaks[500] - peaks[250]
+    assert growth < 250 * 117 * 8 + 0.15e6, f"peak grew by {growth / 1e6:.2f} MB from B = 250 to 500"
 
 
 def test_bootstrap_builds_one_restriction(tmp_path, monkeypatch):
