@@ -385,7 +385,8 @@ def _fit_pipeline(
     built once per run by the caller.  ``stats`` is a search state on
     ``data``'s regressors; by default one is built per chunk.  Yields one
     result dict, or the error that ended it, per response, in order; a
-    chunk's results are dropped once the caller moves past them.
+    chunk's results are dropped once the caller moves past them.  The
+    search of a lone response raises its error instead.
     """
     v = cfg.values
     cfg_dp = SearchConfig(m=v["m"], min_seg_frac=v["min_seg_frac"])

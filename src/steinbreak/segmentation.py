@@ -144,6 +144,12 @@ class SegmentationResult:
         coordinate refinement."""
         return self.method_used != METHOD_REFINE
 
+    @property
+    def results(self) -> tuple:
+        """This result as the results of a batch of one response, as
+        :class:`SegmentationBatch` has them."""
+        return (self,)
+
 
 @dataclass(frozen=True)
 class SegmentationBatch:
@@ -535,7 +541,7 @@ class SegmentMoments:
         t_total, q, n_resp = self.n_obs, self.n_regressors, self.n_responses
         tab = np.full((n_resp, t_total, t_total), np.inf)
         # rows: Z'y prefix sums, then y'y; one column per response and time
-        response = np.ascontiguousarray(np.moveaxis(self._cum[:, :, :, q], 2, 0))
+        response = np.ascontiguousarray(self._cum[:, :, :, q].transpose(2, 0, 1))
         for starts, ends, fac, fallback in self._factor_blocks(*key):
             w = np.take(response, ends, axis=2)
             w -= np.take(response, starts, axis=2)
@@ -912,7 +918,7 @@ def _search(data, restriction, config, stats) -> SegmentationResult | Segmentati
                     for i, r in enumerate(rows):
                         results[r] = SegmentationResult(
                             partition=partition,
-                            ssr=float(ssr[i]),
+                            ssr=float(np.reshape(ssr, -1)[i]),
                             method_used=config.method,
                             iterations=cycles[r],
                             fit=None if found is None else take_response(found, i),
@@ -928,8 +934,8 @@ def _search(data, restriction, config, stats) -> SegmentationResult | Segmentati
 
 def _members(data: RegressionData, rows: list) -> RegressionData:
     """The batch of the responses ``rows`` of ``data``: ``data`` itself when
-    it is a batch of exactly those."""
-    if data.y.ndim == 2 and rows == list(range(len(data.y))):
+    it holds exactly those, as a lone response does."""
+    if rows == list(range(len(data.responses))):
         return data
     return data.select(rows)
 
@@ -983,19 +989,19 @@ def response_chunks(data: RegressionData):
 
 def response_batches(data: RegressionData, stats: SegmentMoments | None = None):
     """The responses of ``data``, ``_BATCH`` at a time, each batch loaded
-    into one search state: ``(batch, stats)`` pairs.
+    into one search state: ``(batch, stats)`` pairs.  A lone response is
+    its own batch, so it is searched and fitted on its own arrays.
 
     Given ``stats`` (a state on ``data.z``), every batch is loaded by
     :meth:`SegmentMoments.set_responses`; otherwise one state is built
     here, keeping its factors when there is more than one batch.
     """
     n_resp = len(data.responses)
-    fresh = stats is None
-    if fresh:
-        stats = SegmentMoments(data.select(slice(0, _BATCH)), keep_factors=n_resp > _BATCH)
     for start in range(0, n_resp, _BATCH):
-        batch = data.select(slice(start, start + _BATCH))
-        if start or not fresh:
+        batch = data if n_resp == 1 else data.select(slice(start, start + _BATCH))
+        if stats is None:
+            stats = SegmentMoments(batch, keep_factors=n_resp > _BATCH)
+        else:
             stats.set_responses(batch.y)
         yield batch, stats
 
@@ -1038,8 +1044,9 @@ def estimate_groups(
     for (ue_part, re_part), members in _grouped(picked).items():
 
         def fitted(ms, ue_part=ue_part, re_part=re_part):
+            sub = _members(data, ms)
             return estimate_class(
-                _members(data, ms),
+                sub,
                 restriction,
                 ue_part,
                 re_part,
@@ -1047,7 +1054,7 @@ def estimate_groups(
                 shrinkage=shrinkage,
                 omega=omega,
                 bandwidth=bandwidth,
-                ue=stack_responses([searches[r][0].fit for r in ms]),
+                ue=stack_responses([searches[r][0].fit for r in ms]) if sub.y.ndim == 2 else searches[ms[0]][0].fit,
             )
 
         for rows, outcome in _by_member(fitted, members):
@@ -1056,12 +1063,14 @@ def estimate_groups(
                     out[r] = outcome
                     continue
                 plugin = outcome["plugin"]
+                if plugin.a_hat.ndim == 3:
+                    plugin = PluginMatrices(plugin.a_hat[i], plugin.sandwich[i], plugin.omega_method)
                 out[r] = {
                     "ue_search": searches[r][0],
                     "re_search": searches[r][1],
                     "estimates": {name: take_response(est, i) for name, est in outcome["estimates"].items()},
-                    "plugin": PluginMatrices(plugin.a_hat[i], plugin.sandwich[i], plugin.omega_method),
-                    "psi": float(outcome["psi"][i]),
+                    "plugin": plugin,
+                    "psi": float(np.reshape(outcome["psi"], -1)[i]),
                 }
     return out
 

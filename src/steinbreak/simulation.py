@@ -189,7 +189,8 @@ def _replications(design: SimDesign, data: RegressionData, stats: SegmentMoments
     """Estimate breaks and the four estimators on each response of ``data``.
 
     Yields, per response in order, (losses by estimator, ue breaks, re
-    breaks), or the ``SteinbreakError`` that ended it.  The restricted
+    breaks), or the ``SteinbreakError`` that ended it; the search of a lone
+    response raises its error instead.  The restricted
     estimator is fitted at its own break estimates; the shrinkage pair
     conditions everything (including the plug-in matrices) on the
     unrestricted breaks.  Chunk by chunk
@@ -220,8 +221,12 @@ def _replications(design: SimDesign, data: RegressionData, stats: SegmentMoments
 
 
 def _one_replication(design: SimDesign, data: RegressionData):
-    """The outcome of :func:`_replications` on a one-response ``data``."""
-    (result,) = _replications(design, data)
+    """The outcome of :func:`_replications` on a one-response ``data``,
+    whose searches raise their error rather than return it."""
+    try:
+        (result,) = _replications(design, data)
+    except SteinbreakError as exc:
+        return exc
     return result
 
 

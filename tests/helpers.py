@@ -643,7 +643,10 @@ def per_replicate_bootstrap(values):
     for b in range(cfg.values["bootstrap_b"]):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.values["seed"], b)))
         u_star = rng.choice(centered, size=data.n_obs, replace=True)
-        (rerun,) = cli._fit_pipeline(cfg, RegressionData(y=fitted + u_star, z=data.z), restriction)
+        try:
+            (rerun,) = cli._fit_pipeline(cfg, RegressionData(y=fitted + u_star, z=data.z), restriction)
+        except SteinbreakError as exc:
+            rerun = exc
         results.append(rerun)
         if isinstance(rerun, SteinbreakError):
             failures += 1
