@@ -167,16 +167,15 @@ def _fit_from_rows(
     data: RegressionData, partition: Partition, delta: np.ndarray, factors: np.ndarray
 ) -> CoefEstimate:
     """The fit ``delta`` (``(B, n)`` for a batch) with its factors, and its
-    residuals and SSR formed from the data rows, each response by the
-    products of its own fit."""
+    residuals and SSR formed from the data rows, response by response."""
     q, ys = data.n_regressors, data.responses
-    deltas = delta.reshape(len(ys), -1)
+    segments = partition.segments(data.n_obs)
     resid = np.empty(ys.shape)
     ssr = np.zeros(len(ys))
-    for p, (s, e) in enumerate(partition.segments(data.n_obs)):
-        resid[:, s:e] = ys[:, s:e] - (data.z[s:e] @ deltas[:, p * q:(p + 1) * q, None])[:, :, 0]
-        part = resid[:, None, s:e]
-        ssr += (part @ part.transpose(0, 2, 1))[:, 0, 0]
+    for b, (y, d, r) in enumerate(zip(ys, delta.reshape(len(ys), -1), resid)):
+        for p, (s, e) in enumerate(segments):
+            r[s:e] = y[s:e] - data.z[s:e] @ d[p * q:(p + 1) * q]
+            ssr[b] += r[s:e] @ r[s:e]
     if data.y.ndim == 1:
         resid, ssr = resid[0], float(ssr[0])
     return CoefEstimate(delta=delta, partition=partition, ssr=ssr, residuals=resid, factors=factors)
@@ -211,9 +210,10 @@ def _fit_restricted_on(
     solves (the null-space method; Golub & Van Loan, sec. 12.1); a component
     of null width 0 takes ``delta_c = d0``.  ``R_c N`` and ``R_c d0`` depend
     on the regressors alone and serve every response of a batch; ``dgels``
-    runs once per response, for the reason :func:`_segment_factors` gives.
-    Raises ``SingularConstraintGram`` on an exactly zero pivot of some
-    ``R_c N`` or a constraint gap above ``CONSTRAINT_TOL`` for some response.
+    and what follows it run once per response, for the reason
+    :func:`_segment_factors` gives.  Raises ``SingularConstraintGram`` on an
+    exactly zero pivot of some ``R_c N`` or a constraint gap above
+    ``CONSTRAINT_TOL`` for some response.
     """
     fac = factors.reshape(-1, *factors.shape[-3:])
     n_seg, q = fac.shape[1:3]
@@ -228,22 +228,21 @@ def _fit_restricted_on(
         rc = rfac[segments]
         rn = (rc @ null.reshape(len(segments), q, f)).reshape(-1, f)
         rhs = qty[:, segments].reshape(len(fac), -1) - (rc @ d0.reshape(-1, q, 1)).reshape(-1)
-        theta = np.empty((len(fac), f, 1))
-        for b, one in enumerate(rhs):
-            _, solved, info = lapack.dgels(rn, one[:, None])
+        for one, out in zip(rhs, delta):
+            _, theta, info = lapack.dgels(rn, one[:, None])
             if info > 0:
                 raise SingularConstraintGram(f"R_c N of segments {[p + 1 for p in segments]} is rank deficient")
-            theta[b] = solved[:f]
-        delta[:, segments] = (d0 + (null @ theta)[:, :, 0]).reshape(len(fac), -1, q)
+            out[segments] = (d0 + null @ theta[:f, 0]).reshape(-1, q)
     delta = delta.reshape(len(fac), -1)
     rmat, rhs = restriction.matrix, restriction.rhs
-    gaps = np.abs((rmat @ delta[:, :, None])[:, :, 0] - rhs).max(axis=1)
-    violated = gaps[gaps > CONSTRAINT_TOL * (1.0 + np.max(np.abs(rhs), initial=0.0))]
-    if len(violated):
-        raise SingularConstraintGram(
-            f"constraint violated by the constrained solve (gap {violated[0]:.3e}); "
-            "the constraint Gram is too ill-conditioned"
-        )
+    tol = CONSTRAINT_TOL * (1.0 + np.max(np.abs(rhs), initial=0.0))
+    for one in delta:
+        gap = np.max(np.abs(rmat @ one - rhs))
+        if gap > tol:
+            raise SingularConstraintGram(
+                f"constraint violated by the constrained solve (gap {gap:.3e}); "
+                "the constraint Gram is too ill-conditioned"
+            )
     return _fit_from_rows(data, partition, delta.reshape(*factors.shape[:-3], -1), factors)
 
 

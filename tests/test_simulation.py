@@ -211,3 +211,32 @@ def test_simulate_and_fit_agree(tmp_path):
         assert tuple(int(r["time"]) for r in rows if r["search"] == "ue") == ue_breaks
         assert tuple(int(r["time"]) for r in rows if r["search"] == "re") == re_breaks
     assert differ == 2
+
+
+def test_a_failed_replication_counts_once_and_the_study_goes_on(monkeypatch):
+    # a redrawn-regressor replication is a lone response, whose search
+    # raises its error: the study counts it in n_fail and keeps every other
+    # replication as a study without it has them
+    import dataclasses
+
+    from steinbreak import simulation
+    from steinbreak.errors import SingularConstraintGram
+
+    design = dataclasses.replace(build_case1(n_obs=40, n_reps=5, seed=3), sigma2_grid=(1.0,))
+    clean = run_monte_carlo(design)
+    assert clean.n_fail[1.0] == 0
+    calls = []
+    original = simulation.find_breaks_restricted
+
+    def failing_second(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise SingularConstraintGram("forced failure of one replication")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "find_breaks_restricted", failing_second)
+    result = run_monte_carlo(design)
+    assert result.n_fail[1.0] == 1
+    kept = [0, 2, 3, 4]
+    np.testing.assert_array_equal(result.breaks_ue[1.0], clean.breaks_ue[1.0][kept])
+    np.testing.assert_array_equal(result.breaks_re[1.0], clean.breaks_re[1.0][kept])
