@@ -1045,6 +1045,7 @@ def estimate_groups(
 
         def fitted(ms, ue_part=ue_part, re_part=re_part):
             sub = _members(data, ms)
+            fits = [searches[r][0].fit for r in ms]
             return estimate_class(
                 sub,
                 restriction,
@@ -1054,7 +1055,7 @@ def estimate_groups(
                 shrinkage=shrinkage,
                 omega=omega,
                 bandwidth=bandwidth,
-                ue=stack_responses([searches[r][0].fit for r in ms]) if sub.y.ndim == 2 else searches[ms[0]][0].fit,
+                ue=stack_responses(fits) if sub.y.ndim == 2 else fits[0],
             )
 
         for rows, outcome in _by_member(fitted, members):
