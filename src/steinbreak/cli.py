@@ -137,8 +137,8 @@ SCHEMAS: dict[str, dict] = {
     },
 }
 
-# Allowed values of the enumerated keys; a list key allows each element,
-# must have one and must not repeat one.
+# Allowed values of the enumerated keys; a list key allows each element and
+# must have one.  A list key here or in RANGES must not repeat an element.
 ALLOWED: dict[str, tuple] = {
     "basis": ("none", "power-trend"),
     "omega": ("hc0", "hac"),
@@ -172,12 +172,13 @@ RANGES: dict[str, tuple] = {
 
 def _check_value(key: str, value) -> None:
     """Raise ``ConfigError`` if ``value`` is outside ``ALLOWED`` or ``RANGES``."""
-    if (key in RANGES or key in ALLOWED) and value == []:
+    checked = key in RANGES or key in ALLOWED
+    if checked and value == []:
         raise ConfigError(f"config key {key!r} must not be empty")
     for i, item in enumerate(value if isinstance(value, list) else [value]):
         if key in ALLOWED and item not in ALLOWED[key]:
             raise ConfigError(f"config key {key!r} must be one of {list(ALLOWED[key])}, got {item!r}")
-        if key in ALLOWED and isinstance(value, list) and item in value[:i]:
+        if checked and isinstance(value, list) and item in value[:i]:
             raise ConfigError(f"config key {key!r} must not repeat {item!r}")
         if key in RANGES and item is not None:
             low, strict, *high = RANGES[key]
@@ -385,8 +386,8 @@ def _fit_pipeline(
     built once per run by the caller.  ``stats`` is a search state on
     ``data``'s regressors; by default one is built per chunk.  Yields one
     result dict, or the error that ended it, per response, in order; a
-    chunk's results are dropped once the caller moves past them.  The
-    search of a lone response raises its error instead.
+    chunk's results are dropped once the caller moves past them.  A lone
+    response is a batch of one; :func:`_one_result` raises its error.
     """
     v = cfg.values
     cfg_dp = SearchConfig(m=v["m"], min_seg_frac=v["min_seg_frac"])
@@ -699,7 +700,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--restricted-search",
                 dest="restricted_search",
-                choices=["exhaustive", "refine"],
+                choices=ALLOWED["restricted_search"],
                 default=None,
             )
         if name == "bootstrap":

@@ -266,9 +266,7 @@ def fit_restricted(
 
 def take_response(fit: CoefEstimate, b: int) -> CoefEstimate:
     """Response ``b`` of the fit of a batch, as the fit of that response
-    alone; the fit of a lone response is its own response 0."""
-    if fit.delta.ndim == 1:
-        return fit
+    alone."""
     return CoefEstimate(
         delta=fit.delta[b],
         partition=fit.partition,

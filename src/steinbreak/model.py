@@ -84,9 +84,14 @@ class RegressionData:
         return self.y.reshape(-1, self.n_obs)
 
     def select(self, rows) -> RegressionData:
-        """The batch of the responses ``rows`` (an index array or a slice) on
+        """The batch of the responses ``rows`` (an index list or a slice) on
         the same regressors; its arrays are read-only views or copies of
-        this dataset's, which are already checked."""
+        this dataset's, which are already checked.  A batch that takes all
+        of itself in order is itself; a lone response selects as a ``(1,
+        T)`` batch."""
+        whole = range(len(self.responses))
+        if self.y.ndim == 2 and list(whole[rows] if isinstance(rows, slice) else rows) == list(whole):
+            return self
         batch = object.__new__(RegressionData)
         y = self.responses[rows]
         y.flags.writeable = False
@@ -367,7 +372,10 @@ def load_regression_csv(path) -> RegressionData:
 
 
 def write_regression_csv(path, data: RegressionData) -> None:
-    """Write ``data`` in the ``t,y,z1,...,zq`` schema."""
+    """Write ``data`` in the ``t,y,z1,...,zq`` schema; the schema holds one
+    response, so a batch raises ``DimensionMismatch``."""
+    if data.y.ndim != 1:
+        raise DimensionMismatch(f"the series schema holds one response, got a batch of {len(data.responses)}")
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -110,14 +110,6 @@ def _central_quotient(numer, shape, power: int):
     return numer / (twice if power == -1 else (twice + 2.0) * twice)
 
 
-def _central_moment(request, j: int = 0) -> float:
-    """The one central moment ``m_j`` of a ``(df, c, power)`` request."""
-    df, c, power = request
-    shape = df / 2.0 + power + j
-    numer = 1.0 if c == math.inf else special.gammainc(shape, c / 2.0)
-    return _central_quotient(numer, shape, power)
-
-
 def _central_rows(requests, j0: int, n: int) -> np.ndarray:
     """The central moments ``m_j``, ``j = j0 .. j0 + n - 1``, one row per
     ``(df, c, power)`` request.
@@ -180,11 +172,11 @@ def _poisson_weights(js: np.ndarray, lam: float) -> np.ndarray:
 def _grown_series(request, lam: float, radius: float, delta: float, tol: float) -> float:
     """The series of one ``(df, c, power)`` request whose tail bound failed
     at ``radius``: the radius doubles until the bound is below ``tol``."""
-    first = _central_moment(request)
+    first = _central_rows([request], 0, 1)[0, 0]
     while True:
         radius *= 2.0
         jlo, jhi = _window(lam, radius, delta)
-        if _tail_bound(lam, jlo, jhi, first, _central_moment(request, jhi + 1)) <= tol:
+        if _tail_bound(lam, jlo, jhi, first, _central_rows([request], jhi + 1, 1)[0, 0]) <= tol:
             break
     js = np.arange(jlo, jhi + 2, dtype=float)
     return float(np.sum(_poisson_weights(js, lam) * _central_rows([request], jlo, len(js) - 1)[0]))
@@ -252,7 +244,7 @@ def nc_chi2_moment(
 
     lam = delta / 2.0
     if lam == 0.0:
-        values = list(map(_central_moment, requests))
+        values = _central_rows(requests, 0, 1)[:, 0]
     else:
         radius = 10.0 * math.sqrt(lam) + 20.0
         jlo, jhi = _window(lam, radius, delta)
@@ -262,7 +254,7 @@ def nc_chi2_moment(
         values = np.add.reduce(_poisson_weights(js, lam) * rows[:, :-1], axis=1)
         first = None
         if jlo > 0:
-            first = np.array(list(map(_central_moment, requests)))
+            first = _central_rows(requests, 0, 1)[:, 0]
         bound = _tail_bound(lam, jlo, jhi, first, rows[:, -1])
         for row, entry_bound in enumerate(bound.tolist()):
             if not entry_bound <= tol:

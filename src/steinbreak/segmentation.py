@@ -144,12 +144,6 @@ class SegmentationResult:
         coordinate refinement."""
         return self.method_used != METHOD_REFINE
 
-    @property
-    def results(self) -> tuple:
-        """This result as the results of a batch of one response, as
-        :class:`SegmentationBatch` has them."""
-        return (self,)
-
 
 @dataclass(frozen=True)
 class SegmentationBatch:
@@ -366,14 +360,14 @@ class SegmentMoments:
     score it returns is ``+inf`` for a partition with a segment inside a
     segment excluded for that response.
 
-    ``data.y`` is one response of shape ``(T,)``, and every table, score
-    and optimum is then that response's own, or ``B`` responses of shape
-    ``(B, T)`` (a batch), and each gets a leading response axis.  Every
-    operation is elementwise over the responses, or one same-shape product
-    per response, so a response's tables, optima and scores are bit for bit
-    those of a state of that response alone, whatever its batch.  Memory
-    grows with ``B``: a dense ``T x T`` table per response, so batched runs
-    feed ``_BATCH`` responses at a time (:meth:`set_responses`).
+    ``data.y`` holds ``B`` responses of shape ``(B, T)`` (a batch), or one
+    of shape ``(T,)``, a batch of one, and every table, score and optimum
+    has a leading response axis.  Every operation is elementwise over the
+    responses, or one same-shape product per response, so a response's
+    tables, optima and scores are bit for bit those of a state of that
+    response alone, whatever its batch.  Memory grows with ``B``: a dense
+    ``T x T`` table per response, so batched runs feed ``_BATCH`` responses
+    at a time (:meth:`set_responses`).
 
     An ``m``-break search reads only the segments that some feasible
     partition contains (:func:`_reachable_rows`), so tables and factors are
@@ -404,7 +398,6 @@ class SegmentMoments:
         are those of a fresh state of ``y``; only the kept segment Gram
         factors carry over.
         """
-        self._single = np.ndim(y) == 1
         ys = np.reshape(y, (-1, self.n_obs))
         w = np.empty((len(ys), self.n_obs, self.n_regressors + 1))
         w[:, :, :-1] = self._z
@@ -448,17 +441,14 @@ class SegmentMoments:
         is NaN, or when it has a segment inside one excluded for the
         response.
 
-        ``responses`` picks the responses scored: an index gives the scores
-        of that response, shape ``(rows,)``; an index array or None (all)
-        gives ``(len, rows)``, and None ``(rows,)`` on a state of one
-        response.
+        ``responses`` picks the responses scored, a slice or an index
+        array (all when None), and the scores are ``(len(responses),
+        rows)``.  A slice picks a view of the moments; an index array copies
+        them.
         """
         layout, prefix = self._component_prefix(restriction)
-        picked, squeeze = slice(None), self.n_responses == 1
-        if responses is not None:
-            squeeze = np.ndim(responses) == 0
-            picked = slice(responses, responses + 1) if squeeze else np.asarray(responses)
-            prefix = prefix[:, :, picked]
+        picked = slice(None) if responses is None else responses
+        prefix = prefix[:, :, picked]
         base = np.arange(len(layout.slots))[:, None] * (self.n_obs + 1)
         moments = np.take(prefix, bounds[:, layout.slots + 1].T + base, axis=3)
         moments -= np.take(prefix, bounds[:, layout.slots].T + base, axis=3)
@@ -476,7 +466,7 @@ class SegmentMoments:
         for (s, e), mask in zip(self._excluded, self._excluded_for):
             inside = ((bounds[:, :-1] >= s) & (bounds[:, 1:] <= e)).any(axis=1)
             ssr[np.ix_(mask[picked], inside)] = np.inf
-        return ssr[0] if squeeze else ssr
+        return ssr
 
     def _component_prefix(self, restriction: Restriction) -> tuple[_ComponentLayout, np.ndarray]:
         """The restriction's :class:`_ComponentLayout` and the prefix sums
@@ -511,7 +501,7 @@ class SegmentMoments:
     def ssr_table(self, min_len: int, m: int) -> np.ndarray:
         """Table ``tab[i, j]`` = OLS SSR of observations ``i..j`` inclusive,
         for the segments that some feasible ``m``-break partition contains;
-        ``(B, T, T)``, one table per response, for a batch.
+        ``(B, T, T)``, one table per response.
 
         Each entry is ``y'y - ||L^-1 Z'y||^2`` with ``L`` the Cholesky
         factor of the segment's Gram ``Z'Z``; the factors come from
@@ -533,8 +523,7 @@ class SegmentMoments:
         key = (max(int(min_len), 1), int(m))
         if key not in self._tables:
             self._tables[key] = self._build_tables(key)
-        tab = self._tables[key]
-        return tab[0] if self._single else tab
+        return self._tables[key]
 
     def _build_tables(self, key: tuple[int, int]) -> np.ndarray:
         """The ``(B, T, T)`` tables of :meth:`ssr_table`."""
@@ -592,8 +581,7 @@ class SegmentMoments:
         ``(B,)``; kept until a segment is excluded."""
         key = (min_len, m)
         if key not in self._optima:
-            tab = self.ssr_table(min_len, m).reshape(-1, self.n_obs, self.n_obs)
-            best, breaks = _suffix_dp(tab, m, min_len)
+            best, breaks = _suffix_dp(self.ssr_table(min_len, m), m, min_len)
             self._optima[key] = (breaks, np.isfinite(best[:, 0, m]))
         return self._optima[key]
 
@@ -653,7 +641,7 @@ def count_partitions(n_obs: int, m: int, min_len: int) -> int:
 _DP_CHUNK = 1 << 18
 
 
-def _suffix_dp(tab: np.ndarray, m: int, min_len: int) -> tuple[np.ndarray, list[int] | np.ndarray]:
+def _suffix_dp(tabs: np.ndarray, m: int, min_len: int) -> tuple[np.ndarray, np.ndarray]:
     """Suffix Bellman recursion plus lexicographic front-to-back readout.
 
     ``best[j, c]`` is the minimal SSR of covering observations ``j..T-1``
@@ -670,15 +658,12 @@ def _suffix_dp(tab: np.ndarray, m: int, min_len: int) -> tuple[np.ndarray, list[
     :func:`_reachable_rows`; any other ``best[j, c]`` may read an entry the
     table leaves ``+inf``.
 
-    ``tab`` of shape ``(B, T, T)`` holds one table per response, and every
-    step is elementwise over them: ``best`` is then ``(B, T + 1, m + 1)``
+    ``tabs`` of shape ``(B, T, T)`` holds one table per response, and
+    every step is elementwise over them: ``best`` is ``(B, T + 1, m + 1)``
     and the break vectors ``(B, m)``, those of a response with an infinite
-    optimum meaningless.  A single table returns its break list, and raises
-    ``SegmentRankDeficient`` when its optimum is infinite.
+    optimum meaningless.
     """
-    t_total = tab.shape[-1]
-    tabs = tab.reshape(-1, t_total, t_total)
-    n_tab = len(tabs)
+    n_tab, t_total = tabs.shape[:2]
     best = np.full((n_tab, t_total + 1, m + 1), np.inf)
     best[:, :t_total - min_len + 1, 0] = tabs[:, :t_total - min_len + 1, t_total - 1]
     for c in range(1, m + 1):
@@ -688,8 +673,6 @@ def _suffix_dp(tab: np.ndarray, m: int, min_len: int) -> tuple[np.ndarray, list[
             j1, lo = min(j0 + step, n_rows), j0 + min_len
             cand = tabs[:, j0:j1, lo - 1:hi] + best[:, None, lo:hi + 1, c - 1]
             best[:, j0:j1, c] = cand.min(axis=2)
-    if tab.ndim == 2 and not np.isfinite(best[0, 0, m]):
-        raise SegmentRankDeficient("every feasible partition hit a singular segment")
     breaks = np.zeros((n_tab, m), dtype=np.intp)
     for one, table, row in zip(best, tabs, breaks):
         if not np.isfinite(one[0, m]):
@@ -699,8 +682,6 @@ def _suffix_dp(tab: np.ndarray, m: int, min_len: int) -> tuple[np.ndarray, list[
             lo, hi = j + min_len, t_total - c * min_len
             cand = table[j, lo - 1:hi] + one[lo:hi + 1, c - 1]
             j = row[m - c] = lo + int(np.argmax(cand == one[j, c]))
-    if tab.ndim == 2:
-        return best[0], [int(b) for b in breaks[0]]
     return best, breaks
 
 
@@ -771,15 +752,15 @@ def _partition_chunks(n_obs: int, m: int, min_len: int, size: int = _EXHAUSTIVE_
         yield flat.reshape(len(batch), m) + offset
 
 
-def _exhaustive_min(t_total, m, min_len, objective, budget, n_resp=1) -> tuple[np.ndarray, np.ndarray]:
+def _exhaustive_min(t_total, m, min_len, objective, budget, n_resp) -> tuple[np.ndarray, np.ndarray]:
     """Each of ``n_resp`` responses' lexicographically first break vector
     minimizing ``objective``, ``(B, m)``, and whether its minimum is finite,
     ``(B,)``.
 
     ``objective`` maps a ``(rows, m)`` array of break vectors to their
-    scores, ``(rows,)`` for one response or ``(B, rows)``; it is called on
-    ``_EXHAUSTIVE_CHUNK // n_resp`` rows at a time, so that a call scores
-    about ``_EXHAUSTIVE_CHUNK`` partitions whatever ``B``.  A strictly
+    scores, ``(B, rows)``; it is called on ``_EXHAUSTIVE_CHUNK // n_resp``
+    rows at a time, so that a call scores about ``_EXHAUSTIVE_CHUNK``
+    partitions whatever ``B``.  A strictly
     lower chunk minimum replaces the kept one, so the first minimizer wins
     at any chunk size.  Raises ``BudgetExceeded`` before enumerating more
     than ``budget`` partitions.
@@ -790,7 +771,7 @@ def _exhaustive_min(t_total, m, min_len, objective, budget, n_resp=1) -> tuple[n
     best_val = np.full(n_resp, np.inf)
     best_breaks = np.zeros((n_resp, m), dtype=np.intp)
     for breaks in _partition_chunks(t_total, m, min_len, max(1, _EXHAUSTIVE_CHUNK // n_resp)):
-        vals = np.atleast_2d(objective(breaks))
+        vals = objective(breaks)
         i = np.argmin(vals, axis=1)
         low = vals[np.arange(len(vals)), i]
         better = low < best_val
@@ -840,8 +821,9 @@ def _search(data, restriction, config, stats) -> SegmentationResult | Segmentati
     again; an excluded segment is never picked again, so the loop ends.  A
     response whose search ends in another ``SteinbreakError`` keeps it as
     its result (:func:`_by_member`).  Refinement runs its loop response by
-    response on the shared state.  A one-response ``data`` returns its
-    result, or raises its error.
+    response on the shared state.  A lone response is searched and fitted
+    as a batch of one; only at the end does a one-response ``data`` return
+    its result, or raise its error.
     """
     stats = stats if stats is not None else SegmentMoments(data)
     t_total, q, m = data.n_obs, data.n_regressors, config.m
@@ -849,7 +831,7 @@ def _search(data, restriction, config, stats) -> SegmentationResult | Segmentati
     if restriction is None:
 
         def score(breaks, rows):
-            return _fold_total(stats.ssr_table(min_len, m).reshape(-1, t_total, t_total)[rows], breaks, t_total)
+            return _fold_total(stats.ssr_table(min_len, m)[rows], breaks, t_total)
 
         def fit(sub, partition):
             found = fit_unrestricted(sub, partition)
@@ -863,8 +845,6 @@ def _search(data, restriction, config, stats) -> SegmentationResult | Segmentati
             )
 
         def score(breaks, rows):
-            if stats.n_responses == 1:
-                return stats.restricted_ssr(_with_ends(breaks, t_total), restriction)
             return stats.restricted_ssr(_with_ends(breaks, t_total), restriction, rows)
 
         def fit(sub, partition):
@@ -880,16 +860,20 @@ def _search(data, restriction, config, stats) -> SegmentationResult | Segmentati
                 breaks, found = stats._dp_optima(min_len, m)
                 picked = {r: tuple(breaks[r]) for r in pending if found[r]}
             elif config.method == METHOD_EXHAUSTIVE:
-                rows = np.array(pending)
+                rows = slice(None) if len(pending) == stats.n_responses else np.array(pending)
                 breaks, found = _exhaustive_min(
-                    t_total, m, min_len, lambda b: score(b, rows), config.exhaustive_budget, len(rows)
+                    t_total, m, min_len, lambda b: score(b, rows), config.exhaustive_budget, len(pending)
                 )
                 picked = {r: tuple(b) for r, b, ok in zip(pending, breaks, found) if ok}
             else:
                 for r in pending:
                     try:
                         breaks, n_cycles = _refine(
-                            t_total, m, min_len, lambda b, r=r: score(b, r), stats.dp_optimum(min_len, m, r)
+                            t_total,
+                            m,
+                            min_len,
+                            lambda b, r=r: score(b, slice(r, r + 1))[0],
+                            stats.dp_optimum(min_len, m, r),
                         )
                     except SegmentRankDeficient as exc:
                         results[r] = exc
@@ -906,7 +890,7 @@ def _search(data, restriction, config, stats) -> SegmentationResult | Segmentati
         pending = []
         for breaks, members in _grouped(picked).items():
             partition = Partition(tuple(int(b) for b in breaks))
-            for rows, outcome in _by_member(lambda ms: fit(_members(data, ms), partition), members):
+            for rows, outcome in _by_member(lambda ms: fit(data.select(ms), partition), members):
                 if isinstance(outcome, SegmentRankDeficient):
                     stats.exclude(outcome.segments, rows)
                     pending += rows
@@ -918,7 +902,7 @@ def _search(data, restriction, config, stats) -> SegmentationResult | Segmentati
                     for i, r in enumerate(rows):
                         results[r] = SegmentationResult(
                             partition=partition,
-                            ssr=float(np.reshape(ssr, -1)[i]),
+                            ssr=float(ssr[i]),
                             method_used=config.method,
                             iterations=cycles[r],
                             fit=None if found is None else take_response(found, i),
@@ -930,14 +914,6 @@ def _search(data, restriction, config, stats) -> SegmentationResult | Segmentati
             raise result
         return result
     return SegmentationBatch(results=tuple(results), method_used=config.method)
-
-
-def _members(data: RegressionData, rows: list) -> RegressionData:
-    """The batch of the responses ``rows`` of ``data``: ``data`` itself when
-    it holds exactly those, as a lone response does."""
-    if rows == list(range(len(data.responses))):
-        return data
-    return data.select(rows)
 
 
 def _grouped(picked: dict) -> dict:
@@ -977,20 +953,14 @@ _FIT_CHUNK = 64
 
 
 def response_chunks(data: RegressionData):
-    """The responses of ``data``, ``_FIT_CHUNK`` at a time: ``data`` itself
-    when it holds no more."""
-    n_resp = len(data.responses)
-    if n_resp <= _FIT_CHUNK:
-        yield data
-        return
-    for start in range(0, n_resp, _FIT_CHUNK):
+    """The responses of ``data``, ``_FIT_CHUNK`` at a time, each a batch."""
+    for start in range(0, len(data.responses), _FIT_CHUNK):
         yield data.select(slice(start, start + _FIT_CHUNK))
 
 
 def response_batches(data: RegressionData, stats: SegmentMoments | None = None):
     """The responses of ``data``, ``_BATCH`` at a time, each batch loaded
-    into one search state: ``(batch, stats)`` pairs.  A lone response is
-    its own batch, so it is searched and fitted on its own arrays.
+    into one search state: ``(batch, stats)`` pairs.
 
     Given ``stats`` (a state on ``data.z``), every batch is loaded by
     :meth:`SegmentMoments.set_responses`; otherwise one state is built
@@ -998,7 +968,7 @@ def response_batches(data: RegressionData, stats: SegmentMoments | None = None):
     """
     n_resp = len(data.responses)
     for start in range(0, n_resp, _BATCH):
-        batch = data if n_resp == 1 else data.select(slice(start, start + _BATCH))
+        batch = data.select(slice(start, start + _BATCH))
         if stats is None:
             stats = SegmentMoments(batch, keep_factors=n_resp > _BATCH)
         else:
@@ -1044,10 +1014,8 @@ def estimate_groups(
     for (ue_part, re_part), members in _grouped(picked).items():
 
         def fitted(ms, ue_part=ue_part, re_part=re_part):
-            sub = _members(data, ms)
-            fits = [searches[r][0].fit for r in ms]
             return estimate_class(
-                sub,
+                data.select(ms),
                 restriction,
                 ue_part,
                 re_part,
@@ -1055,7 +1023,7 @@ def estimate_groups(
                 shrinkage=shrinkage,
                 omega=omega,
                 bandwidth=bandwidth,
-                ue=stack_responses(fits) if sub.y.ndim == 2 else fits[0],
+                ue=stack_responses([searches[r][0].fit for r in ms]),
             )
 
         for rows, outcome in _by_member(fitted, members):
@@ -1064,14 +1032,12 @@ def estimate_groups(
                     out[r] = outcome
                     continue
                 plugin = outcome["plugin"]
-                if plugin.a_hat.ndim == 3:
-                    plugin = PluginMatrices(plugin.a_hat[i], plugin.sandwich[i], plugin.omega_method)
                 out[r] = {
                     "ue_search": searches[r][0],
                     "re_search": searches[r][1],
                     "estimates": {name: take_response(est, i) for name, est in outcome["estimates"].items()},
-                    "plugin": plugin,
-                    "psi": float(np.reshape(outcome["psi"], -1)[i]),
+                    "plugin": PluginMatrices(plugin.a_hat[i], plugin.sandwich[i], plugin.omega_method),
+                    "psi": float(outcome["psi"][i]),
                 }
     return out
 

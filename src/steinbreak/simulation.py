@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -73,6 +74,8 @@ class SimDesign:
         if self.delta0.shape != (n,):
             raise ValueError(f"delta0 must have length {(self.m + 1) * self.q}")
         self.restriction.check_dims(n)
+        if len(set(self.sigma2_grid)) != len(self.sigma2_grid):
+            raise ValueError(f"sigma2_grid repeats a noise level: {self.sigma2_grid}")
 
     @property
     def true_partition(self) -> Partition:
@@ -189,11 +192,10 @@ def _replications(design: SimDesign, data: RegressionData, stats: SegmentMoments
     """Estimate breaks and the four estimators on each response of ``data``.
 
     Yields, per response in order, (losses by estimator, ue breaks, re
-    breaks), or the ``SteinbreakError`` that ended it; the search of a lone
-    response raises its error instead.  The restricted
-    estimator is fitted at its own break estimates; the shrinkage pair
-    conditions everything (including the plug-in matrices) on the
-    unrestricted breaks.  Chunk by chunk
+    breaks), or the ``SteinbreakError`` that ended it; a lone response is a
+    batch of one.  The restricted estimator is fitted at its own break
+    estimates; the shrinkage pair conditions everything (including the
+    plug-in matrices) on the unrestricted breaks.  Chunk by chunk
     (:func:`~steinbreak.segmentation.response_chunks`), the responses are
     searched in :func:`~steinbreak.segmentation.response_batches` on
     ``stats`` (a search state on ``data.z``; by default one is built per
@@ -220,16 +222,6 @@ def _replications(design: SimDesign, data: RegressionData, stats: SegmentMoments
             yield losses, fitted["ue_search"].partition.breaks, fitted["re_search"].partition.breaks
 
 
-def _one_replication(design: SimDesign, data: RegressionData):
-    """The outcome of :func:`_replications` on a one-response ``data``,
-    whose searches raise their error rather than return it."""
-    try:
-        (result,) = _replications(design, data)
-    except SteinbreakError as exc:
-        return exc
-    return result
-
-
 def run_monte_carlo(design: SimDesign) -> SimResult:
     """Run the full study over the design's noise grid.
 
@@ -237,11 +229,12 @@ def run_monte_carlo(design: SimDesign) -> SimResult:
     skipped, never silently dropped; the result is flagged when failures
     exceed 1% at any noise level.  Every replication builds the Stein
     pair, so a restriction with ``k <= 2`` raises ``KTooSmall`` before any
-    search.  With redrawn regressors each replication is a batch of one;
-    with fixed regressors all replications of a noise level form one batch
-    on one search state for the study, which factors every segment Gram
-    once.  Either way a replication's numbers are those of its own batch of
-    one.
+    search; a ``min_seg_frac`` that leaves no partition raises
+    ``InfeasibleConfig`` from the first search, whatever the regressors.
+    With redrawn regressors each replication is a batch of one; with fixed
+    regressors all replications of a noise level form one batch on one
+    search state for the study, which factors every segment Gram once.
+    Either way a replication's numbers are those of its own batch of one.
     """
     for name in ESTIMATOR_NAMES:
         if name in SHRINKAGE_RULES:
@@ -261,7 +254,9 @@ def run_monte_carlo(design: SimDesign) -> SimResult:
         t0 = time.perf_counter()
         rngs = (_rep_rng(design.seed, si, rep) for rep in range(design.n_reps))
         if fixed_z is None:
-            outcomes = (_one_replication(design, simulate_dataset(design, sigma2, rng)) for rng in rngs)
+            outcomes = chain.from_iterable(
+                _replications(design, simulate_dataset(design, sigma2, rng)) for rng in rngs
+            )
         else:
             ys = [simulate_dataset(design, sigma2, rng, z=fixed_z).y for rng in rngs]
             outcomes = _replications(design, RegressionData(y=ys, z=fixed_z), stats)

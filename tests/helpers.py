@@ -599,8 +599,8 @@ def fixed_regressor_reference(design):
     from steinbreak.simulation import (
         ESTIMATOR_NAMES,
         _draw_regressors,
-        _one_replication,
         _rep_rng,
+        _replications,
         simulate_dataset,
     )
 
@@ -611,7 +611,7 @@ def fixed_regressor_reference(design):
         ue, re = [], []
         for rep in range(design.n_reps):
             data = simulate_dataset(design, sigma2, _rep_rng(design.seed, si, rep), z=fixed_z)
-            losses, bu, br = _one_replication(design, data)
+            ((losses, bu, br),) = _replications(design, data)
             for name, value in losses.items():
                 sums[name] += value
             ue.append(bu)
@@ -624,7 +624,7 @@ def fixed_regressor_reference(design):
 
 def per_replicate_bootstrap(values):
     """The residual bootstrap of the config ``values`` run replicate by
-    replicate, each a one-response pipeline on its own search state: the
+    replicate, each a batch of one on its own search state: the
     loop ``cli.cmd_bootstrap`` ran before the replicates became one batch,
     kept as the reference for it.  Returns the ``table1.csv`` header and
     row, and each replicate's pipeline result or error."""
@@ -643,10 +643,7 @@ def per_replicate_bootstrap(values):
     for b in range(cfg.values["bootstrap_b"]):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.values["seed"], b)))
         u_star = rng.choice(centered, size=data.n_obs, replace=True)
-        try:
-            (rerun,) = cli._fit_pipeline(cfg, RegressionData(y=fitted + u_star, z=data.z), restriction)
-        except SteinbreakError as exc:
-            rerun = exc
+        (rerun,) = cli._fit_pipeline(cfg, RegressionData(y=fitted + u_star, z=data.z), restriction)
         results.append(rerun)
         if isinstance(rerun, SteinbreakError):
             failures += 1

@@ -230,6 +230,18 @@ def test_parser_keeps_no_state_between_runs(tmp_path):
     assert stat["omega_method"] == "hc0"
 
 
+def test_restricted_search_flag_takes_every_config_value(tmp_path):
+    # the flag's choices are the config's: the alias coordinate-refine runs
+    # the search that refine names
+    write_trend_series(tmp_path / "series.csv", brk=60)
+    cfg = fit_config(tmp_path)
+    out = {}
+    for name in ALLOWED["restricted_search"]:
+        assert main(["fit", "--config", str(cfg), "--restricted-search", name, "--out", str(tmp_path / name)]) == EXIT_OK
+        out[name] = (tmp_path / name / "estimates.csv").read_bytes()
+    assert out["coordinate-refine"] == out["refine"]
+
+
 NO_BREAK = (117, {"m": 0, "estimators": ["ue", "re"]}, [])
 # (m + 1) floor(min_seg_frac T) == T leaves one partition: 30 | 30 | 30
 EXACT_FIT = (90, {"m": 2, "min_seg_frac": 1 / 3 + 1e-9}, ["30", "60"])
@@ -352,6 +364,7 @@ BAD_CONFIGS = {
     "delta-points": ("risk", {"delta_points": -1}),
     "delta-points-zero": ("risk", {"delta_points": 0}),
     "sigma2-grid-empty": ("simulate", {"case": 1, "t": 40, "reps": 2, "sigma2_grid": []}),
+    "sigma2-grid-repeated": ("simulate", {"case": 1, "t": 40, "reps": 2, "sigma2_grid": [1.0, 1.0]}),
     "seed": ("simulate", {"case": 1, "seed": -1}),
     "n-samples": ("verify", {"n_samples": MIN_SAMPLES - 1}),
     "scaffold-k-type": ("risk", {"scaffold": {"kind": "random-dominant", "k": "x"}}),

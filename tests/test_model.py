@@ -206,6 +206,30 @@ def test_csv_round_trip(tmp_path):
     assert_allclose(loaded.z, data.z)
 
 
+def test_csv_writer_rejects_a_batch(tmp_path):
+    rng = np.random.default_rng(5)
+    batch = RegressionData(y=rng.normal(size=(2, 9)), z=rng.normal(size=(9, 2)))
+    with pytest.raises(DimensionMismatch):
+        write_regression_csv(tmp_path / "series.csv", batch)
+
+
+def test_select_of_the_whole_batch_in_order_is_itself():
+    rng = np.random.default_rng(6)
+    batch = RegressionData(y=rng.normal(size=(3, 9)), z=rng.normal(size=(9, 2)))
+    assert batch.select(slice(None)) is batch
+    assert batch.select(slice(0, 64)) is batch
+    assert batch.select([0, 1, 2]) is batch
+    for rows in ([2, 1, 0], [0, 1], slice(1, 3)):
+        picked = batch.select(rows)
+        assert picked is not batch and picked.z is batch.z
+        assert np.array_equal(picked.y, batch.y[rows])
+    lone = RegressionData(y=rng.normal(size=9), z=rng.normal(size=(9, 2)))
+    for rows in ([0], slice(None)):
+        picked = lone.select(rows)
+        assert picked.y.shape == (1, 9) and np.array_equal(picked.y[0], lone.y)
+        assert not picked.y.flags.writeable
+
+
 def test_csv_schema_errors(tmp_path):
     bad_header = tmp_path / "bad1.csv"
     bad_header.write_text("time,y,z1\n1,0.0,1.0\n")

@@ -312,12 +312,12 @@ def test_restricted_kernel_three_ways_agree():
             restr = random_restriction(rng, n, k)
             inner = [np.sort(rng.choice(np.arange(1, t_total // q), size=m, replace=False)) for _ in range(5)]
             rows = np.array([(0, *(b * q), t_total) for b in inner])
-            batched = stats.restricted_ssr(rows, restr)
+            batched = stats.restricted_ssr(rows, restr)[0]
             for row, moments in zip(rows, batched):
                 part = Partition(tuple(int(b) for b in row[1:-1]))
                 delta_ns, ssr_ns = nullspace_restricted_fit(data, part, restr)
                 fit = fit_restricted(data, part, restr)
-                assert moments == stats.restricted_ssr(row[None, :], restr)[0]
+                assert moments == stats.restricted_ssr(row[None, :], restr)[0, 0]
                 assert_allclose(fit.ssr, ssr_ns, rtol=1e-10)
                 assert_allclose(moments, ssr_ns, rtol=1e-10)
                 assert_allclose(kkt_restricted_ssr(cum, row, restr), ssr_ns, rtol=1e-10)
@@ -352,7 +352,7 @@ def test_component_scores_match_the_full_null_space_kernel():
             restr = random_restriction(rng, n, int(rng.integers(1, n + 1)))
         n_components.append(len(restr.segment_components(q)))
         rows = random_bounds(rng, t_total, m, 2 * q + 2, 20)
-        scores = SegmentMoments(data).restricted_ssr(rows, restr)
+        scores = SegmentMoments(data).restricted_ssr(rows, restr)[0]
         assert_allclose(scores, nullspace_kernel_ssr(moment_prefix_sums(data), rows, restr), rtol=1e-12)
     assert np.bincount(n_components)[1:].min() >= 5
 
@@ -368,13 +368,13 @@ def test_restricted_score_bits_do_not_depend_on_the_batch():
     rows = random_bounds(rng, 100, 4, 5, 60)
     for restr in restrictions:
         stats = SegmentMoments(data)
-        whole = stats.restricted_ssr(rows, restr)
+        whole = stats.restricted_ssr(rows, restr)[0]
         order = rng.permutation(len(rows))
-        assert np.array_equal(stats.restricted_ssr(rows[order], restr), whole[order])
+        assert np.array_equal(stats.restricted_ssr(rows[order], restr)[0], whole[order])
         for chunk in np.array_split(np.arange(len(rows)), 7):
-            assert np.array_equal(SegmentMoments(data).restricted_ssr(rows[chunk], restr), whole[chunk])
+            assert np.array_equal(SegmentMoments(data).restricted_ssr(rows[chunk], restr)[0], whole[chunk])
         for i in (0, 17, 59):
-            assert np.array_equal(stats.restricted_ssr(rows[i:i + 1], restr), whole[i:i + 1])
+            assert np.array_equal(stats.restricted_ssr(rows[i:i + 1], restr)[0], whole[i:i + 1])
 
 
 def test_restricted_inf_pattern_matches_the_full_null_space_kernel():
@@ -402,12 +402,12 @@ def test_restricted_inf_pattern_matches_the_full_null_space_kernel():
         ])
         stats = SegmentMoments(data)
         expected = np.isinf(nullspace_kernel_ssr(moment_prefix_sums(data), rows, restr))
-        assert np.array_equal(np.isinf(stats.restricted_ssr(rows, restr)), expected), trial
+        assert np.array_equal(np.isinf(stats.restricted_ssr(rows, restr)[0]), expected), trial
         n_inf += expected.sum()
         s, e = sorted(rng.choice(np.arange(t_total + 1), size=2, replace=False))
         stats.exclude([(s, e)])
         expected |= ((rows[:, :-1] >= s) & (rows[:, 1:] <= e)).any(axis=1)
-        assert np.array_equal(np.isinf(stats.restricted_ssr(rows, restr)), expected), trial
+        assert np.array_equal(np.isinf(stats.restricted_ssr(rows, restr)[0]), expected), trial
     assert n_inf > 0
 
 
@@ -520,13 +520,13 @@ def test_unrestricted_exclusions_carry_to_restricted_scores():
     stats = SegmentMoments(data)
     _, first = segmentation._suffix_dp(stats.ssr_table(min_len, 2).copy(), 2, min_len)
     with pytest.raises(SegmentRankDeficient) as info:
-        fit_unrestricted(data, Partition(tuple(first)))
+        fit_unrestricted(data, Partition(tuple(first[0])))
     segments = info.value.segments
     assert segments
     rows = np.array([(0, e, e + 40, 100) if s == 0 else (0, s, e, 100) for s, e in segments])
     assert np.isfinite(SegmentMoments(data).restricted_ssr(rows, restr)).all()
     find_breaks_unrestricted(data, cfg, stats=stats)
-    tab = stats.ssr_table(min_len, 2)
+    tab = stats.ssr_table(min_len, 2)[0]
     excluded = np.zeros(tab.shape, dtype=bool)
     for s, e in stats._excluded:
         excluded[s:e, s:e] = True
@@ -534,7 +534,7 @@ def test_unrestricted_exclusions_carry_to_restricted_scores():
         assert excluded[s:e, s:e].all()
     kept = reachable_mask(data.n_obs, min_len, 2) & ~excluded
     assert np.isinf(tab[~kept]).all()
-    assert np.array_equal(tab[kept], SegmentMoments(data).ssr_table(min_len, 2)[kept])
+    assert np.array_equal(tab[kept], SegmentMoments(data).ssr_table(min_len, 2)[0][kept])
     assert np.isinf(stats.restricted_ssr(rows, restr)).all()
 
 
@@ -576,11 +576,11 @@ def test_batch_with_one_singular_candidate():
     restr = Restriction(matrix=np.array([[1.0, 0.0, 0.0, 0.0]]), rhs=np.array([0.5]))
     stats = SegmentMoments(data)
     rows = np.array([(0, b, 30) for b in (12, 13, 6, 14, 15)])
-    batched = stats.restricted_ssr(rows, restr)
+    batched = stats.restricted_ssr(rows, restr)[0]
     assert batched[2] == np.inf
     for i in (0, 1, 3, 4):
         assert np.isfinite(batched[i])
-        assert batched[i] == stats.restricted_ssr(rows[i:i + 1], restr)[0]
+        assert batched[i] == stats.restricted_ssr(rows[i:i + 1], restr)[0, 0]
         assert_allclose(batched[i], ssr_restricted(data, Partition((int(rows[i, 1]),)), restr), rtol=1e-10)
 
 
@@ -605,8 +605,8 @@ def test_nan_score_is_never_chosen(monkeypatch):
 
     monkeypatch.setattr(segmentation, "_schur_ssr", poisoned)
     stats = SegmentMoments(data)
-    assert stats.restricted_ssr(np.array([(0, first_len, 24)]), restr)[0] == np.inf
-    assert np.isfinite(stats.restricted_ssr(np.array([(0, first_len + 1, 24)]), restr)[0])
+    assert stats.restricted_ssr(np.array([(0, first_len, 24)]), restr)[0, 0] == np.inf
+    assert np.isfinite(stats.restricted_ssr(np.array([(0, first_len + 1, 24)]), restr)[0, 0])
     for method in (METHOD_EXHAUSTIVE, METHOD_REFINE):
         res = find_breaks_restricted(data, restr, SearchConfig(m=1, method=method))
         assert res.partition.breaks != best.partition.breaks, method
@@ -746,9 +746,9 @@ def test_refinement_scores_each_candidate_set_once(monkeypatch):
     calls = []
     original = SegmentMoments.restricted_ssr
 
-    def spy(self, bounds, restriction):
+    def spy(self, bounds, restriction, responses=None):
         calls.append(bounds.copy())
-        return original(self, bounds, restriction)
+        return original(self, bounds, restriction, responses)
 
     monkeypatch.setattr(SegmentMoments, "restricted_ssr", spy)
     rows = {"reference": 0, "new": 0}
@@ -801,7 +801,7 @@ def test_batch_tables_match_a_fresh_state(monkeypatch):
             tabs = batch.ssr_table(min_len, m)
             assert tabs.shape == (4, data.n_obs, data.n_obs)
             for b, alone in enumerate(fresh):
-                tab = alone.ssr_table(min_len, m)
+                tab = alone.ssr_table(min_len, m)[0]
                 assert np.isinf(tab[~reachable]).all()
                 assert np.array_equal(tabs[b], tab)
                 try:
@@ -825,7 +825,7 @@ def test_batch_keeps_each_response_search_state():
     stats.exclude([(0, 3)], [1])
     tab = stats.ssr_table(min_len, 2)
     assert np.isinf(tab[1, 0:3, 0:3]).all()
-    assert np.array_equal(tab[0], SegmentMoments(data).ssr_table(min_len, 2))
+    assert np.array_equal(tab[0], SegmentMoments(data).ssr_table(min_len, 2)[0])
     found = find_breaks_unrestricted(batch, cfg, stats=stats).results
     assert (found[0].partition, found[0].ssr) == (alone.partition, alone.ssr)
     assert len(stats._excluded) > 1
@@ -858,9 +858,9 @@ def test_batch_restricted_scores_match_a_fresh_state():
         scores = batch.restricted_ssr(bounds, restr)
         assert scores.shape == (3, len(bounds))
         for b, y in enumerate(ys):
-            fresh = SegmentMoments(RegressionData(y=y, z=data.z)).restricted_ssr(bounds, restr)
+            fresh = SegmentMoments(RegressionData(y=y, z=data.z)).restricted_ssr(bounds, restr)[0]
             assert np.array_equal(scores[b], fresh)
-            assert np.array_equal(batch.restricted_ssr(bounds, restr, b), fresh)
+            assert np.array_equal(batch.restricted_ssr(bounds, restr, slice(b, b + 1))[0], fresh)
             assert np.array_equal(batch.restricted_ssr(bounds, restr, [2, b])[1], fresh)
 
 
@@ -879,7 +879,7 @@ def test_set_responses_keeps_only_the_factors():
     assert stats._excluded == [] and stats._optima == {} and stats._factors is factors
     for b, y in enumerate(ys):
         fresh = SegmentMoments(RegressionData(y=y, z=data.z))
-        assert np.array_equal(stats.ssr_table(min_len, 2)[b], fresh.ssr_table(min_len, 2))
+        assert np.array_equal(stats.ssr_table(min_len, 2)[b], fresh.ssr_table(min_len, 2)[0])
 
 
 @pytest.mark.parametrize("const", [0.3, 1.0])
@@ -896,7 +896,7 @@ def test_table_inf_pattern_matches_lu_reference(const):
         reference = np.isinf(lu_ssr_table(data, 2))
         for m in (1, 2, 3):
             reachable = reachable_mask(100, 2, m)
-            tab = SegmentMoments(data).ssr_table(2, m)
+            tab = SegmentMoments(data).ssr_table(2, m)[0]
             assert np.array_equal(np.isinf(tab[reachable]), reference[reachable]), (seed, m)
             assert np.isinf(tab[~reachable]).all(), (seed, m)
 
@@ -915,7 +915,7 @@ def test_table_inf_pattern_with_singular_grams_on_several_start_rows():
     reference = np.isinf(lu_ssr_table(data, 2))
     for m in (2, 3):
         stats = SegmentMoments(data)
-        tab = stats.ssr_table(2, m)
+        tab = stats.ssr_table(2, m)[0]
         reachable = reachable_mask(100, 2, m)
         assert np.array_equal(np.isinf(tab[reachable]), reference[reachable]), m
         assert np.isinf(tab[~reachable]).all(), m
@@ -963,7 +963,7 @@ def test_trend_table_matches_per_segment_lstsq():
             ref[s, e - 1] = float(res[0])
     for m in (1, 2, 3):
         reachable = reachable_mask(data.n_obs, min_len, m)
-        tab = SegmentMoments(data).ssr_table(min_len, m)
+        tab = SegmentMoments(data).ssr_table(min_len, m)[0]
         assert np.isinf(tab[~reachable]).all(), m
         for s, e1 in np.argwhere(reachable):
             assert abs(tab[s, e1] - ref[s, e1]) <= 2e-5 * max(ref[s, e1], floor), (m, s, e1 + 1)
@@ -978,7 +978,7 @@ def test_one_off_table_memory_stays_bounded():
     stats = SegmentMoments(data)
     tracemalloc.start()
     try:
-        tab = stats.ssr_table(100, 5)
+        tab = stats.ssr_table(100, 5)[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1000,7 +1000,7 @@ def test_vectorised_dp_matches_row_by_row_recursion(monkeypatch):
         min_len = max(2, data.n_regressors)
         if (m + 1) * min_len > data.n_obs:
             continue
-        tab = SegmentMoments(data).ssr_table(min_len, m).copy()
+        tab = SegmentMoments(data).ssr_table(min_len, m)[0].copy()
         reachable = reachable_mask(data.n_obs, min_len, m)
         assert np.isfinite(tab[reachable]).all() and np.isinf(tab[~reachable]).all(), seed
         tab[rng.random(tab.shape) < 0.05] = np.inf
@@ -1008,12 +1008,8 @@ def test_vectorised_dp_matches_row_by_row_recursion(monkeypatch):
         expected = suffix_dp_reference(tab, m, min_len)
         for chunk in (segmentation._DP_CHUNK, 1, 37):
             monkeypatch.setattr(segmentation, "_DP_CHUNK", chunk)
-            try:
-                best, _ = segmentation._suffix_dp(tab, m, min_len)
-            except SegmentRankDeficient:
-                assert not np.isfinite(expected[0, m])
-                continue
-            assert np.array_equal(best, expected), (seed, chunk)
+            best, _ = segmentation._suffix_dp(tab[None], m, min_len)
+            assert np.array_equal(best[0], expected), (seed, chunk)
 
 
 def test_reachable_segments_match_enumeration(monkeypatch):

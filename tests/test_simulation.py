@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from steinbreak import (
+    InfeasibleConfig,
     SimDesign,
     break_mode,
     build_case1,
@@ -18,7 +20,7 @@ from steinbreak import (
     write_regression_csv,
 )
 from steinbreak.cli import main
-from steinbreak.simulation import _one_replication
+from steinbreak.simulation import _replications
 
 from helpers import fixed_regressor_reference
 
@@ -187,7 +189,7 @@ def test_simulate_and_fit_agree(tmp_path):
     for i in (0, 5, 7):
         sigma2 = design.sigma2_grid[i % 3]
         data = simulate_dataset(design, sigma2, np.random.default_rng(np.random.SeedSequence((41, i))))
-        losses, ue_breaks, re_breaks = _one_replication(design, data)
+        ((losses, ue_breaks, re_breaks),) = _replications(design, data)
         differ += ue_breaks != re_breaks
         series = tmp_path / f"case1_{i}.csv"
         write_regression_csv(series, data)
@@ -213,20 +215,36 @@ def test_simulate_and_fit_agree(tmp_path):
     assert differ == 2
 
 
-def test_a_failed_replication_counts_once_and_the_study_goes_on(monkeypatch):
-    # a redrawn-regressor replication is a lone response, whose search
-    # raises its error: the study counts it in n_fail and keeps every other
-    # replication as a study without it has them
-    import dataclasses
+def test_repeated_noise_level_is_rejected():
+    design = build_case1(n_obs=40, n_reps=2)
+    with pytest.raises(ValueError):
+        dataclasses.replace(design, sigma2_grid=(1.0, 2.0, 1.0))
 
-    from steinbreak import simulation
+
+@pytest.mark.parametrize("redraw", [True, False])
+def test_infeasible_min_seg_frac_raises_before_any_replication(redraw):
+    # four segments of 30% of T do not fit: a config error of the study,
+    # never a failure of each replication
+    design = dataclasses.replace(
+        build_case1(n_obs=40, n_reps=3), min_seg_frac=0.3, redraw_regressors=redraw, sigma2_grid=(1.0,)
+    )
+    with pytest.raises(InfeasibleConfig):
+        run_monte_carlo(design)
+
+
+def test_a_failed_replication_counts_once_and_the_study_goes_on(monkeypatch):
+    # a redrawn-regressor replication is a batch of one: the restricted
+    # search's fit of the second one fails, the search records the error as
+    # that replication's outcome, and the study counts it in n_fail and keeps
+    # every other replication as a study without it has them
+    from steinbreak import segmentation
     from steinbreak.errors import SingularConstraintGram
 
     design = dataclasses.replace(build_case1(n_obs=40, n_reps=5, seed=3), sigma2_grid=(1.0,))
     clean = run_monte_carlo(design)
     assert clean.n_fail[1.0] == 0
     calls = []
-    original = simulation.find_breaks_restricted
+    original = segmentation.ssr_restricted
 
     def failing_second(*args, **kwargs):
         calls.append(None)
@@ -234,7 +252,7 @@ def test_a_failed_replication_counts_once_and_the_study_goes_on(monkeypatch):
             raise SingularConstraintGram("forced failure of one replication")
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(simulation, "find_breaks_restricted", failing_second)
+    monkeypatch.setattr(segmentation, "ssr_restricted", failing_second)
     result = run_monte_carlo(design)
     assert result.n_fail[1.0] == 1
     kept = [0, 2, 3, 4]
